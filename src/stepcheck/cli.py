@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 
 from . import composition
 from .dsl import ParseError, ResolutionError, parse_model
@@ -35,18 +36,9 @@ _OVERRIDE_KEYS = {
 }
 
 
-_FLAG_DEFAULTS = {
-    "comm_policy": "chained",
-    "step_mode": "step",
-    "round_mode": "overlap",
-    "shadow_policy": "strict",
-    "max_states": 100000,
-}
-
-
 def _config_from_args(args, overrides=None) -> Config:
     # precedence: explicit command-line flag > check option > default
-    values = dict(_FLAG_DEFAULTS)
+    values = {}
     for key, value in (overrides or {}).items():
         if key in _OVERRIDE_KEYS:
             values[_OVERRIDE_KEYS[key]] = value
@@ -54,10 +46,10 @@ def _config_from_args(args, overrides=None) -> Config:
             values["max_states"] = int(value)
         else:
             raise SemanticsError(f"unknown check option {key}")
-    for field in _FLAG_DEFAULTS:
-        flag = getattr(args, field)
+    for field in fields(Config):
+        flag = getattr(args, field.name)
         if flag is not None:
-            values[field] = flag
+            values[field.name] = flag
     return Config(**values)
 
 
@@ -101,10 +93,10 @@ def _run_checks(model: Model, args) -> int:
         start = time.monotonic()
         left = _side_lts(model, goal.left, config)
         right = _side_lts(model, goal.right, config)
-        verdict = check_relation(goal.relation, left, right)
-        if args.rooted and goal.relation == "branching-bisim":
-            from .equivalence import rooted_branching_bisim
-            verdict = rooted_branching_bisim(left, right)
+        relation = goal.relation
+        if args.rooted and relation == "branching-bisim":
+            relation = "rooted-branching-bisim"
+        verdict = check_relation(relation, left, right)
         elapsed = time.monotonic() - start
         reports.append((goal, verdict, left, right, elapsed))
         if not verdict.holds:
@@ -274,6 +266,10 @@ def main(argv=None) -> int:
     except (ParseError, ResolutionError, SemanticsError, OSError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: the model nests too deeply to process "
+              "(maximum recursion depth exceeded)", file=sys.stderr)
         return 2
 
 

@@ -305,7 +305,10 @@ class _Parser:
                and self.tokens[self.pos + 1].text == "="):
             key = self.next().text
             self.next()  # '='
-            overrides[key] = self.expect_name("option value").text
+            if self.peek().kind == "name" and self.peek().text.isdigit():
+                overrides[key] = self.next().text   # e.g. max_states=500
+            else:
+                overrides[key] = self.expect_name("option value").text
         if name is None:
             name = f"check{len(decls['checks']) + 1}"
         decls["checks"].append(CheckGoal(name, left, right, relation, overrides))

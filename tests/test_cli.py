@@ -3,6 +3,7 @@ import json
 import pytest
 
 import stepcheck as sc
+from stepcheck import equivalence
 from stepcheck.cli import main
 
 MODEL_PATH = str(sc.bundled_model_path())
@@ -68,6 +69,28 @@ class TestCheck:
         assert code == 1
         assert out.count("A1") >= 2  # two requests outstanding at once
 
+    def test_max_states_check_option(self, tmp_path, capsys):
+        path = tmp_path / "budget.aptc"
+        path.write_text("process P { P = a . b . P }\n"
+                        "check roomy: P ~sb P max_states=500\n"
+                        "check tight: P ~sb P max_states=1\n")
+        assert main(["check", str(path), "--name", "roomy"]) == 0
+        assert main(["check", str(path), "--name", "tight"]) == 2
+        assert "state budget of 1 states" in capsys.readouterr().err
+
+    def test_rooted_runs_only_the_rooted_check(self, monkeypatch, capsys):
+        calls = []
+        plain = equivalence.branching_bisim
+
+        def counting(left, right, rooted=False):
+            calls.append(rooted)
+            return plain(left, right, rooted=rooted)
+
+        monkeypatch.setattr(equivalence, "branching_bisim", counting)
+        assert main(["check", MODEL_PATH, "--rooted", "--name", "ab_a"]) == 1
+        assert calls == [True]
+        assert "root condition" in capsys.readouterr().out
+
 
 class TestLts:
     def test_dot_export(self, capsys):
@@ -120,6 +143,15 @@ class TestDeriveAb:
 class TestErrors:
     def test_missing_file_exits_2(self, capsys):
         assert main(["check", "/nonexistent.aptc"]) == 2
+
+    def test_deep_sequence_exits_2_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "deep.aptc"
+        path.write_text("process P { P = " + " . ".join(["a"] * 1500)
+                        + " . P }\ncheck deep: P ~sb P\n")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.aptc"

@@ -68,6 +68,18 @@ class TestParsing:
         assert isinstance(rhs, Sum)
         assert isinstance(rhs.body, Seq)
 
+    def test_numeric_check_option(self):
+        m = parse_model("process P { P = a . P }\n"
+                        "check c: P ~sb P max_states=500 round=barrier")
+        assert m.checks[0].overrides == {"max_states": "500",
+                                         "round": "barrier"}
+        assert parse_model(render_model(m)).checks[0].overrides == \
+            m.checks[0].overrides
+
+    def test_option_value_still_rejects_mixed_digits(self):
+        with pytest.raises(ParseError):
+            parse_model("process P { P = a . P }\ncheck P ~sb P comm=5x")
+
     def test_comments_ignored(self):
         m = parse_model("// a comment\nprocess P { P = a . P } // tail\n")
         assert m.processes[0].name == "P"

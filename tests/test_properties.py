@@ -3,6 +3,7 @@
 Each property runs on at least 150 seeded random cases; across the suites
 well over 1000 cases are exercised per test run.
 """
+import itertools
 import random
 
 import pytest
@@ -16,13 +17,27 @@ from stepcheck.equivalence import (
     strong_step_bisim,
 )
 from stepcheck.model import Model
-from stepcheck.semantics import Config, generate_lts
+from stepcheck.semantics import (
+    TERM,
+    Config,
+    SystemState,
+    _blocked,
+    _label_hidden,
+    _raw,
+    _resolve,
+    apply_theta,
+    enabled_steps,
+    generate_lts,
+    prepare_system,
+)
 from stepcheck.terms import (
     Act,
     ActionLabel,
     Alt,
     CommEntry,
     CommTable,
+    ConflictElim,
+    ConflictRelation,
     DataDomain,
     Deadlock,
     Encaps,
@@ -30,6 +45,7 @@ from stepcheck.terms import (
     Par,
     RecursiveSpec,
     Seq,
+    Shadow,
     Var,
     guardedness_check,
 )
@@ -191,3 +207,157 @@ class TestDslRoundTrip:
             again = parse_model(text)
             assert again.equations() == m.equations()
             assert render_model(again) == text
+
+
+def reference_steps(state, prepared):
+    """Every subset of components times the product of their moves, each
+    combination resolved, then theta, block and hide: the literal reading
+    of the step semantics that ``enabled_steps`` must agree with."""
+    ctx = prepared.ctx
+    config = ctx.config
+    comps = state.components
+    n = len(comps)
+    if config.round_mode == "barrier":
+        rounds = state.rounds
+        tracked = [r for i, r in enumerate(rounds)
+                   if comps[i] is not TERM and prepared.entries[i] is not None]
+        floor = min(tracked) if tracked else 0
+        allowed = [i for i in range(n) if comps[i] is not TERM
+                   and (prepared.entries[i] is None or rounds[i] == floor)]
+    else:
+        allowed = [i for i in range(n) if comps[i] is not TERM]
+    local = {i: _raw(comps[i], ctx) for i in allowed}
+    candidates = []
+    for size in range(1, len(allowed) + 1):
+        for subset in itertools.combinations(allowed, size):
+            for choice in itertools.product(*[local[i] for i in subset]):
+                occs = tuple(o for occs_i, _ in choice for o in occs_i)
+                for events in _resolve(occs, ctx):
+                    if config.step_mode == "interleave" and len(events) != 1:
+                        continue
+                    new_comps = list(comps)
+                    for i, (_, succ) in zip(subset, choice):
+                        new_comps[i] = succ
+                    rounds2 = state.rounds
+                    if rounds2 is not None:
+                        rl = list(rounds2)
+                        for i, (_, succ) in zip(subset, choice):
+                            entry = prepared.entries[i]
+                            if entry is not None and succ == Var(entry):
+                                rl[i] += 1
+                        live = [i for i in range(n)
+                                if new_comps[i] is not TERM
+                                and prepared.entries[i] is not None]
+                        lo = min((rl[i] for i in live), default=0)
+                        rounds2 = tuple(
+                            rl[i] - lo if i in live else 0 for i in range(n))
+                    candidates.append(
+                        (events, SystemState(tuple(new_comps), rounds2)))
+    if prepared.theta:
+        candidates = apply_theta(candidates, ctx.conflicts)
+    for blocked_set in prepared.encaps:
+        candidates = [(ev, st) for ev, st in candidates
+                      if not _blocked(ev, blocked_set)]
+    out = []
+    seen = set()
+    for events, succ in candidates:
+        labels = [e.label for e in events if e.label is not None]
+        for hide_set in reversed(prepared.hides):
+            labels = [l for l in labels if not _label_hidden(l, hide_set)]
+        label = tuple(sorted(labels, key=lambda l: l.pretty()))
+        if (label, succ) not in seen:
+            seen.add((label, succ))
+            out.append((label, succ))
+    out.sort(key=lambda ls: (tuple(l.pretty() for l in ls[0]),
+                             ls[1].pretty()))
+    return out
+
+
+STEP_ACTIONS = ["a", "b", "c", "d"]
+
+
+def rand_names(rng):
+    return frozenset(rng.sample(STEP_ACTIONS, rng.randint(1, 3)))
+
+
+def rand_wrapper(rng, body):
+    kind = rng.choice(("hide", "block", "theta"))
+    if kind == "hide":
+        return Hide(rand_names(rng), body)
+    if kind == "block":
+        return Encaps(rand_names(rng), body)
+    return ConflictElim(body)
+
+
+def rand_prefix(rng, depth=1):
+    """A finite first move: actions, shadows, parallel pairs, wrappers."""
+    roll = rng.random()
+    if roll < 0.35:
+        return Act(ActionLabel(rng.choice(STEP_ACTIONS)))
+    if roll < 0.55 or depth < 0:
+        return Shadow(rng.choice(STEP_ACTIONS))
+    if roll < 0.8 or depth == 0:
+        return Par(Act(ActionLabel(rng.choice(STEP_ACTIONS))),
+                   rand_prefix(rng, -1))
+    return rand_wrapper(rng, rand_prefix(rng, depth - 1))
+
+
+def rand_system(rng):
+    """A model and a system of 2-4 components with random wrappers."""
+    specs, comps = [], []
+    for k in range(rng.randint(2, 4)):
+        names = [f"P{k}_{j}" for j in range(rng.randint(1, 2))]
+        equations = {}
+        for name in names:
+            branches = []
+            for _ in range(rng.randint(1, 2)):
+                head = rand_prefix(rng)
+                if rng.random() < 0.15:
+                    branches.append(head)   # terminates
+                else:
+                    branches.append(Seq(head, Var(rng.choice(names))))
+            equations[name] = (branches[0] if len(branches) == 1
+                               else Alt(tuple(branches)))
+        specs.append(RecursiveSpec(f"P{k}", equations, names[0]))
+        comp = Var(names[0])
+        comps.append(rand_wrapper(rng, comp) if rng.random() < 0.25 else comp)
+    pairs = list(itertools.combinations(STEP_ACTIONS, 2))
+    comms = tuple(CommEntry(x, y, rng.choice((None, f"g{x}{y}")))
+                  for x, y in rng.sample(pairs, rng.randint(0, 3)))
+    conflicts = frozenset(frozenset(p)
+                          for p in rng.sample(pairs, rng.randint(0, 2)))
+    model = Model(processes=tuple(specs), comms=CommTable(comms),
+                  conflicts=ConflictRelation(conflicts))
+    system = comps[0]
+    for comp in comps[1:]:
+        system = Par(system, comp)
+    for _ in range(rng.randint(0, 3)):
+        system = rand_wrapper(rng, system)
+    return model, system
+
+
+class TestStepEnumeration:
+    def test_pruned_enumeration_equals_reference(self):
+        rng = random.Random(109)
+        states = 0
+        for _ in range(CASES):
+            model, system = rand_system(rng)
+            config = Config(
+                comm_policy=rng.choice(("chained", "binary")),
+                shadow_policy=rng.choice(("strict", "loose")),
+                round_mode=rng.choice(("overlap", "barrier")),
+                step_mode=rng.choice(("step", "step", "interleave")))
+            prepared = prepare_system(system, model, config)
+            frontier = [prepared.initial_state()]
+            seen = set(frontier)
+            while frontier and len(seen) < 40:
+                state = frontier.pop()
+                expected = reference_steps(state, prepared)
+                assert enabled_steps(state, prepared) == expected, (
+                    system, config, state.pretty())
+                states += 1
+                for _, succ in expected:
+                    if succ not in seen:
+                        seen.add(succ)
+                        frontier.append(succ)
+        assert states > 3 * CASES
