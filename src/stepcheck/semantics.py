@@ -626,32 +626,32 @@ def _flatten_par(term):
 def _moves(term, prepared):
     """The local moves of a top-level component, with what each offers.
 
-    One ``(occs, succ, names, bases, needs, hot)`` entry per move of
+    One ``(occs, succ, names, bases, needs)`` entry per move of
     ``_raw(term)``: the action names and shadow bases the move offers to
-    fusion, the needs of its occurrences, and whether theta could see its
-    step (it holds an action name of a conflict pair).  A need
-    ``(by_block, base, any_of, all_of)`` is met in a combination that
-    offers a shadow on ``base``, one of the names ``any_of`` or all of the
-    names ``all_of``.  Without that, ``_resolve`` yields no step
-    (``by_block`` false) or only steps that a top-level block drops
-    (``by_block`` true).
+    fusion, and the needs of its occurrences.  A need
+    ``(base, any_of, all_of)`` is met in a combination that offers a
+    shadow on ``base``, one of the names ``any_of`` or all of the names
+    ``all_of``.  Without that, ``_resolve`` yields no step, or only steps
+    that a top-level block drops.
     """
     ctx = prepared.ctx
     moves = ctx._moves_cache.get(term)
     if moves is not None:
         return moves
-    blocked = frozenset().union(*prepared.encaps)
-    conflict_names = frozenset().union(*ctx.conflicts)
+    # theta runs before block, and a step that block drops can still make
+    # theta eliminate a sibling: block prunes only where theta is inert
+    blocked = frozenset()
+    if not (prepared.theta and ctx.conflicts):
+        blocked = blocked.union(*prepared.encaps)
     strict = ctx.config.shadow_policy == "strict"
     moves = []
     for occs, succ in _raw(term, ctx):
         names = frozenset(o.label.name for o in occs if isinstance(o, _ActOcc))
         bases = frozenset(o.base for o in occs if isinstance(o, _ShadowOcc))
         # a shadow fuses only with an action of its base name
-        needs = [(False, None, frozenset((b,)), frozenset()) for b in bases]
+        needs = [(None, frozenset((b,)), frozenset()) for b in bases]
         for n in names:
-            by_shadow = strict and n in ctx.shadow_bases
-            if not by_shadow and n not in blocked:
+            if not (strict and n in ctx.shadow_bases or n in blocked):
                 continue
             # unfused, it is discarded or blocked: it needs its shadow or a
             # gamma rescue (its whole component, or any binary partner)
@@ -660,88 +660,61 @@ def _moves(term, prepared):
             else:
                 rescue = (frozenset(x for pair in ctx.comm if n in pair
                                     for x in pair if x != n), frozenset())
-            needs.append((not by_shadow, n) + rescue)
-        seen = set(names)
-        for o in occs:
-            if not isinstance(o, _DoneOcc):
-                continue
-            if isinstance(o.label, ActionLabel):
-                seen.add(o.label.name)
-                if not o.fused and o.label.name in blocked:
-                    # resolved below this level: nothing can fuse it now
-                    needs.append((True, None, frozenset(), frozenset()))
-            elif isinstance(o.label, CommResultLabel):
-                seen.update(o.label.participants)
-        moves.append((occs, succ, names, bases, tuple(needs),
-                      not conflict_names.isdisjoint(seen)))
+            needs.append((n,) + rescue)
+        if any(isinstance(o, _DoneOcc) and isinstance(o.label, ActionLabel)
+               and not o.fused and o.label.name in blocked for o in occs):
+            # resolved below this level: nothing can fuse it now
+            needs.append((None, frozenset(), frozenset()))
+        moves.append((occs, succ, names, bases, tuple(needs)))
     moves = tuple(moves)
     ctx._moves_cache[term] = moves
     return moves
 
 
-def _combinations(local, theta):
+def _combinations(local):
     """Combinations of local moves whose steps can survive fusion and block.
 
     ``local[p]`` holds the ``_moves`` of the ``p``-th allowed component.  A
     combination is a tuple of ``(p, move)`` pairs, at most one per
-    component and at least one in all, listed by size, then by component
-    positions, then by move order.  When some move has a need, components
-    are walked in order, each skipped or given one move, and a prefix is
-    abandoned once one of its needs can be met neither by the prefix nor
-    by any later component.  Needs of unfused blocked actions count only
-    where theta cannot see the step, because theta runs before block and a
-    doomed step can still eliminate a sibling.
+    component and at least one in all.  Components are walked in order,
+    each skipped or given one move, and a prefix is abandoned once one of
+    its needs can be met neither by the prefix nor by any later component.
+    The combinations come in walk order; ``enabled_steps`` does not depend
+    on it, since theta's removals do not and its output is sorted.
     """
     m = len(local)
-    if not any(move[4] for moves in local for move in moves):
-        return [tuple(zip(subset, choice))
-                for size in range(1, m + 1)
-                for subset in itertools.combinations(range(m), size)
-                for choice in itertools.product(*[local[p] for p in subset])]
-
     s_names = [frozenset()] * (m + 1)   # offered by components p and later
     s_bases = [frozenset()] * (m + 1)
-    s_hot = [False] * (m + 1)
     for p in range(m - 1, -1, -1):
         s_names[p] = s_names[p + 1].union(*(move[2] for move in local[p]))
         s_bases[p] = s_bases[p + 1].union(*(move[3] for move in local[p]))
-        s_hot[p] = s_hot[p + 1] or any(move[5] for move in local[p])
 
     def met(need, names, bases):
-        _, base, any_of, all_of = need
+        base, any_of, all_of = need
         return (base in bases or not any_of.isdisjoint(names)
                 or bool(all_of) and all_of <= names)
 
     combos = []
-    stack = [(0, (), frozenset(), frozenset(), False, ())]
+    stack = [(0, (), frozenset(), frozenset(), ())]
     while stack:
-        p, picks, names, bases, hot, pending = stack.pop()
+        p, picks, names, bases, pending = stack.pop()
         if pending:
             names_later = names | s_names[p]
             bases_later = bases | s_bases[p]
-            block_counts = not theta or not (hot or s_hot[p])
-            still = []
-            for need in pending:
-                if met(need, names, bases):
-                    continue
-                if not (met(need, names_later, bases_later)
-                        or need[0] and not block_counts):
-                    still = None
-                    break
-                still.append(need)
-            if still is None:
+            if not all(met(need, names_later, bases_later)
+                       for need in pending):
                 continue
-            pending = tuple(still)
+            pending = tuple(need for need in pending
+                            if not met(need, names, bases))
         if p == m:
             if picks:
                 combos.append(picks)
             continue
-        stack.append((p + 1, picks, names, bases, hot, pending))
-        for j, (_, _, m_names, m_bases, m_needs, m_hot) in enumerate(local[p]):
-            stack.append((p + 1, picks + ((p, j),), names | m_names,
-                          bases | m_bases, hot or m_hot, pending + m_needs))
-    combos.sort(key=lambda c: (len(c), c))
-    return [tuple((p, local[p][j]) for p, j in combo) for combo in combos]
+        stack.append((p + 1, picks, names, bases, pending))
+        for move in local[p]:
+            stack.append((p + 1, picks + ((p, move),), names | move[2],
+                          bases | move[3], pending + move[4]))
+    return combos
 
 
 def enabled_steps(state: SystemState, prepared: PreparedSystem):
@@ -763,7 +736,7 @@ def enabled_steps(state: SystemState, prepared: PreparedSystem):
 
     local = [_moves(comps[i], prepared) for i in allowed]
     candidates = []
-    for combo in _combinations(local, prepared.theta):
+    for combo in _combinations(local):
         occs = tuple(o for _, move in combo for o in move[0])
         for events in _resolve(occs, ctx):
             if config.step_mode == "interleave" and len(events) != 1:
