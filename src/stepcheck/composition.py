@@ -7,38 +7,33 @@ internal traffic, blocks half-synchronizations, and eliminates conflicts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .equivalence import (
+    StepCounterexample,
     Verdict,
     branching_bisim,
     minimize,
     strong_step_bisim,
 )
 from .model import Model
-from .semantics import (
-    Config,
-    ConflictElim,
-    Encaps,
-    Hide,
-    StepLTS,
-    WholePar,
-    generate_lts,
-    prune_dead,
-)
+from .semantics import Config, StepLTS, generate_lts, prune_dead
 from .terms import (
     Act,
     ActionLabel,
     Alt,
-    Par,
+    ConflictElim,
+    Encaps,
+    Hide,
     ProcessTerm,
     RecursiveSpec,
     Seq,
     Shadow,
-    Sum,
     Var,
+    WholePar,
     alphabet,
+    term_to_str,
 )
 
 
@@ -73,7 +68,6 @@ class AbDef:
     def pretty_equations(self) -> str:
         if self.spec is None:
             return f"// {self.name}: no linear presentation"
-        from .terms import term_to_str
         return "\n".join(f"{n} = {term_to_str(rhs)}"
                          for n, rhs in self.spec.equations.items())
 
@@ -211,38 +205,17 @@ def strip_shadows(term: ProcessTerm) -> Optional[ProcessTerm]:
     """
     if isinstance(term, Shadow):
         return None
-    if isinstance(term, Seq):
-        left = strip_shadows(term.left)
-        right = strip_shadows(term.right)
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return Seq(left, right)
-    if isinstance(term, Alt):
-        branches = [b2 for b in term.branches
-                    if (b2 := strip_shadows(b)) is not None]
-        if not branches:
-            return None
-        return branches[0] if len(branches) == 1 else Alt(tuple(branches))
-    if isinstance(term, (Par, WholePar)):
-        left = strip_shadows(term.left)
-        right = strip_shadows(term.right)
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return type(term)(left, right)
-    if isinstance(term, Sum):
-        body = strip_shadows(term.body)
-        return None if body is None else Sum(term.binder, term.domain, body)
-    if isinstance(term, (Hide, Encaps)):
-        body = strip_shadows(term.body)
-        return None if body is None else type(term)(term.names, body)
-    if isinstance(term, ConflictElim):
-        body = strip_shadows(term.body)
-        return None if body is None else ConflictElim(body)
-    return term
+    kids = term.children()
+    if not kids:
+        return term
+    kept = tuple(k for k in map(strip_shadows, kids) if k is not None)
+    if not kept:
+        return None
+    # a sequence or parallel pair keeps its one remaining side, and an
+    # alternative its one remaining branch
+    if len(kept) == 1 and (len(kids) > 1 or isinstance(term, Alt)):
+        return kept[0]
+    return term.rebuild(kept)
 
 
 def _rename_lts(lts: StepLTS, mapping: dict) -> StepLTS:
@@ -347,7 +320,6 @@ def verify_system(model: Model, system: ProcessTerm, spec_name: str,
     """
     sys_lts = prune_dead(generate_lts(system, model, config))
     if sys_lts.initial_dead:
-        from .equivalence import StepCounterexample
         return Verdict(
             False, ("rooted " if rooted else "") + "branching bisimulation",
             StepCounterexample((), "the system deadlocks from every run"))

@@ -413,21 +413,6 @@ def _resolve_term(term, equation_names, sets):
                     term.name)
             return Var(term.name)
         return Act(ActionLabel(term.name, term.args))
-    if isinstance(term, Seq):
-        return Seq(_resolve_term(term.left, equation_names, sets),
-                   _resolve_term(term.right, equation_names, sets))
-    if isinstance(term, Alt):
-        return Alt(tuple(_resolve_term(b, equation_names, sets)
-                         for b in term.branches))
-    if isinstance(term, Par):
-        return Par(_resolve_term(term.left, equation_names, sets),
-                   _resolve_term(term.right, equation_names, sets))
-    if isinstance(term, WholePar):
-        return WholePar(_resolve_term(term.left, equation_names, sets),
-                        _resolve_term(term.right, equation_names, sets))
-    if isinstance(term, Sum):
-        return Sum(term.binder, term.domain,
-                   _resolve_term(term.body, equation_names, sets))
     if isinstance(term, (Hide, Encaps)):
         names = term.names
         if isinstance(names, _SetRef):
@@ -435,11 +420,9 @@ def _resolve_term(term, equation_names, sets):
                 raise ResolutionError(
                     f"unknown action set {names.name}", names.name)
             names = sets[names.name]
-        body = _resolve_term(term.body, equation_names, sets)
-        return type(term)(frozenset(names), body)
-    if isinstance(term, ConflictElim):
-        return ConflictElim(_resolve_term(term.body, equation_names, sets))
-    return term
+        term = type(term)(frozenset(names), term.body)
+    return term.rebuild(tuple(_resolve_term(k, equation_names, sets)
+                              for k in term.children()))
 
 
 def parse_model(source: str) -> Model:

@@ -40,9 +40,6 @@ class StepCounterexample:
         return f"after {shown}: {self.reason}"
 
 
-Counterexample = object  # TraceCounterexample | StepCounterexample
-
-
 @dataclass
 class Verdict:
     holds: bool
@@ -79,8 +76,12 @@ def _union(left: StepLTS, right: StepLTS):
 # Strong step bisimulation
 
 
-def strong_step_bisim(left: StepLTS, right: StepLTS) -> Verdict:
-    out, init_l, init_r, total = _union(left, right)
+def _strong_blocks(out, total):
+    """Signature refinement to strong step bisimilarity.
+
+    Returns the final block of every state and the blocks after each
+    round, which the counterexample replays.
+    """
     block = [0] * total
     history = []
     while True:
@@ -90,11 +91,15 @@ def strong_step_bisim(left: StepLTS, right: StepLTS) -> Verdict:
             sig = (block[s],
                    frozenset((a, block[t]) for a, t in out[s]))
             new_block[s] = sigs.setdefault(sig, len(sigs))
-        history.append(list(new_block))
+        history.append(new_block)
         if len(set(new_block)) == len(set(block)):
-            block = new_block
-            break
+            return new_block, history
         block = new_block
+
+
+def strong_step_bisim(left: StepLTS, right: StepLTS) -> Verdict:
+    out, init_l, init_r, total = _union(left, right)
+    block, history = _strong_blocks(out, total)
     holds = block[init_l] == block[init_r]
     verdict = Verdict(holds, "strong step bisimulation",
                       details={"blocks": len(set(block))})
@@ -234,17 +239,7 @@ def minimize(lts: StepLTS, relation: str = "branching") -> StepLTS:
     """
     out = lts.outgoing()
     if relation == "strong":
-        block = [0] * lts.num_states
-        while True:
-            sigs = {}
-            new_block = [0] * lts.num_states
-            for s in range(lts.num_states):
-                sig = (block[s], frozenset((a, block[t]) for a, t in out[s]))
-                new_block[s] = sigs.setdefault(sig, len(sigs))
-            if len(set(new_block)) == len(set(block)):
-                block = new_block
-                break
-            block = new_block
+        block, _ = _strong_blocks(out, lts.num_states)
         drop_inert = False
     elif relation == "branching":
         block = _branching_blocks(out, lts.num_states)
@@ -351,10 +346,6 @@ def weak_traces_equal(left: StepLTS, right: StepLTS) -> Verdict:
 
 # ---------------------------------------------------------------------------
 # Analyses
-
-
-def deadlocks(lts: StepLTS) -> tuple:
-    return lts.deadlock_states()
 
 
 def divergences(lts: StepLTS) -> tuple:

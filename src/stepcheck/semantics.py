@@ -98,8 +98,6 @@ def canon(term: ProcessTerm) -> ProcessTerm:
     collapses into Par, empty hide/block wrappers vanish and nested identical
     wrappers merge.
     """
-    if isinstance(term, (Deadlock, Act, Shadow, Var, _Terminated)):
-        return term
     if isinstance(term, Seq):
         left = canon(term.left)
         right = canon(term.right)
@@ -128,32 +126,21 @@ def canon(term: ProcessTerm) -> ProcessTerm:
         if right is TERM:
             return left
         return Par(left, right)
-    if isinstance(term, Sum):
-        return Sum(term.binder, term.domain, canon(term.body))
-    if isinstance(term, Hide):
+    if isinstance(term, (Hide, Encaps)):
         body = canon(term.body)
         names = frozenset(term.names)
-        if isinstance(body, Hide):
+        if type(body) is type(term):
             names |= body.names
             body = body.body
         if not names or body is TERM:
             return body
-        return Hide(names, body)
-    if isinstance(term, Encaps):
-        body = canon(term.body)
-        names = frozenset(term.names)
-        if isinstance(body, Encaps):
-            names |= body.names
-            body = body.body
-        if not names or body is TERM:
-            return body
-        return Encaps(names, body)
+        return type(term)(names, body)
     if isinstance(term, ConflictElim):
         body = canon(term.body)
         if isinstance(body, ConflictElim) or body is TERM:
-            return body if body is TERM else ConflictElim(body.body)
+            return body
         return ConflictElim(body)
-    raise TypeError(f"not a term: {term!r}")
+    return term.rebuild(tuple(map(canon, term.children())))
 
 
 @dataclass(frozen=True)
@@ -252,51 +239,21 @@ def _gamma_components(comm: dict) -> dict:
     return comp
 
 
-def _reachable_equations(terms, equations) -> frozenset:
-    """Names of equations reachable from the given terms."""
+def _collect_shadow_bases(terms, equations) -> frozenset:
+    """Shadow bases in the given terms and the equations they reach."""
+    bases: set = set()
     seen: set = set()
     stack = list(terms)
     while stack:
         t = stack.pop()
-        if isinstance(t, Var):
-            if t.name in seen or t.name not in equations:
-                continue
-            seen.add(t.name)
-            stack.append(equations[t.name])
-        elif isinstance(t, Seq):
-            stack += [t.left, t.right]
-        elif isinstance(t, Alt):
-            stack += list(t.branches)
-        elif isinstance(t, (Par, WholePar)):
-            stack += [t.left, t.right]
-        elif isinstance(t, Sum):
-            stack.append(t.body)
-        elif isinstance(t, (Hide, Encaps, ConflictElim)):
-            stack.append(t.body)
-    return frozenset(seen)
-
-
-def _collect_shadow_bases(terms, equations) -> frozenset:
-    bases: set = set()
-    todo = list(terms)
-    for name in _reachable_equations(terms, equations):
-        todo.append(equations[name])
-    for t in todo:
-        stack = [t]
-        while stack:
-            x = stack.pop()
-            if isinstance(x, Shadow):
-                bases.add(x.base)
-            elif isinstance(x, Seq):
-                stack += [x.left, x.right]
-            elif isinstance(x, Alt):
-                stack += list(x.branches)
-            elif isinstance(x, (Par, WholePar)):
-                stack += [x.left, x.right]
-            elif isinstance(x, Sum):
-                stack.append(x.body)
-            elif isinstance(x, (Hide, Encaps, ConflictElim)):
-                stack.append(x.body)
+        if isinstance(t, Shadow):
+            bases.add(t.base)
+        elif isinstance(t, Var):
+            if t.name not in seen and t.name in equations:
+                seen.add(t.name)
+                stack.append(equations[t.name])
+        else:
+            stack.extend(t.children())
     return frozenset(bases)
 
 
@@ -352,29 +309,11 @@ def _raw_uncached(term, ctx, stack):
         for (o1, left2), (o2, right2) in itertools.product(lmoves, rmoves):
             out.append((o1 + o2, _par(left2, right2)))
         return tuple(out)
-    if isinstance(term, Hide):
+    if isinstance(term, (Hide, Encaps, ConflictElim)):
         out = []
-        for events, succ in _resolved_moves(term.body, ctx, stack):
-            hidden = tuple(
-                Event(None, e.fused) if _label_hidden(e.label, term.names) else e
-                for e in events)
-            succ2 = TERM if succ is TERM else canon(Hide(term.names, succ))
-            out.append((tuple(_DoneOcc(e.label, e.fused) for e in hidden), succ2))
-        return tuple(out)
-    if isinstance(term, Encaps):
-        out = []
-        for events, succ in _resolved_moves(term.body, ctx, stack):
-            if _blocked(events, term.names):
-                continue
-            succ2 = TERM if succ is TERM else canon(Encaps(term.names, succ))
-            out.append((tuple(_DoneOcc(e.label, e.fused) for e in events), succ2))
-        return tuple(out)
-    if isinstance(term, ConflictElim):
-        resolved = _resolved_moves(term.body, ctx, stack)
-        kept = apply_theta(resolved, ctx.conflicts)
-        out = []
-        for events, succ in kept:
-            succ2 = TERM if succ is TERM else canon(ConflictElim(succ))
+        steps = _resolved_moves(term.body, ctx, stack)
+        for events, succ in _apply_wrapper(term, steps, ctx.conflicts):
+            succ2 = TERM if succ is TERM else canon(term.rebuild((succ,)))
             out.append((tuple(_DoneOcc(e.label, e.fused) for e in events), succ2))
         return tuple(out)
     if isinstance(term, Sum):
@@ -393,15 +332,37 @@ def _par(left, right):
 
 
 def _resolved_moves(term, ctx, stack):
+    """The resolved steps of a wrapper's body, as the step mode permits
+    them: a nested wrapper sees the same steps as a top-level one."""
     out = []
     seen = set()
+    interleave = ctx.config.step_mode == "interleave"
     for occs, succ in _raw(term, ctx, stack):
         for events in _resolve(occs, ctx):
+            if interleave and len(events) != 1:
+                continue
             key = (events, succ)
             if key not in seen:
                 seen.add(key)
                 out.append((events, succ))
     return out
+
+
+def _apply_wrapper(wrapper, steps, conflicts):
+    """One hide, block or theta applied to a list of (events, successor).
+
+    Nested wrappers (``_raw``) and the top-level ones (``enabled_steps``)
+    both go through here, so an operator means the same wherever it is.
+    """
+    if isinstance(wrapper, Hide):
+        return [(tuple(Event(None, e.fused)
+                       if _label_hidden(e.label, wrapper.names) else e
+                       for e in events), succ)
+                for events, succ in steps]
+    if isinstance(wrapper, Encaps):
+        return [(events, succ) for events, succ in steps
+                if not _blocked(events, wrapper.names)]
+    return apply_theta(steps, conflicts)
 
 
 def _label_hidden(label, names) -> bool:
@@ -536,7 +497,8 @@ def apply_theta(steps, conflicts):
     """
     if not conflicts:
         return list(steps)
-    steps = list(steps)
+    # a step derived in two ways is still one step, not its own rival
+    steps = list(dict.fromkeys(steps))
     names = [_step_names(events) for events, _ in steps]
     removed = set()
     for i in range(len(steps)):
@@ -573,9 +535,7 @@ def _step_names(events) -> frozenset:
 class PreparedSystem:
     components: tuple         # initial component terms, canonical
     entries: tuple            # per-component entry variable name or None
-    hides: tuple              # hide sets, outermost first
-    encaps: tuple             # block sets
-    theta: bool
+    wrappers: tuple           # top-level hide/block/theta nodes, outermost first
     ctx: _Context
 
     def initial_state(self) -> SystemState:
@@ -599,22 +559,14 @@ def prepare_system(system: ProcessTerm, model: Model, config: Config) -> Prepare
         config=config,
     )
     term = canon(elaborate_sums(system, domains))
-    hides = []
-    encaps = []
-    theta = False
+    wrappers = []
     while isinstance(term, (Hide, Encaps, ConflictElim)):
-        if isinstance(term, Hide):
-            hides.append(frozenset(term.names))
-        elif isinstance(term, Encaps):
-            encaps.append(frozenset(term.names))
-        else:
-            theta = True
+        wrappers.append(term)
         term = term.body
     components = tuple(_flatten_par(term))
     entries = tuple(c.name if isinstance(c, Var) else None for c in components)
     ctx.shadow_bases = _collect_shadow_bases(components, equations)
-    return PreparedSystem(components, entries, tuple(hides), tuple(encaps),
-                          theta, ctx)
+    return PreparedSystem(components, entries, tuple(wrappers), ctx)
 
 
 def _flatten_par(term):
@@ -638,11 +590,16 @@ def _moves(term, prepared):
     moves = ctx._moves_cache.get(term)
     if moves is not None:
         return moves
-    # theta runs before block, and a step that block drops can still make
-    # theta eliminate a sibling: block prunes only where theta is inert
+    # the block sets a step meets before anything can change it: walking
+    # out from the components, stop at a hide (it may hide a blocked
+    # action) and at a theta with conflicts (a step that block drops may
+    # still eliminate a sibling); a theta without conflicts is the identity
     blocked = frozenset()
-    if not (prepared.theta and ctx.conflicts):
-        blocked = blocked.union(*prepared.encaps)
+    for wrapper in reversed(prepared.wrappers):
+        if isinstance(wrapper, Encaps):
+            blocked |= wrapper.names
+        elif isinstance(wrapper, Hide) or ctx.conflicts:
+            break
     strict = ctx.config.shadow_policy == "strict"
     moves = []
     for occs, succ in _raw(term, ctx):
@@ -764,19 +721,13 @@ def enabled_steps(state: SystemState, prepared: PreparedSystem):
             candidates.append(
                 (events, SystemState(tuple(new_comps), rounds2)))
 
-    if prepared.theta:
-        candidates = apply_theta(candidates, ctx.conflicts)
-    for blocked_set in prepared.encaps:
-        candidates = [(ev, st) for ev, st in candidates
-                      if not _blocked(ev, blocked_set)]
+    for wrapper in reversed(prepared.wrappers):   # innermost out
+        candidates = _apply_wrapper(wrapper, candidates, ctx.conflicts)
 
     out = []
     seen = set()
     for events, succ in candidates:
-        labels = [e.label for e in events if e.label is not None]
-        for hide_set in reversed(prepared.hides):  # innermost-out
-            labels = [l for l in labels if not _label_hidden(l, hide_set)]
-        label = tuple(sorted(labels, key=lambda l: l.pretty()))
+        label = step_label(events)
         key = (label, succ)
         if key not in seen:
             seen.add(key)

@@ -6,7 +6,7 @@ sum-free terms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Union
 
 TAU_NAME = "tau"
@@ -82,9 +82,40 @@ Label = Union[ActionLabel, CommResultLabel]
 
 
 class ProcessTerm:
-    """Base class for all term nodes.  Instances are immutable."""
+    """Base class for all term nodes.  Instances are immutable.
+
+    ``children()`` gives the direct subterms, left to right, and
+    ``rebuild(kids)`` the same node over new subterms; the traversals
+    below go through this pair.  A leaf has no children.
+    """
 
     __slots__ = ()
+
+    def children(self) -> tuple:
+        return ()
+
+    def rebuild(self, kids) -> "ProcessTerm":
+        return self
+
+
+class _Binary(ProcessTerm):
+    __slots__ = ()
+
+    def children(self) -> tuple:
+        return (self.left, self.right)
+
+    def rebuild(self, kids) -> ProcessTerm:
+        return type(self)(*kids)
+
+
+class _Unary(ProcessTerm):
+    __slots__ = ()
+
+    def children(self) -> tuple:
+        return (self.body,)
+
+    def rebuild(self, kids) -> ProcessTerm:
+        return replace(self, body=kids[0])
 
 
 @dataclass(frozen=True)
@@ -110,7 +141,7 @@ class Var(ProcessTerm):
 
 
 @dataclass(frozen=True)
-class Seq(ProcessTerm):
+class Seq(_Binary):
     left: ProcessTerm
     right: ProcessTerm
 
@@ -123,15 +154,21 @@ class Alt(ProcessTerm):
         if not self.branches:
             raise ValueError("alternative needs at least one branch")
 
+    def children(self) -> tuple:
+        return self.branches
+
+    def rebuild(self, kids) -> ProcessTerm:
+        return Alt(tuple(kids))
+
 
 @dataclass(frozen=True)
-class Par(ProcessTerm):
+class Par(_Binary):
     left: ProcessTerm
     right: ProcessTerm
 
 
 @dataclass(frozen=True)
-class WholePar(ProcessTerm):
+class WholePar(_Binary):
     """System-level parallel composition; semantically identical to Par."""
 
     left: ProcessTerm
@@ -139,27 +176,36 @@ class WholePar(ProcessTerm):
 
 
 @dataclass(frozen=True)
-class Sum(ProcessTerm):
+class Sum(_Unary):
     binder: str
     domain: str
     body: ProcessTerm
 
 
 @dataclass(frozen=True)
-class Hide(ProcessTerm):
+class Hide(_Unary):
     names: frozenset
     body: ProcessTerm
 
 
 @dataclass(frozen=True)
-class Encaps(ProcessTerm):
+class Encaps(_Unary):
     names: frozenset
     body: ProcessTerm
 
 
 @dataclass(frozen=True)
-class ConflictElim(ProcessTerm):
+class ConflictElim(_Unary):
     body: ProcessTerm
+
+
+def _walk(term):
+    """Every subterm of `term`, itself first, in left-to-right preorder."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        yield t
+        stack.extend(reversed(t.children()))
 
 
 @dataclass
@@ -169,11 +215,6 @@ class RecursiveSpec:
     name: str
     equations: dict  # variable name -> ProcessTerm, insertion-ordered
     entry: str
-
-    def __post_init__(self):
-        if self.entry not in self.equations:
-            # recorded as a violation by validate_spec; keep construction lax
-            pass
 
 
 @dataclass(frozen=True)
@@ -287,61 +328,22 @@ def substitute(term: ProcessTerm, binder: str, value: str) -> ProcessTerm:
             args = tuple(value if a == binder else a for a in term.label.args)
             return Act(ActionLabel(term.label.name, args))
         return term
-    if isinstance(term, (Deadlock, Shadow, Var)):
+    if isinstance(term, Sum) and term.binder == binder:
         return term
-    if isinstance(term, Seq):
-        return Seq(substitute(term.left, binder, value),
-                   substitute(term.right, binder, value))
-    if isinstance(term, Alt):
-        return Alt(tuple(substitute(b, binder, value) for b in term.branches))
-    if isinstance(term, Par):
-        return Par(substitute(term.left, binder, value),
-                   substitute(term.right, binder, value))
-    if isinstance(term, WholePar):
-        return WholePar(substitute(term.left, binder, value),
-                        substitute(term.right, binder, value))
-    if isinstance(term, Sum):
-        if term.binder == binder:
-            return term
-        return Sum(term.binder, term.domain, substitute(term.body, binder, value))
-    if isinstance(term, Hide):
-        return Hide(term.names, substitute(term.body, binder, value))
-    if isinstance(term, Encaps):
-        return Encaps(term.names, substitute(term.body, binder, value))
-    if isinstance(term, ConflictElim):
-        return ConflictElim(substitute(term.body, binder, value))
-    raise TypeError(f"not a term: {term!r}")
+    return term.rebuild(tuple(substitute(k, binder, value)
+                              for k in term.children()))
 
 
 def elaborate_sums(term: ProcessTerm, domains: Mapping[str, DataDomain]) -> ProcessTerm:
     """Expand every data sum into a finite alternative, in domain order."""
-    if isinstance(term, (Deadlock, Act, Shadow, Var)):
-        return term
-    if isinstance(term, Seq):
-        return Seq(elaborate_sums(term.left, domains),
-                   elaborate_sums(term.right, domains))
-    if isinstance(term, Alt):
-        return Alt(tuple(elaborate_sums(b, domains) for b in term.branches))
-    if isinstance(term, Par):
-        return Par(elaborate_sums(term.left, domains),
-                   elaborate_sums(term.right, domains))
-    if isinstance(term, WholePar):
-        return WholePar(elaborate_sums(term.left, domains),
-                        elaborate_sums(term.right, domains))
     if isinstance(term, Sum):
         if term.domain not in domains:
             raise UnknownDomainError(f"unknown domain {term.domain}")
         body = elaborate_sums(term.body, domains)
-        branches = tuple(substitute(body, term.binder, v)
-                         for v in domains[term.domain].values)
-        return Alt(branches)
-    if isinstance(term, Hide):
-        return Hide(term.names, elaborate_sums(term.body, domains))
-    if isinstance(term, Encaps):
-        return Encaps(term.names, elaborate_sums(term.body, domains))
-    if isinstance(term, ConflictElim):
-        return ConflictElim(elaborate_sums(term.body, domains))
-    raise TypeError(f"not a term: {term!r}")
+        return Alt(tuple(substitute(body, term.binder, v)
+                         for v in domains[term.domain].values))
+    return term.rebuild(tuple(elaborate_sums(k, domains)
+                              for k in term.children()))
 
 
 # ---------------------------------------------------------------------------
@@ -372,26 +374,11 @@ def alphabet(spec: RecursiveSpec, domains: Mapping[str, DataDomain]) -> Alphabet
 
 
 def _collect_alphabet(term, actions, bases):
-    if isinstance(term, Act):
-        if term.label.name not in RESERVED_NAMES:
-            actions.add(term.label)
-    elif isinstance(term, Shadow):
-        bases.add(term.base)
-    elif isinstance(term, Seq):
-        _collect_alphabet(term.left, actions, bases)
-        _collect_alphabet(term.right, actions, bases)
-    elif isinstance(term, Alt):
-        for b in term.branches:
-            _collect_alphabet(b, actions, bases)
-    elif isinstance(term, (Par, WholePar)):
-        _collect_alphabet(term.left, actions, bases)
-        _collect_alphabet(term.right, actions, bases)
-    elif isinstance(term, Sum):
-        _collect_alphabet(term.body, actions, bases)
-    elif isinstance(term, (Hide, Encaps)):
-        _collect_alphabet(term.body, actions, bases)
-    elif isinstance(term, ConflictElim):
-        _collect_alphabet(term.body, actions, bases)
+    for t in _walk(term):
+        if isinstance(t, Act) and t.label.name not in RESERVED_NAMES:
+            actions.add(t.label)
+        elif isinstance(t, Shadow):
+            bases.add(t.base)
 
 
 # ---------------------------------------------------------------------------
@@ -400,50 +387,22 @@ def _collect_alphabet(term, actions, bases):
 
 def _guards(term) -> bool:
     """True when every run of `term` performs at least one action before it ends."""
-    if isinstance(term, (Act, Shadow, Deadlock)):
-        return True
     if isinstance(term, Var):
         return False
-    if isinstance(term, Seq):
-        return _guards(term.left) or _guards(term.right)
     if isinstance(term, Alt):
         return all(_guards(b) for b in term.branches)
-    if isinstance(term, (Par, WholePar)):
-        return _guards(term.left) or _guards(term.right)
-    if isinstance(term, Sum):
-        return _guards(term.body)
-    if isinstance(term, (Hide, Encaps)):
-        return _guards(term.body)
-    if isinstance(term, ConflictElim):
-        return _guards(term.body)
-    raise TypeError(f"not a term: {term!r}")
+    # an action, shadow or deadlock guards; a composite when one part does
+    kids = term.children()
+    return not kids or any(_guards(k) for k in kids)
 
 
 def unguarded_vars(term) -> frozenset:
     """Variables reachable from the root without an intervening action prefix."""
     if isinstance(term, Var):
         return frozenset((term.name,))
-    if isinstance(term, (Act, Shadow, Deadlock)):
-        return frozenset()
-    if isinstance(term, Seq):
-        left = unguarded_vars(term.left)
-        if _guards(term.left):
-            return left
-        return left | unguarded_vars(term.right)
-    if isinstance(term, Alt):
-        out = frozenset()
-        for b in term.branches:
-            out |= unguarded_vars(b)
-        return out
-    if isinstance(term, (Par, WholePar)):
-        return unguarded_vars(term.left) | unguarded_vars(term.right)
-    if isinstance(term, Sum):
-        return unguarded_vars(term.body)
-    if isinstance(term, (Hide, Encaps)):
-        return unguarded_vars(term.body)
-    if isinstance(term, ConflictElim):
-        return unguarded_vars(term.body)
-    raise TypeError(f"not a term: {term!r}")
+    if isinstance(term, Seq) and _guards(term.left):
+        return unguarded_vars(term.left)
+    return frozenset().union(*map(unguarded_vars, term.children()))
 
 
 def guardedness_check(spec: RecursiveSpec) -> tuple[bool, tuple[str, ...]]:
@@ -470,25 +429,6 @@ class Violation:
         return f"{self.kind}({self.subject}): {self.message}"
 
 
-def _walk(term):
-    yield term
-    if isinstance(term, Seq):
-        yield from _walk(term.left)
-        yield from _walk(term.right)
-    elif isinstance(term, Alt):
-        for b in term.branches:
-            yield from _walk(b)
-    elif isinstance(term, (Par, WholePar)):
-        yield from _walk(term.left)
-        yield from _walk(term.right)
-    elif isinstance(term, Sum):
-        yield from _walk(term.body)
-    elif isinstance(term, (Hide, Encaps)):
-        yield from _walk(term.body)
-    elif isinstance(term, ConflictElim):
-        yield from _walk(term.body)
-
-
 def validate_spec(spec: RecursiveSpec,
                   domains,
                   comms: CommTable,
@@ -505,7 +445,7 @@ def validate_spec(spec: RecursiveSpec,
 
     known = set(spec.equations) | set(extra_names)
     for name, rhs in spec.equations.items():
-        violations.extend(_validate_term(rhs, name, known, domain_map, constants, ()))
+        violations.extend(_validate_term(rhs, name, known, domain_map, constants))
 
     seen_pairs = set()
     for e in comms.entries:
@@ -523,45 +463,35 @@ def validate_spec(spec: RecursiveSpec,
     return violations
 
 
-def _validate_term(term, eq_name, known, domain_map, constants, binders):
+def _validate_term(rhs, eq_name, known, domain_map, constants):
     out = []
-    if isinstance(term, Var):
-        if term.name not in known:
-            out.append(Violation("unbound-variable", term.name,
-                                 f"{term.name} used in {eq_name} but never defined"))
-    elif isinstance(term, Act):
-        if term.label.name in RESERVED_NAMES:
-            out.append(Violation("reserved-name", term.label.name,
-                                 f"{term.label.name} may not be declared by the user"))
-        for a in term.label.args:
-            if a not in constants and a not in binders:
-                out.append(Violation(
-                    "unknown-constant", a,
-                    f"argument {a} of {term.label.pretty()} in {eq_name} "
-                    "is neither a domain constant nor a bound sum variable"))
-    elif isinstance(term, Shadow):
-        if not term.base:
-            out.append(Violation("bad-shadow", "@", "empty shadow base"))
-    elif isinstance(term, Seq):
-        out += _validate_term(term.left, eq_name, known, domain_map, constants, binders)
-        out += _validate_term(term.right, eq_name, known, domain_map, constants, binders)
-    elif isinstance(term, Alt):
-        for b in term.branches:
-            out += _validate_term(b, eq_name, known, domain_map, constants, binders)
-    elif isinstance(term, (Par, WholePar)):
-        out += _validate_term(term.left, eq_name, known, domain_map, constants, binders)
-        out += _validate_term(term.right, eq_name, known, domain_map, constants, binders)
-    elif isinstance(term, Sum):
-        if term.domain not in domain_map:
-            out.append(Violation("unknown-domain", term.domain,
-                                 f"sum in {eq_name} ranges over undeclared domain"))
-        if term.binder in binders:
-            out.append(Violation("rebinding", term.binder,
-                                 f"sum binder {term.binder} shadows an enclosing binder"))
-        out += _validate_term(term.body, eq_name, known, domain_map, constants,
-                              binders + (term.binder,))
-    elif isinstance(term, (Hide, Encaps)):
-        out += _validate_term(term.body, eq_name, known, domain_map, constants, binders)
-    elif isinstance(term, ConflictElim):
-        out += _validate_term(term.body, eq_name, known, domain_map, constants, binders)
+    stack = [(rhs, ())]   # (subterm, sum binders in scope), preorder
+    while stack:
+        term, binders = stack.pop()
+        if isinstance(term, Var):
+            if term.name not in known:
+                out.append(Violation("unbound-variable", term.name,
+                                     f"{term.name} used in {eq_name} but never defined"))
+        elif isinstance(term, Act):
+            if term.label.name in RESERVED_NAMES:
+                out.append(Violation("reserved-name", term.label.name,
+                                     f"{term.label.name} may not be declared by the user"))
+            for a in term.label.args:
+                if a not in constants and a not in binders:
+                    out.append(Violation(
+                        "unknown-constant", a,
+                        f"argument {a} of {term.label.pretty()} in {eq_name} "
+                        "is neither a domain constant nor a bound sum variable"))
+        elif isinstance(term, Shadow):
+            if not term.base:
+                out.append(Violation("bad-shadow", "@", "empty shadow base"))
+        elif isinstance(term, Sum):
+            if term.domain not in domain_map:
+                out.append(Violation("unknown-domain", term.domain,
+                                     f"sum in {eq_name} ranges over undeclared domain"))
+            if term.binder in binders:
+                out.append(Violation("rebinding", term.binder,
+                                     f"sum binder {term.binder} shadows an enclosing binder"))
+            binders += (term.binder,)
+        stack.extend((k, binders) for k in reversed(term.children()))
     return out

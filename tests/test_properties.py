@@ -7,6 +7,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stepcheck as sc
 from stepcheck.dsl import parse_model, render_model
@@ -20,6 +21,7 @@ from stepcheck.model import Model
 from stepcheck.semantics import (
     TERM,
     Config,
+    Event,
     SystemState,
     _blocked,
     _label_hidden,
@@ -47,6 +49,7 @@ from stepcheck.terms import (
     Seq,
     Shadow,
     Var,
+    WholePar,
     guardedness_check,
 )
 
@@ -211,8 +214,9 @@ class TestDslRoundTrip:
 
 def reference_steps(state, prepared):
     """Every subset of components times the product of their moves, each
-    combination resolved, then theta, block and hide: the literal reading
-    of the step semantics that ``enabled_steps`` must agree with."""
+    combination resolved, then the top-level wrappers from the innermost
+    out: the literal reading of the step semantics that ``enabled_steps``
+    must agree with."""
     ctx = prepared.ctx
     config = ctx.config
     comps = state.components
@@ -253,17 +257,22 @@ def reference_steps(state, prepared):
                             rl[i] - lo if i in live else 0 for i in range(n))
                     candidates.append(
                         (events, SystemState(tuple(new_comps), rounds2)))
-    if prepared.theta:
-        candidates = apply_theta(candidates, ctx.conflicts)
-    for blocked_set in prepared.encaps:
-        candidates = [(ev, st) for ev, st in candidates
-                      if not _blocked(ev, blocked_set)]
+    for wrapper in reversed(prepared.wrappers):
+        if isinstance(wrapper, Hide):
+            candidates = [
+                (tuple(Event(None, e.fused)
+                       if _label_hidden(e.label, wrapper.names) else e
+                       for e in ev), st)
+                for ev, st in candidates]
+        elif isinstance(wrapper, Encaps):
+            candidates = [(ev, st) for ev, st in candidates
+                          if not _blocked(ev, wrapper.names)]
+        else:
+            candidates = apply_theta(candidates, ctx.conflicts)
     out = []
     seen = set()
     for events, succ in candidates:
         labels = [e.label for e in events if e.label is not None]
-        for hide_set in reversed(prepared.hides):
-            labels = [l for l in labels if not _label_hidden(l, hide_set)]
         label = tuple(sorted(labels, key=lambda l: l.pretty()))
         if (label, succ) not in seen:
             seen.add((label, succ))
@@ -361,3 +370,24 @@ class TestStepEnumeration:
                         seen.add(succ)
                         frontier.append(succ)
         assert states > 3 * CASES
+
+
+class TestWrapperPlacement:
+    """A system means the same whether its hide/block/theta wrappers sit at
+    top level or under a parallel composition.  Barrier rounds track only
+    top-level components, so the property is stated for overlap rounds."""
+
+    @settings(derandomize=True, max_examples=CASES, deadline=None,
+              database=None)
+    @given(rng=st.randoms(use_true_random=False),
+           comm=st.sampled_from(("chained", "binary")),
+           shadow=st.sampled_from(("strict", "loose")),
+           step=st.sampled_from(("step", "interleave")))
+    def test_system_equals_system_beside_delta(self, rng, comm, shadow, step):
+        model, system = rand_system(rng)
+        config = Config(comm_policy=comm, shadow_policy=shadow,
+                        step_mode=step, round_mode="overlap",
+                        max_states=3000)
+        alone = generate_lts(system, model, config)
+        beside = generate_lts(WholePar(Deadlock(), system), model, config)
+        assert strong_step_bisim(alone, beside).holds

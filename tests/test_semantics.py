@@ -2,6 +2,7 @@ import pytest
 
 import stepcheck as sc
 from stepcheck.dsl import parse_model
+from stepcheck.equivalence import strong_step_bisim
 from stepcheck.semantics import (
     Config,
     StateBudgetExceeded,
@@ -145,6 +146,67 @@ class TestHiding:
         lts = lts_of("process P { P = hide {a} in a . P }", "P")
         assert lts.num_states <= 2
         assert all(a == () for _, a, _ in lts.transitions)
+
+
+WRAPPER_ORDER_MODEL = """
+process P { P = a . delta }
+process Q { Q = b . delta }
+process R { R = delta }
+conflict a # b
+"""
+
+
+class TestWrapperOrder:
+    """hide, block and theta apply in the order written, at top level and
+    nested under a parallel composition alike."""
+
+    @pytest.mark.parametrize("system, labels", [
+        ("block {a} in hide {a} in P", {"tau"}),
+        ("theta (block {a} in (P <> Q))", {"{b}"}),
+    ], ids=["block-over-hide", "theta-over-block"])
+    def test_top_level_equals_nested(self, system, labels):
+        model = parse_model(WRAPPER_ORDER_MODEL
+                            + f"system S = {system}\n"
+                            + f"system N = R <> ({system})\n")
+        top = generate_lts(model.systems["S"], model, Config())
+        nested = generate_lts(model.systems["N"], model, Config())
+        assert visible_labels(top) == labels
+        assert strong_step_bisim(top, nested).holds
+
+    def test_interleave_also_restricts_what_theta_sees(self):
+        # {c, g} has two events: under interleave no theta may let it
+        # eliminate {g}, whether the theta is at top level or nested
+        src = """
+        process P { P = d . delta }
+        process Q { Q = c . delta }
+        process W { W = (b || @c) . delta }
+        process R { R = delta }
+        comm b, d -> g
+        conflict b # d
+        system S = theta (block {b, c, d} in (P <> Q <> W))
+        system N = R <> (theta (block {b, c, d} in (P <> Q <> W)))
+        """
+        top = lts_of(src, "S", step_mode="interleave")
+        nested = lts_of(src, "N", step_mode="interleave")
+        assert "{g}" in {label_str(a) for s, a, _ in top.transitions
+                         if s == top.initial}
+        assert strong_step_bisim(top, nested).holds
+
+    def test_step_derived_twice_is_not_its_own_rival(self):
+        # {g} holds both sides of a # b and comes from either b of P
+        src = """
+        process P { P = (b || b) . delta }
+        process Q { Q = a . delta + c . (@a || @b) . delta }
+        process R { R = delta }
+        comm a, b -> g
+        conflict a # b
+        system S = theta (P <> Q)
+        system N = R <> (theta (P <> Q))
+        """
+        top = lts_of(src, "S")
+        nested = lts_of(src, "N")
+        assert "{g}" in visible_labels(top)
+        assert strong_step_bisim(top, nested).holds
 
 
 class TestShadows:

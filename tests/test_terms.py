@@ -1,21 +1,29 @@
+import dataclasses
+
 import pytest
 
+from stepcheck.dsl import _Name
+from stepcheck.semantics import TERM
 from stepcheck.terms import (
     Act,
     ActionLabel,
     Alt,
     CommEntry,
     CommTable,
+    ConflictElim,
     DataDomain,
     Deadlock,
+    Encaps,
     Hide,
     Par,
+    ProcessTerm,
     RecursiveSpec,
     Seq,
     Shadow,
     Sum,
     UnknownDomainError,
     Var,
+    WholePar,
     alphabet,
     elaborate_sums,
     guardedness_check,
@@ -28,6 +36,46 @@ from stepcheck.terms import (
 
 def act(name, *args):
     return Act(ActionLabel(name, tuple(args)))
+
+
+NODES = [
+    Deadlock(), act("a"), Shadow("a"), Var("P"), TERM, _Name("a", ("d1",)),
+    Seq(act("a"), Var("P")),
+    Alt((act("a"), act("b"), Var("P"))),
+    Par(act("a"), act("b")),
+    WholePar(Var("P"), Var("Q")),
+    Sum("x", "D", act("a", "x")),
+    Hide(frozenset({"a"}), Var("P")),
+    Encaps(frozenset({"a"}), Var("P")),
+    ConflictElim(Var("P")),
+]
+
+
+def node_classes(cls=ProcessTerm):
+    for sub in cls.__subclasses__():
+        if dataclasses.is_dataclass(sub):
+            yield sub
+        yield from node_classes(sub)
+
+
+class TestChildren:
+    def test_every_node_class_has_a_sample(self):
+        assert set(node_classes()) <= {type(t) for t in NODES}
+
+    def test_rebuild_of_children_is_identity(self):
+        for t in NODES:
+            assert t.rebuild(t.children()) == t
+
+    def test_rebuild_takes_new_children(self):
+        for t in NODES:
+            kids = tuple(Var(f"K{i}") for i in range(len(t.children())))
+            rebuilt = t.rebuild(kids)
+            assert type(rebuilt) is type(t) and rebuilt.children() == kids
+
+    def test_leaves_have_no_children(self):
+        leaves = [t for t in NODES if not t.children()]
+        assert {type(t) for t in leaves} == {
+            Deadlock, Act, Shadow, Var, type(TERM), _Name}
 
 
 class TestLabels:
