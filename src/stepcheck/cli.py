@@ -27,6 +27,7 @@ from .semantics import (
     label_str,
     prune_dead,
 )
+from .terms import term_to_str
 
 _OVERRIDE_KEYS = {
     "comm": "comm_policy",
@@ -202,7 +203,7 @@ def _run_derive_ab(model: Model, args) -> int:
             "internal": sorted(ab.internal),
             "states": ab.lts.num_states,
             "equations": (None if ab.spec is None else {
-                n: _rhs_str(rhs) for n, rhs in ab.spec.equations.items()}),
+                n: term_to_str(rhs) for n, rhs in ab.spec.equations.items()}),
             "notes": list(ab.notes),
         }
         print(json.dumps(out, indent=2, sort_keys=True))
@@ -213,11 +214,6 @@ def _run_derive_ab(model: Model, args) -> int:
         for note in ab.notes:
             print(f"note: {note}")
     return 0
-
-
-def _rhs_str(rhs) -> str:
-    from .terms import term_to_str
-    return term_to_str(rhs)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Optional
 
 from .semantics import StepLTS, label_str
@@ -73,33 +74,102 @@ def _union(left: StepLTS, right: StepLTS):
 
 
 # ---------------------------------------------------------------------------
-# Strong step bisimulation
+# Partition refinement
 
 
-def _strong_blocks(out, total):
-    """Signature refinement to strong step bisimilarity.
+def _sccs(succ):
+    """SCCs of the graph ``succ`` (iterative Tarjan), each after all it reaches."""
+    n = len(succ)
+    index = [0] * n     # visit order from 1; 0: not visited, n + 1: emitted
+    low = [0] * n
+    order = count(1)
+    stack, sccs = [], []
+    for root in range(n):
+        if index[root]:
+            continue
+        index[root] = low[root] = next(order)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if not index[w]:
+                    index[w] = low[w] = next(order)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        index[w] = n + 1
+                    sccs.append(comp)
+    return sccs
+
+
+def _branching_signatures(out, block):
+    """Each state's (label, block) moves, also those after inert tau steps.
+
+    Inert tau steps stay in their block.  Their SCCs come sinks first, so
+    each SCC unions its own moves with the signatures of the SCCs it reaches.
+    """
+    inert = [[t for a, t in row if a == TAU and block[t] == block[s]]
+             for s, row in enumerate(out)]
+    sig = [None] * len(out)
+    for comp in _sccs(inert):
+        acc = set()
+        for u in comp:
+            b = block[u]
+            acc.update((a, block[t]) for a, t in out[u]
+                       if a != TAU or block[t] != b)
+            for t in inert[u]:
+                if sig[t] is not None:      # None: t is in this SCC
+                    acc |= sig[t]
+        acc = frozenset(acc)
+        for u in comp:
+            sig[u] = acc
+    return sig
+
+
+def _refine(out, total, inert):
+    """Signature refinement to strong bisimilarity, or with ``inert`` branching.
 
     Returns the final block of every state and the blocks after each
     round, which the counterexample replays.
     """
     block = [0] * total
+    n_blocks = min(total, 1)
     history = []
     while True:
         sigs = {}
-        new_block = [0] * total
-        for s in range(total):
-            sig = (block[s],
-                   frozenset((a, block[t]) for a, t in out[s]))
-            new_block[s] = sigs.setdefault(sig, len(sigs))
-        history.append(new_block)
-        if len(set(new_block)) == len(set(block)):
-            return new_block, history
-        block = new_block
+        # number each key as it is built: a list of keys costs more in GC
+        if inert:
+            new = [sigs.setdefault(key, len(sigs))
+                   for key in zip(block, _branching_signatures(out, block))]
+        else:
+            new = [sigs.setdefault(
+                       (b, frozenset((a, block[t]) for a, t in row)), len(sigs))
+                   for b, row in zip(block, out)]
+        history.append(new)
+        if len(sigs) == n_blocks:
+            return new, history
+        block, n_blocks = new, len(sigs)
+
+
+# ---------------------------------------------------------------------------
+# Strong step bisimulation
 
 
 def strong_step_bisim(left: StepLTS, right: StepLTS) -> Verdict:
     out, init_l, init_r, total = _union(left, right)
-    block, history = _strong_blocks(out, total)
+    block, history = _refine(out, total, False)
     holds = block[init_l] == block[init_r]
     verdict = Verdict(holds, "strong step bisimulation",
                       details={"blocks": len(set(block))})
@@ -160,44 +230,10 @@ def _strong_counterexample(out, init_l, init_r, history):
 # Branching bisimulation
 
 
-def _branching_blocks(out, total):
-    """Signature refinement with inert-tau closure inside blocks."""
-    block = [0] * total
-    while True:
-        sigs = {}
-        new_block = [0] * total
-        signatures = [None] * total
-        for s in range(total):
-            # states reachable from s by inert tau steps (within s's block)
-            closure = [s]
-            seen = {s}
-            i = 0
-            while i < len(closure):
-                u = closure[i]
-                i += 1
-                for a, t in out[u]:
-                    if a == TAU and block[t] == block[s] and t not in seen:
-                        seen.add(t)
-                        closure.append(t)
-            sig = set()
-            for u in closure:
-                for a, t in out[u]:
-                    if a == TAU and block[t] == block[s]:
-                        continue  # inert
-                    sig.add((a, block[t]))
-            signatures[s] = frozenset(sig)
-        for s in range(total):
-            key = (block[s], signatures[s])
-            new_block[s] = sigs.setdefault(key, len(sigs))
-        if len(set(new_block)) == len(set(block)):
-            return new_block
-        block = new_block
-
-
 def branching_bisim(left: StepLTS, right: StepLTS,
                     rooted: bool = False) -> Verdict:
     out, init_l, init_r, total = _union(left, right)
-    block = _branching_blocks(out, total)
+    block, _ = _refine(out, total, True)
     name = ("rooted " if rooted else "") + "branching bisimulation"
     if block[init_l] == block[init_r]:
         if rooted:
@@ -238,14 +274,10 @@ def minimize(lts: StepLTS, relation: str = "branching") -> StepLTS:
     keeps every step.
     """
     out = lts.outgoing()
-    if relation == "strong":
-        block, _ = _strong_blocks(out, lts.num_states)
-        drop_inert = False
-    elif relation == "branching":
-        block = _branching_blocks(out, lts.num_states)
-        drop_inert = True
-    else:
+    if relation not in ("strong", "branching"):
         raise ValueError(f"unknown relation {relation}")
+    drop_inert = relation == "branching"
+    block, _ = _refine(out, lts.num_states, drop_inert)
 
     # renumber blocks by first reachable representative
     order: dict = {}
@@ -350,28 +382,9 @@ def weak_traces_equal(left: StepLTS, right: StepLTS) -> Verdict:
 
 def divergences(lts: StepLTS) -> tuple:
     """States lying on a cycle of tau steps."""
-    tau_out = [[] for _ in range(lts.num_states)]
-    for s, a, t in lts.transitions:
-        if a == TAU:
-            tau_out[s].append(t)
-    # Tarjan-free: a state diverges iff it reaches itself via >= 1 tau step
-    result = []
-    for s in range(lts.num_states):
-        stack = list(tau_out[s])
-        seen = set()
-        found = False
-        while stack:
-            u = stack.pop()
-            if u == s:
-                found = True
-                break
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(tau_out[u])
-        if found:
-            result.append(s)
-    return tuple(result)
+    taus = [[t for a, t in row if a == TAU] for row in lts.outgoing()]
+    return tuple(sorted(s for comp in _sccs(taus) for s in comp
+                        if len(comp) > 1 or s in taus[s]))
 
 
 def counter_monitor(lts: StepLTS, inc, dec, lo: int, hi: int) -> Verdict:

@@ -801,33 +801,31 @@ def generate_lts(system: ProcessTerm, model: Model,
 def prune_dead(lts: StepLTS) -> StepLTS:
     """Least-fixpoint removal of states from which deadlock is inevitable."""
     out = lts.outgoing()
-    dead = [False] * lts.num_states
-    changed = True
-    while changed:
-        changed = False
-        for s in range(lts.num_states):
-            if dead[s]:
-                continue
-            if all(dead[t] for _, t in out[s]):
-                dead[s] = True
-                changed = True
-    if dead[lts.initial]:
+    # live[s]: transitions of s not known to lead to a dead state; 0 = dead
+    live = [len(row) for row in out]
+    preds = [[] for _ in range(lts.num_states)]
+    for s, _, t in lts.transitions:
+        preds[t].append(s)
+    queue = [s for s, n in enumerate(live) if not n]
+    while queue:
+        for s in preds[queue.pop()]:
+            live[s] -= 1
+            if not live[s]:
+                queue.append(s)
+    if not live[lts.initial]:
         return StepLTS(
             initial=0, num_states=1, transitions=(),
             state_names=(lts.state_names[lts.initial],),
             initial_dead=True)
     # restrict to live states reachable from the initial one
-    keep = []
     seen = {lts.initial}
     queue = [lts.initial]
     while queue:
-        s = queue.pop()
-        keep.append(s)
-        for _, t in out[s]:
-            if not dead[t] and t not in seen:
+        for _, t in out[queue.pop()]:
+            if live[t] and t not in seen:
                 seen.add(t)
                 queue.append(t)
-    keep.sort()
+    keep = sorted(seen)
     remap = {s: i for i, s in enumerate(keep)}
     transitions = tuple(
         (remap[s], a, remap[t]) for s, a, t in lts.transitions

@@ -356,14 +356,6 @@ class AlphabetInfo:
     shadow_bases: frozenset  # of base names
 
 
-def term_alphabet(term: ProcessTerm, domains: Mapping[str, DataDomain]) -> AlphabetInfo:
-    ground = elaborate_sums(term, domains)
-    actions: set = set()
-    bases: set = set()
-    _collect_alphabet(ground, actions, bases)
-    return AlphabetInfo(frozenset(actions), frozenset(bases))
-
-
 def alphabet(spec: RecursiveSpec, domains: Mapping[str, DataDomain]) -> AlphabetInfo:
     """All ground action labels of the elaborated equations, plus shadow bases."""
     actions: set = set()

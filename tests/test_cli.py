@@ -158,3 +158,28 @@ class TestErrors:
         path.write_text("process {")
         assert main(["check", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+
+SILENT_LOOP = """
+process P {
+    P = a . L
+    L = t . M + b . P
+    M = u . L
+}
+process Q { Q = a . b . Q }
+system S = hide {t, u} in P
+check loop: S ~bb Q
+check strict: S ~sb Q
+"""
+
+
+class TestSilentLoop:
+    def test_tau_cycle_without_visible_action_is_inert(self, tmp_path, capsys):
+        # L and M form a tau cycle that the branching check must contract
+        path = tmp_path / "silent.aptc"
+        path.write_text(SILENT_LOOP)
+        assert main(["check", str(path), "--json"]) == 1
+        data = {e["check"]: e for e in json.loads(capsys.readouterr().out)}
+        assert data["loop"]["holds"]
+        assert (data["loop"]["left_states"], data["loop"]["right_states"]) == (3, 2)
+        assert not data["strict"]["holds"]

@@ -1,4 +1,9 @@
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
 import stepcheck as sc
+from stepcheck import equivalence
 from stepcheck.dsl import parse_model
 from stepcheck.equivalence import (
     TAU,
@@ -13,7 +18,7 @@ from stepcheck.equivalence import (
     weak_trace_inclusion,
     weak_traces_equal,
 )
-from stepcheck.semantics import Config, generate_lts, prune_dead
+from stepcheck.semantics import Config, StepLTS, generate_lts, prune_dead
 from stepcheck.terms import ActionLabel, Var
 
 
@@ -175,3 +180,133 @@ class TestCounterMonitor:
         verdict = counter_monitor(lts, self._inc, self._dec, 0, 1)
         assert not verdict.holds
         assert "2" in verdict.counterexample.reason
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the refinement engine, divergences and prune_dead
+# against the straightforward loops they replaced.
+
+
+def reference_blocks(out, total, inert):
+    """Signature refinement that rebuilds each state's inert-tau closure."""
+    block = [0] * total
+    history = []
+    while True:
+        sigs = {}
+        new_block = [0] * total
+        for s in range(total):
+            closure = [s]
+            if inert:
+                for u in closure:
+                    for a, t in out[u]:
+                        if a == TAU and block[t] == block[s] and t not in closure:
+                            closure.append(t)
+            sig = frozenset((a, block[t]) for u in closure for a, t in out[u]
+                            if not (inert and a == TAU and block[t] == block[s]))
+            new_block[s] = sigs.setdefault((block[s], sig), len(sigs))
+        history.append(new_block)
+        if len(set(new_block)) == len(set(block)):
+            return new_block, history
+        block = new_block
+
+
+def reference_divergences(lts):
+    """States that reach themselves by one or more tau steps, by DFS each."""
+    out = lts.outgoing()
+    result = []
+    for s in range(lts.num_states):
+        stack = [t for a, t in out[s] if a == TAU]
+        seen = set()
+        while stack:
+            u = stack.pop()
+            if u == s:
+                result.append(s)
+                break
+            if u not in seen:
+                seen.add(u)
+                stack.extend(t for a, t in out[u] if a == TAU)
+    return tuple(result)
+
+
+def reference_prune_dead(lts):
+    """The fixpoint loop: mark states whose successors are all dead until stable."""
+    out = lts.outgoing()
+    dead = [False] * lts.num_states
+    changed = True
+    while changed:
+        changed = False
+        for s in range(lts.num_states):
+            if not dead[s] and all(dead[t] for _, t in out[s]):
+                dead[s] = changed = True
+    if dead[lts.initial]:
+        return StepLTS(initial=0, num_states=1, transitions=(),
+                       state_names=(lts.state_names[lts.initial],),
+                       initial_dead=True)
+    keep = set()
+    stack = [lts.initial]
+    while stack:
+        s = stack.pop()
+        if s not in keep:
+            keep.add(s)
+            stack.extend(t for _, t in out[s] if not dead[t])
+    keep = sorted(keep)
+    remap = {s: i for i, s in enumerate(keep)}
+    return StepLTS(
+        initial=remap[lts.initial], num_states=len(keep),
+        transitions=tuple((remap[s], a, remap[t]) for s, a, t in lts.transitions
+                          if s in remap and t in remap),
+        state_names=tuple(lts.state_names[s] for s in keep))
+
+
+def renamed(block):
+    """Block numbers replaced by their order of first appearance."""
+    first = {}
+    return [first.setdefault(b, len(first)) for b in block]
+
+
+_A, _B = ActionLabel("a"), ActionLabel("b")
+# tau is listed three times so that tau cycles and self-loops are common
+_LABELS = (TAU, TAU, TAU, (_A,), (_B,), (_A, _B))
+
+
+@st.composite
+def random_lts(draw):
+    """A small LTS with tau cycles, multi-event labels and unreachable states."""
+    n = draw(st.integers(1, 9))
+    state = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(state, st.sampled_from(_LABELS), state),
+                          max_size=3 * n))
+    return StepLTS(
+        initial=draw(state), num_states=n,
+        transitions=tuple(sorted(set(edges), key=repr)),
+        state_names=tuple(f"s{i}" for i in range(n)))
+
+
+class TestRefinementDifferential:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(random_lts(), random_lts(), st.booleans())
+    def test_partition_matches_reference(self, left, right, inert):
+        out, _, _, total = equivalence._union(left, right)
+        block, history = equivalence._refine(out, total, inert)
+        ref_block, ref_history = reference_blocks(out, total, inert)
+        assert renamed(block) == renamed(ref_block)
+        assert len(history) == len(ref_history)
+        assert ([renamed(b) for b in history]
+                == [renamed(b) for b in ref_history])
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(random_lts(), st.sampled_from(("strong", "branching")))
+    def test_minimize_matches_reference(self, lts, relation):
+        quotient = minimize(lts, relation)
+        with mock.patch.object(equivalence, "_refine", reference_blocks):
+            assert quotient == minimize(lts, relation)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(random_lts())
+    def test_divergences_match_reference(self, lts):
+        assert divergences(lts) == reference_divergences(lts)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(random_lts())
+    def test_prune_dead_matches_reference(self, lts):
+        assert prune_dead(lts) == reference_prune_dead(lts)

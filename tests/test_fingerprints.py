@@ -6,6 +6,7 @@ The models come from ``bench.families`` and the expected fingerprints
 """
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -45,3 +46,28 @@ def test_workload_lts_fingerprints(name, decls, tmp_path):
               workloads.check_answers(workload, outputs, recorder.results)
               if not ok]
     assert failed == []
+
+
+def test_tau_chain_closed_form(tmp_path):
+    """Two 12-step hidden cycles: L^k states, L^k (2^k - 1) transitions,
+    2^k branching blocks, for L = 12 and k = 2."""
+    path = tmp_path / "tau_chain.aptc"
+    path.write_text(families.render(families.tau_chain(12, 2), seed=1))
+    recorder = spans.Recorder()
+    restore = spans.instrument(spans.RECORDED, recorder.wrap)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["check", str(path), "--json"])
+    finally:
+        restore()
+    assert code == 0
+    report = {e["check"]: e for e in json.loads(out.getvalue())}
+    assert report["quot"]["holds"] and report["rot"]["holds"]
+    assert (report["quot"]["left_states"], report["quot"]["right_states"]) == (144, 4)
+    big = [r for n, r in recorder.results
+           if n == "semantics.generate_lts" and r.num_states == 144]
+    assert [len(lts.transitions) for lts in big] == [432, 432, 432]
+    blocks = [r.details.get("blocks") for n, r in recorder.results
+              if n == "equivalence.check_relation"
+              and r.relation == "branching bisimulation"]
+    assert blocks == [4]
