@@ -12,10 +12,7 @@ from importlib import resources
 from .composition import (
     AbDef,
     CompositionError,
-    CompositionModel,
     WscContract,
-    WsDef,
-    WsoDef,
     assemble_system,
     correspondence_check,
     derive_ab,

@@ -22,12 +22,11 @@ from .semantics import (
     Config,
     SemanticsError,
     StepLTS,
-    Var,
     generate_lts,
     label_str,
     prune_dead,
 )
-from .terms import term_to_str
+from .terms import Var, term_to_str
 
 _OVERRIDE_KEYS = {
     "comm": "comm_policy",

@@ -7,7 +7,7 @@ internal traffic, blocks half-synchronizations, and eliminates conflicts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .equivalence import (
@@ -42,20 +42,6 @@ class CompositionError(Exception):
 
 
 @dataclass
-class WsoDef:
-    """An orchestration: the driving process of one composition member."""
-    name: str
-    spec: RecursiveSpec
-
-
-@dataclass
-class WsDef:
-    """A web service: the reactive counterpart of an orchestration."""
-    name: str
-    spec: RecursiveSpec
-
-
-@dataclass
 class AbDef:
     """An activity base derived from an orchestration by hiding internals."""
     name: str
@@ -80,38 +66,6 @@ class WscContract:
     protocol: RecursiveSpec
 
 
-@dataclass
-class CompositionModel:
-    model: Model
-    wsos: tuple = ()
-    wss: tuple = ()
-    config: Config = Config()
-
-    def wso(self, name: str) -> WsoDef:
-        for w in self.wsos:
-            if w.name == name:
-                return w
-        raise CompositionError(f"no orchestration named {name}")
-
-    def ws(self, name: str) -> WsDef:
-        for w in self.wss:
-            if w.name == name:
-                return w
-        raise CompositionError(f"no web service named {name}")
-
-
-def from_model(model: Model, config: Config = Config()) -> CompositionModel:
-    """Classify the model's processes: WSO* are orchestrations, WS* services."""
-    wsos = []
-    wss = []
-    for spec in model.processes:
-        if spec.name.startswith("WSO"):
-            wsos.append(WsoDef(spec.name, spec))
-        elif spec.name.startswith("WS"):
-            wss.append(WsDef(spec.name, spec))
-    return CompositionModel(model, tuple(wsos), tuple(wss), config)
-
-
 def ab_name(wso_name: str) -> str:
     if wso_name.startswith("WSO"):
         return "AB" + wso_name[3:]
@@ -122,9 +76,16 @@ def ab_name(wso_name: str) -> str:
 # Activity-base derivation
 
 
-def default_internal(model: Model, wso: WsoDef) -> frozenset:
+def _process(model: Model, name: str) -> RecursiveSpec:
+    spec = {p.name: p for p in model.processes}.get(name)
+    if spec is None:
+        raise CompositionError(f"no process named {name}")
+    return spec
+
+
+def default_internal(model: Model, wso: RecursiveSpec) -> frozenset:
     """Action names of the orchestration that take part in no communication."""
-    info = alphabet(wso.spec, model.domain_map())
+    info = alphabet(wso, model.domain_map())
     comm_names = model.comms.action_names()
     return frozenset(l.name for l in info.actions if l.name not in comm_names)
 
@@ -133,17 +94,12 @@ def derive_ab(model: Model, wso_name: str,
               internal: Optional[frozenset] = None,
               config: Config = Config()) -> AbDef:
     """Hide an orchestration's internal actions and minimize the result."""
-    cm_wso = None
-    for spec in model.processes:
-        if spec.name == wso_name:
-            cm_wso = WsoDef(spec.name, spec)
-    if cm_wso is None:
-        raise CompositionError(f"no process named {wso_name}")
+    wso = _process(model, wso_name)
     if internal is None:
-        internal = default_internal(model, cm_wso)
+        internal = default_internal(model, wso)
     notes = []
-    info = alphabet(cm_wso.spec, model.domain_map())
-    term = Hide(frozenset(internal), Var(cm_wso.spec.entry))
+    info = alphabet(wso, model.domain_map())
+    term = Hide(frozenset(internal), Var(wso.entry))
     lts = generate_lts(term, model, config)
     reduced = minimize(lts, "branching")
     name = ab_name(wso_name)
@@ -218,22 +174,12 @@ def strip_shadows(term: ProcessTerm) -> Optional[ProcessTerm]:
     return term.rebuild(kept)
 
 
-def _rename_lts(lts: StepLTS, mapping: dict) -> StepLTS:
-    def rename(label):
-        out = []
-        for l in label:
-            if isinstance(l, ActionLabel) and l.name in mapping:
-                out.append(ActionLabel(mapping[l.name], l.args))
-            else:
-                out.append(l)
-        return tuple(sorted(out, key=lambda l: l.pretty()))
-    return StepLTS(
-        initial=lts.initial,
-        num_states=lts.num_states,
-        transitions=tuple((s, rename(a), t) for s, a, t in lts.transitions),
-        state_names=lts.state_names,
-        initial_dead=lts.initial_dead,
-    )
+def _relabel(lts: StepLTS, relabel) -> StepLTS:
+    """The same LTS with each step label replaced by the labels
+    ``relabel`` gives for it, sorted."""
+    return replace(lts, transitions=tuple(
+        (s, tuple(sorted(relabel(a), key=lambda l: l.pretty())), t)
+        for s, a, t in lts.transitions))
 
 
 def correspondence_check(model: Model, ab: AbDef, ws_name: str,
@@ -246,12 +192,7 @@ def correspondence_check(model: Model, ab: AbDef, ws_name: str,
     onto the service's alphabet, then the two are compared up to strong
     step bisimulation.
     """
-    ws = None
-    for spec in model.processes:
-        if spec.name == ws_name:
-            ws = spec
-    if ws is None:
-        raise CompositionError(f"no process named {ws_name}")
+    ws = _process(model, ws_name)
     if rename is None:
         rename = {}
         ws_info = alphabet(ws, model.domain_map())
@@ -270,18 +211,15 @@ def correspondence_check(model: Model, ab: AbDef, ws_name: str,
                 f"equation {n} of {ws.name} consists of shadows only")
         stripped_eqs[n] = body
     stripped = RecursiveSpec(ws.name, stripped_eqs, ws.entry)
-    shadow_free = Model(
-        domains=model.domains,
-        processes=tuple(p if p.name != ws.name else stripped
-                        for p in model.processes),
-        comms=model.comms,
-        conflicts=model.conflicts,
-        action_sets=model.action_sets,
-        systems={},
-        checks=(),
-    )
+    shadow_free = replace(
+        model, processes=tuple(p if p.name != ws.name else stripped
+                               for p in model.processes),
+        systems={}, checks=())
     ws_lts = generate_lts(Var(ws.entry), shadow_free, config)
-    renamed = _rename_lts(ab.lts, rename)
+    renamed = _relabel(ab.lts, lambda label: [
+        ActionLabel(rename[l.name], l.args)
+        if isinstance(l, ActionLabel) and l.name in rename else l
+        for l in label])
     verdict = strong_step_bisim(renamed, minimize(ws_lts, "strong"))
     verdict.details["rename"] = dict(sorted(rename.items()))
     return verdict
@@ -334,35 +272,16 @@ def verify_system(model: Model, system: ProcessTerm, spec_name: str,
 # Contract conformance
 
 
-def _project_to_pairs(lts: StepLTS, pairs) -> StepLTS:
-    """Keep only the contracted interactions, as `x~y` labels; rest is tau."""
-    pair_sets = {frozenset(p): "~".join(sorted(p)) for p in pairs}
-
-    def project(label):
-        out = []
-        for l in label:
-            if not isinstance(l, ActionLabel):
-                parts = set(l.participants)
-                for ps, name in pair_sets.items():
-                    if ps <= parts:
-                        out.append(ActionLabel(name))
-        return tuple(sorted(out, key=lambda l: l.pretty()))
-
-    return StepLTS(
-        initial=lts.initial,
-        num_states=lts.num_states,
-        transitions=tuple((s, project(a), t) for s, a, t in lts.transitions),
-        state_names=lts.state_names,
-        initial_dead=lts.initial_dead,
-    )
-
-
 def wsc_conformance(model: Model, system: ProcessTerm,
                     contract: WscContract,
                     config: Config = Config()) -> Verdict:
     """Do the system's contracted interactions follow the contract protocol?"""
     sys_lts = prune_dead(generate_lts(system, model, config))
-    projected = _project_to_pairs(sys_lts, contract.pairs)
+    # keep only the contracted interactions, as `x~y` labels; rest is tau
+    pair_names = {frozenset(p): "~".join(sorted(p)) for p in contract.pairs}
+    projected = _relabel(sys_lts, lambda label: [
+        ActionLabel(name) for l in label if not isinstance(l, ActionLabel)
+        for ps, name in pair_names.items() if ps <= set(l.participants)])
     proto_model = Model(
         domains=model.domains,
         processes=(contract.protocol,),

@@ -10,7 +10,9 @@ from .terms import (
     ProcessTerm,
     RecursiveSpec,
     Violation,
+    validate_comms,
     validate_spec,
+    validate_terms,
 )
 
 RELATIONS = (
@@ -57,9 +59,6 @@ class Model:
                 out[name] = rhs
         return out
 
-    def process_names(self) -> frozenset:
-        return frozenset(s.entry for s in self.processes)
-
     def validate(self) -> list[Violation]:
         violations: list[Violation] = []
         try:
@@ -67,6 +66,7 @@ class Model:
         except ValueError as exc:
             return [Violation("duplicate-equation", "", str(exc))]
         for spec in self.processes:
-            violations.extend(validate_spec(
-                spec, self.domains, self.comms, extra_names=names))
-        return violations
+            # the comm table belongs to the model: it is checked once below
+            violations += validate_spec(spec, self.domains, CommTable(), names)
+        violations += validate_terms(self.systems, self.domains, names)
+        return violations + validate_comms(self.comms)

@@ -6,6 +6,7 @@ empty multiset (all contributions hidden) is the silent step tau.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -157,24 +158,7 @@ class SystemState:
 
 
 # ---------------------------------------------------------------------------
-# Occurrences and events
-
-
-@dataclass(frozen=True)
-class _ActOcc:
-    label: ActionLabel
-
-
-@dataclass(frozen=True)
-class _ShadowOcc:
-    base: str
-
-
-@dataclass(frozen=True)
-class _DoneOcc:
-    """An already-resolved event bubbling up through a hide/block boundary."""
-    label: Optional[Label]
-    fused: bool
+# Events
 
 
 @dataclass(frozen=True)
@@ -264,8 +248,9 @@ def _collect_shadow_bases(terms, equations) -> frozenset:
 def _raw(term: ProcessTerm, ctx: _Context, stack=frozenset()):
     """All (occurrence multiset, successor) moves of a component term.
 
-    Occurrences stay unresolved so that communication and shadow fusion can
-    span sibling components; hide/block/theta boundaries resolve locally.
+    An occurrence is an ``ActionLabel`` or a ``Shadow``, left unresolved so
+    that communication and shadow fusion can span sibling components, or an
+    ``Event`` already resolved below a hide/block/theta boundary.
     """
     if term in ctx._raw_cache:
         return ctx._raw_cache[term]
@@ -278,9 +263,9 @@ def _raw_uncached(term, ctx, stack):
     if term is TERM or isinstance(term, Deadlock):
         return ()
     if isinstance(term, Act):
-        return (((_ActOcc(term.label),), TERM),)
+        return (((term.label,), TERM),)
     if isinstance(term, Shadow):
-        return (((_ShadowOcc(term.base),), TERM),)
+        return (((term,), TERM),)
     if isinstance(term, Var):
         if term.name in stack:
             raise UnguardedRecursion(term.name)
@@ -314,7 +299,7 @@ def _raw_uncached(term, ctx, stack):
         steps = _resolved_moves(term.body, ctx, stack)
         for events, succ in _apply_wrapper(term, steps, ctx.conflicts):
             succ2 = TERM if succ is TERM else canon(term.rebuild((succ,)))
-            out.append((tuple(_DoneOcc(e.label, e.fused) for e in events), succ2))
+            out.append((events, succ2))
         return tuple(out)
     if isinstance(term, Sum):
         raise SemanticsError("sum must be elaborated before generation")
@@ -390,9 +375,9 @@ def _blocked(events, names) -> bool:
 
 def _resolve(occs, ctx: _Context):
     """All ways to resolve an occurrence multiset into a resolved step."""
-    done = tuple(Event(o.label, o.fused) for o in occs if isinstance(o, _DoneOcc))
-    shadows = [o for o in occs if isinstance(o, _ShadowOcc)]
-    acts = [o for o in occs if isinstance(o, _ActOcc)]
+    done = tuple(o for o in occs if isinstance(o, Event))
+    shadows = [o for o in occs if isinstance(o, Shadow)]
+    acts = [o for o in occs if isinstance(o, ActionLabel)]
 
     results = set()
     for matched in _shadow_matchings(shadows, acts):
@@ -401,12 +386,12 @@ def _resolve(occs, ctx: _Context):
             grouped = {i for g in groups for i in g}
             unfused = [i for i in rest if i not in grouped]
             if ctx.config.shadow_policy == "strict" and any(
-                    acts[i].label.name in ctx.shadow_bases for i in unfused):
+                    acts[i].name in ctx.shadow_bases for i in unfused):
                 continue
             events = list(done)
-            events += [Event(acts[i].label, True) for i in matched]
+            events += [Event(acts[i], True) for i in matched]
             events += [Event(_comm_label(g, acts, ctx), True) for g in groups]
-            events += [Event(acts[i].label, False) for i in unfused]
+            events += [Event(acts[i], False) for i in unfused]
             results.add(tuple(sorted(events, key=_event_key)))
     return sorted(results, key=lambda evs: tuple(map(_event_key, evs)))
 
@@ -418,7 +403,7 @@ def _shadow_matchings(shadows, acts):
         return
     first, rest = shadows[0], shadows[1:]
     for i, a in enumerate(acts):
-        if a.label.name != first.base:
+        if a.name != first.base:
             continue
         for sub in _shadow_matchings(rest, acts):
             if i in sub:
@@ -443,7 +428,7 @@ def _binary_matchings(idxs, acts, comm):
     for sub in _binary_matchings(rest, acts, comm):
         yield sub
     for j in rest:
-        if frozenset((acts[first].label.name, acts[j].label.name)) in comm:
+        if frozenset((acts[first].name, acts[j].name)) in comm:
             remaining = tuple(k for k in rest if k != j)
             for sub in _binary_matchings(remaining, acts, comm):
                 yield ((first, j),) + sub
@@ -458,14 +443,14 @@ def _chained_groupings(idxs, acts, ctx):
     """
     by_comp: dict = {}
     for i in idxs:
-        comp = ctx.gamma_components.get(acts[i].label.name)
+        comp = ctx.gamma_components.get(acts[i].name)
         if comp is not None:
             by_comp.setdefault(comp, []).append(i)
     options = []
     for comp, members in sorted(by_comp.items(), key=lambda kv: sorted(kv[0])):
         by_name: dict = {}
         for i in members:
-            by_name.setdefault(acts[i].label.name, []).append(i)
+            by_name.setdefault(acts[i].name, []).append(i)
         if set(by_name) == set(comp):
             picks = [tuple(sorted(p)) for p in itertools.product(
                 *[by_name[n] for n in sorted(comp)])]
@@ -477,7 +462,7 @@ def _chained_groupings(idxs, acts, ctx):
 
 
 def _comm_label(group, acts, ctx) -> CommResultLabel:
-    names = tuple(sorted(acts[i].label.name for i in group))
+    names = tuple(sorted(acts[i].name for i in group))
     if len(names) == 2:
         declared = ctx.comm.get(frozenset(names))
         if declared is not None:
@@ -492,29 +477,26 @@ def _comm_label(group, acts, ctx) -> CommResultLabel:
 def apply_theta(steps, conflicts):
     """Drop, among a state's enabled steps, conflict losers.
 
-    When two distinct enabled steps contain conflicting actions a # b, the
-    step containing the lexicographically larger participant is removed.
+    A step carries the names of its actions and the participants of its
+    communications.  For each conflict pair a # b with a < b, a step that
+    carries b is removed when another step carries a, and a step that
+    carries both a and b is also removed when another step carries b.
     """
     if not conflicts:
         return list(steps)
     # a step derived in two ways is still one step, not its own rival
     steps = list(dict.fromkeys(steps))
     names = [_step_names(events) for events, _ in steps]
-    removed = set()
-    for i in range(len(steps)):
-        for j in range(len(steps)):
-            if i == j:
-                continue
-            for pair in sorted(conflicts, key=sorted):
-                a, b = sorted(pair)
-                for x, y in ((a, b), (b, a)):
-                    if x in names[i] and y in names[j]:
-                        loser = max(x, y)
-                        if loser in names[i]:
-                            removed.add(i)
-                        else:
-                            removed.add(j)
-    return [s for k, s in enumerate(steps) if k not in removed]
+    carriers = Counter(n for step_names in names for n in step_names)
+    pairs = [sorted(pair) for pair in conflicts]
+
+    def loses(own):
+        def elsewhere(x):
+            return carriers[x] > (x in own)
+        return any(b in own and (elsewhere(a) or a in own and elsewhere(b))
+                   for a, b in pairs)
+
+    return [s for s, own in zip(steps, names) if not loses(own)]
 
 
 def _step_names(events) -> frozenset:
@@ -603,8 +585,8 @@ def _moves(term, prepared):
     strict = ctx.config.shadow_policy == "strict"
     moves = []
     for occs, succ in _raw(term, ctx):
-        names = frozenset(o.label.name for o in occs if isinstance(o, _ActOcc))
-        bases = frozenset(o.base for o in occs if isinstance(o, _ShadowOcc))
+        names = frozenset(o.name for o in occs if isinstance(o, ActionLabel))
+        bases = frozenset(o.base for o in occs if isinstance(o, Shadow))
         # a shadow fuses only with an action of its base name
         needs = [(None, frozenset((b,)), frozenset()) for b in bases]
         for n in names:
@@ -618,8 +600,7 @@ def _moves(term, prepared):
                 rescue = (frozenset(x for pair in ctx.comm if n in pair
                                     for x in pair if x != n), frozenset())
             needs.append((n,) + rescue)
-        if any(isinstance(o, _DoneOcc) and isinstance(o.label, ActionLabel)
-               and not o.fused and o.label.name in blocked for o in occs):
+        if _blocked([o for o in occs if isinstance(o, Event)], blocked):
             # resolved below this level: nothing can fuse it now
             needs.append((None, frozenset(), frozenset()))
         moves.append((occs, succ, names, bases, tuple(needs)))
@@ -681,15 +662,10 @@ def enabled_steps(state: SystemState, prepared: PreparedSystem):
     comps = state.components
     n = len(comps)
 
-    if config.round_mode == "barrier":
-        rounds = state.rounds
-        tracked = [r for i, r in enumerate(rounds)
-                   if comps[i] is not TERM and prepared.entries[i] is not None]
-        floor = min(tracked) if tracked else 0
-        allowed = [i for i in range(n) if comps[i] is not TERM
-                   and (prepared.entries[i] is None or rounds[i] == floor)]
-    else:
-        allowed = [i for i in range(n) if comps[i] is not TERM]
+    # barrier rounds are normalized to 0 over the live entried components
+    # and are 0 for the others, so a component at round 0 may move
+    rounds = state.rounds or (0,) * n
+    allowed = [i for i in range(n) if comps[i] is not TERM and not rounds[i]]
 
     local = [_moves(comps[i], prepared) for i in allowed]
     candidates = []
@@ -760,9 +736,6 @@ class StepLTS:
         for s, _, _ in self.transitions:
             has_out[s] = True
         return tuple(i for i in range(self.num_states) if not has_out[i])
-
-    def labels(self) -> frozenset:
-        return frozenset(a for _, a, _ in self.transitions)
 
 
 def generate_lts(system: ProcessTerm, model: Model,

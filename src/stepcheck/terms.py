@@ -226,11 +226,6 @@ class CommEntry:
     def pair(self) -> frozenset:
         return frozenset((self.a, self.b))
 
-    def result_name(self) -> str:
-        if self.result is not None:
-            return self.result
-        return "c(" + ",".join(sorted((self.a, self.b))) + ")"
-
 
 @dataclass(frozen=True)
 class CommTable:
@@ -427,18 +422,27 @@ def validate_spec(spec: RecursiveSpec,
                   extra_names=frozenset()) -> list[Violation]:
     """Collect all well-formedness violations; an empty list means valid."""
     violations: list[Violation] = []
-    domain_map = {d.name: d for d in domains} if not isinstance(domains, Mapping) else dict(domains)
-    constants = {v for d in domain_map.values() for v in d.values}
-
     if spec.entry not in spec.equations:
         violations.append(Violation(
             "missing-entry", spec.entry,
             f"entry variable {spec.entry} has no equation"))
-
     known = set(spec.equations) | set(extra_names)
-    for name, rhs in spec.equations.items():
-        violations.extend(_validate_term(rhs, name, known, domain_map, constants))
+    violations += validate_terms(spec.equations, domains, known)
+    return violations + validate_comms(comms)
 
+
+def validate_terms(terms: dict, domains, known) -> list[Violation]:
+    """Violations in named terms (equations or systems) over the domain
+    sequence ``domains``, where ``known`` holds the process names."""
+    domain_map = {d.name: d for d in domains}
+    constants = {v for d in domain_map.values() for v in d.values}
+    return [v for name, term in terms.items()
+            for v in _validate_term(term, name, known, domain_map, constants)]
+
+
+def validate_comms(comms: CommTable) -> list[Violation]:
+    """Gamma pairs of an action with itself, and pairs declared twice."""
+    violations = []
     seen_pairs = set()
     for e in comms.entries:
         if e.a == e.b:

@@ -153,6 +153,16 @@ class TestErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_system_over_unknown_domain_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "domain.aptc"
+        path.write_text("process P { P = a . P }\n"
+                        "system S = sum d in Z . b(d)\n"
+                        "check c: S ~sb P\n")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown-domain" in err
+        assert "Traceback" not in err
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.aptc"
         path.write_text("process {")

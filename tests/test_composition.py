@@ -9,7 +9,6 @@ from stepcheck.composition import (
     correspondence_check,
     default_internal,
     derive_ab,
-    from_model,
     strip_shadows,
     verify_system,
     wsc_conformance,
@@ -40,11 +39,6 @@ def contract(*pairs):
 
 
 class TestClassification:
-    def test_from_model_partitions_processes(self, ws_model):
-        cm = from_model(ws_model)
-        assert {w.name for w in cm.wsos} == {"WSOA", "WSOB"}
-        assert {w.name for w in cm.wss} == {"WSA", "WSB"}
-
     def test_ab_naming(self):
         assert ab_name("WSOA") == "ABA"
         assert ab_name("WSOB") == "ABB"
@@ -53,10 +47,10 @@ class TestClassification:
 
 class TestDeriveAb:
     def test_default_internal_sets(self, ws_model):
-        cm = from_model(ws_model)
-        assert default_internal(ws_model, cm.wso("WSOA")) == frozenset(
+        specs = {p.name: p for p in ws_model.processes}
+        assert default_internal(ws_model, specs["WSOA"]) == frozenset(
             {"A1", "A3", "A4", "A6"})
-        assert default_internal(ws_model, cm.wso("WSOB")) == frozenset(
+        assert default_internal(ws_model, specs["WSOB"]) == frozenset(
             {"B1", "B4"})
 
     def test_aba_is_two_state_loop(self, ws_model):

@@ -37,6 +37,7 @@ from stepcheck.terms import (
     ActionLabel,
     Alt,
     CommEntry,
+    CommResultLabel,
     CommTable,
     ConflictElim,
     ConflictRelation,
@@ -391,3 +392,67 @@ class TestWrapperPlacement:
         alone = generate_lts(system, model, config)
         beside = generate_lts(WholePar(Deadlock(), system), model, config)
         assert strong_step_bisim(alone, beside).holds
+
+
+def reference_theta(steps, conflicts):
+    """Theta as a loop over ordered pairs of distinct steps: for each
+    conflict a # b met across the pair, the step holding the larger name
+    of the two is removed."""
+    if not conflicts:
+        return list(steps)
+    steps = list(dict.fromkeys(steps))
+    names = []
+    for events, _ in steps:
+        own = set()
+        for e in events:
+            if isinstance(e.label, ActionLabel):
+                own.add(e.label.name)
+            elif isinstance(e.label, CommResultLabel):
+                own.update(e.label.participants)
+        names.append(own)
+    removed = set()
+    for i in range(len(steps)):
+        for j in range(len(steps)):
+            if i == j:
+                continue
+            for pair in sorted(conflicts, key=sorted):
+                a, b = sorted(pair)
+                for x, y in ((a, b), (b, a)):
+                    if x in names[i] and y in names[j]:
+                        loser = max(x, y)
+                        if loser in names[i]:
+                            removed.add(i)
+                        else:
+                            removed.add(j)
+    return [s for k, s in enumerate(steps) if k not in removed]
+
+
+def rand_event(rng):
+    roll = rng.random()
+    if roll < 0.5:
+        return Event(ActionLabel(rng.choice(STEP_ACTIONS)), rng.random() < 0.3)
+    if roll < 0.85:
+        pair = tuple(sorted(rng.sample(STEP_ACTIONS, 2)))
+        return Event(CommResultLabel(pair, rng.choice((None, "g"))), True)
+    return Event(None, rng.random() < 0.5)   # hidden
+
+
+class TestThetaDifferential:
+    def test_counting_rule_equals_pairwise_loop(self):
+        rng = random.Random(113)
+        pairs = list(itertools.combinations(STEP_ACTIONS, 2))
+        pruned = 0
+        for _ in range(20 * CASES):
+            # a small pool of event tuples and successors, so that steps
+            # repeat and the same events reach different successors
+            pool = [tuple(rand_event(rng) for _ in range(rng.randint(1, 3)))
+                    for _ in range(rng.randint(1, 4))]
+            steps = [(rng.choice(pool), rng.choice(("s0", "s1", "s2")))
+                     for _ in range(rng.randint(0, 6))]
+            conflicts = frozenset(frozenset(p) for p in
+                                  rng.sample(pairs, rng.randint(0, 3)))
+            expected = reference_theta(steps, conflicts)
+            assert apply_theta(steps, conflicts) == expected, (
+                steps, conflicts)
+            pruned += len(expected) < len(set(steps))
+        assert pruned > 5 * CASES

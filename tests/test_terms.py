@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from stepcheck.dsl import _Name
+from stepcheck.dsl import _Name, parse_model
 from stepcheck.semantics import TERM
 from stepcheck.terms import (
     Act,
@@ -176,6 +176,29 @@ class TestValidation:
 
     def test_clean_spec_has_no_violations(self, ws_model):
         assert ws_model.validate() == []
+
+    def test_gamma_violation_reported_once_per_model(self):
+        model = parse_model("""
+            process P { P = a . P }
+            process Q { Q = b . Q }
+            process R { R = c . R }
+            comm a, a
+        """)
+        kinds = [v.kind for v in model.validate()]
+        assert kinds == ["self-communication"]
+
+    def test_system_terms_are_validated(self):
+        model = parse_model("""
+            domain D = { x }
+            process P { P = a . P }
+            system S1 = sum d in Z . b(d)
+            system S2 = sum d in D . sum d in D . b(d)
+            system S3 = P || b(y)
+            system S4 = tau . P
+        """)
+        found = {(v.kind, v.subject) for v in model.validate()}
+        assert found == {("unknown-domain", "Z"), ("rebinding", "d"),
+                         ("unknown-constant", "y"), ("reserved-name", "tau")}
 
 
 class TestCommTable:
