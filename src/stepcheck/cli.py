@@ -19,6 +19,7 @@ from .dsl import ParseError, ResolutionError, parse_model
 from .equivalence import check_relation, minimize
 from .model import Model, RELATIONS
 from .semantics import (
+    POLICIES,
     Config,
     SemanticsError,
     StepLTS,
@@ -28,12 +29,7 @@ from .semantics import (
 )
 from .terms import Var, term_to_str
 
-_OVERRIDE_KEYS = {
-    "comm": "comm_policy",
-    "step": "step_mode",
-    "round": "round_mode",
-    "shadow": "shadow_policy",
-}
+_OVERRIDE_KEYS = {key: name for name, (key, _) in POLICIES.items()}
 
 
 def _config_from_args(args, overrides=None) -> Config:
@@ -54,10 +50,8 @@ def _config_from_args(args, overrides=None) -> Config:
 
 
 def _add_config_args(p):
-    p.add_argument("--comm-policy", choices=("binary", "chained"))
-    p.add_argument("--step-mode", choices=("interleave", "step"))
-    p.add_argument("--round-mode", choices=("overlap", "barrier"))
-    p.add_argument("--shadow-policy", choices=("strict", "loose"))
+    for name, (_, allowed) in POLICIES.items():
+        p.add_argument("--" + name.replace("_", "-"), choices=allowed)
     p.add_argument("--max-states", type=int)
 
 
@@ -67,8 +61,8 @@ def _load_model(path: str) -> Model:
     model = parse_model(source)
     violations = model.validate()
     if violations:
-        lines = "\n".join(f"  {v.kind}: {v.message}" for v in violations)
-        raise SemanticsError(f"model is not well-formed:\n{lines}")
+        raise SemanticsError("model is not well-formed: " + "; ".join(
+            f"{v.kind}: {v.message}" for v in violations))
     return model
 
 
@@ -258,8 +252,8 @@ def main(argv=None) -> int:
         if args.command == "lts":
             return _run_lts(model, args)
         return _run_derive_ab(model, args)
-    except (ParseError, ResolutionError, SemanticsError, OSError,
-            ValueError) as exc:
+    except (ParseError, ResolutionError, SemanticsError,
+            composition.CompositionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -249,12 +249,9 @@ def branching_bisim(left: StepLTS, right: StepLTS,
                         f"on the {side} side has no immediate match"))
         return Verdict(True, name, details={"blocks": len(set(block))})
     # prefer a weak-trace counterexample: concrete and easy to read
-    for a, b, side in ((left, right, "left"), (right, left, "right")):
-        incl = weak_trace_inclusion(a, b)
-        if not incl.holds:
-            cx = incl.counterexample
-            return Verdict(False, name,
-                           TraceCounterexample(cx.trace, side))
+    traces = weak_traces_equal(left, right)
+    if not traces.holds:
+        return Verdict(False, name, traces.counterexample)
     return Verdict(False, name, StepCounterexample(
         (), "initial states fall into different branching classes"))
 

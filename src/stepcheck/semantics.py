@@ -52,23 +52,27 @@ class UnguardedRecursion(SemanticsError):
         self.name = name
 
 
+# each policy field of Config -> (its check option key, its allowed values)
+POLICIES = {
+    "comm_policy": ("comm", ("binary", "chained")),
+    "step_mode": ("step", ("interleave", "step")),
+    "round_mode": ("round", ("overlap", "barrier")),
+    "shadow_policy": ("shadow", ("strict", "loose")),
+}
+
+
 @dataclass(frozen=True)
 class Config:
-    comm_policy: str = "chained"     # binary | chained
-    step_mode: str = "step"          # interleave | step
-    round_mode: str = "overlap"      # overlap | barrier
-    shadow_policy: str = "strict"    # strict | loose
+    comm_policy: str = "chained"
+    step_mode: str = "step"
+    round_mode: str = "overlap"
+    shadow_policy: str = "strict"
     max_states: int = 100000
 
     def __post_init__(self):
-        if self.comm_policy not in ("binary", "chained"):
-            raise ValueError(f"bad comm_policy {self.comm_policy}")
-        if self.step_mode not in ("interleave", "step"):
-            raise ValueError(f"bad step_mode {self.step_mode}")
-        if self.round_mode not in ("overlap", "barrier"):
-            raise ValueError(f"bad round_mode {self.round_mode}")
-        if self.shadow_policy not in ("strict", "loose"):
-            raise ValueError(f"bad shadow_policy {self.shadow_policy}")
+        for name, (_, allowed) in POLICIES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"bad {name} {getattr(self, name)}")
         if self.max_states < 1:
             raise ValueError("max_states must be positive")
 
@@ -120,13 +124,7 @@ def canon(term: ProcessTerm) -> ProcessTerm:
             return uniq[0]
         return Alt(tuple(uniq))
     if isinstance(term, (Par, WholePar)):
-        left = canon(term.left)
-        right = canon(term.right)
-        if left is TERM:
-            return right
-        if right is TERM:
-            return left
-        return Par(left, right)
+        return _par(canon(term.left), canon(term.right))
     if isinstance(term, (Hide, Encaps)):
         body = canon(term.body)
         names = frozenset(term.names)
@@ -184,19 +182,74 @@ def label_str(label: tuple) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Context
+# System preparation
 
 
-@dataclass
-class _Context:
-    equations: dict                 # name -> canonical, ground ProcessTerm
-    comm: dict                      # frozenset pair -> CommResultLabel
-    gamma_components: dict          # action name -> frozenset of its component
-    conflicts: frozenset            # of frozenset pairs
-    shadow_bases: frozenset         # scoped to the system being generated
+@dataclass(frozen=True)
+class PreparedSystem:
+    """Everything step generation reads about one system, built once."""
+
+    components: tuple         # initial component terms, canonical
+    entries: tuple            # per-component entry variable name or None
+    wrappers: tuple           # top-level hide/block/theta nodes, outermost first
+    equations: dict           # name -> canonical, ground ProcessTerm
+    comm: dict                # frozenset pair -> CommResultLabel
+    gamma_components: dict    # action name -> frozenset of its component
+    conflicts: frozenset      # of frozenset pairs
+    shadow_bases: frozenset   # in the components and the equations they reach
+    blocked: frozenset        # top-level block sets no hide or theta precedes
     config: Config
     _raw_cache: dict = field(default_factory=dict)
     _moves_cache: dict = field(default_factory=dict)
+
+    def initial_state(self) -> SystemState:
+        rounds = None
+        if self.config.round_mode == "barrier":
+            rounds = (0,) * len(self.components)
+        return SystemState(self.components, rounds)
+
+
+def prepare_system(system: ProcessTerm, model: Model, config: Config) -> PreparedSystem:
+    domains = model.domain_map()
+    equations = {name: canon(elaborate_sums(rhs, domains))
+                 for name, rhs in model.equations().items()}
+    comm = model.comms.mapping()
+    conflicts = model.conflicts.pairs
+    term = canon(elaborate_sums(system, domains))
+    wrappers = []
+    while isinstance(term, (Hide, Encaps, ConflictElim)):
+        wrappers.append(term)
+        term = term.body
+    components = tuple(_flatten_par(term))
+    # the block sets a step meets before anything can change it: walking
+    # out from the components, stop at a hide (it may hide a blocked
+    # action) and at a theta with conflicts (a step that block drops may
+    # still eliminate a sibling); a theta without conflicts is the identity
+    blocked = frozenset()
+    for wrapper in reversed(wrappers):
+        if isinstance(wrapper, Encaps):
+            blocked |= wrapper.names
+        elif isinstance(wrapper, Hide) or conflicts:
+            break
+    return PreparedSystem(
+        components=components,
+        entries=tuple(c.name if isinstance(c, Var) else None
+                      for c in components),
+        wrappers=tuple(wrappers),
+        equations=equations,
+        comm=comm,
+        gamma_components=_gamma_components(comm),
+        conflicts=conflicts,
+        shadow_bases=_collect_shadow_bases(components, equations),
+        blocked=blocked,
+        config=config,
+    )
+
+
+def _flatten_par(term):
+    if isinstance(term, Par):
+        return _flatten_par(term.left) + _flatten_par(term.right)
+    return [term]
 
 
 def _gamma_components(comm: dict) -> dict:
@@ -245,21 +298,21 @@ def _collect_shadow_bases(terms, equations) -> frozenset:
 # Raw moves of a single component term
 
 
-def _raw(term: ProcessTerm, ctx: _Context, stack=frozenset()):
+def _raw(term: ProcessTerm, prepared: PreparedSystem, stack=frozenset()):
     """All (occurrence multiset, successor) moves of a component term.
 
     An occurrence is an ``ActionLabel`` or a ``Shadow``, left unresolved so
     that communication and shadow fusion can span sibling components, or an
     ``Event`` already resolved below a hide/block/theta boundary.
     """
-    if term in ctx._raw_cache:
-        return ctx._raw_cache[term]
-    moves = _raw_uncached(term, ctx, stack)
-    ctx._raw_cache[term] = moves
+    if term in prepared._raw_cache:
+        return prepared._raw_cache[term]
+    moves = _raw_uncached(term, prepared, stack)
+    prepared._raw_cache[term] = moves
     return moves
 
 
-def _raw_uncached(term, ctx, stack):
+def _raw_uncached(term, prepared, stack):
     if term is TERM or isinstance(term, Deadlock):
         return ()
     if isinstance(term, Act):
@@ -269,23 +322,24 @@ def _raw_uncached(term, ctx, stack):
     if isinstance(term, Var):
         if term.name in stack:
             raise UnguardedRecursion(term.name)
-        if term.name not in ctx.equations:
+        if term.name not in prepared.equations:
             raise SemanticsError(f"unknown process {term.name}")
-        return _raw(ctx.equations[term.name], ctx, stack | {term.name})
+        return _raw(prepared.equations[term.name], prepared,
+                    stack | {term.name})
     if isinstance(term, Seq):
         out = []
-        for occs, left2 in _raw(term.left, ctx, stack):
+        for occs, left2 in _raw(term.left, prepared, stack):
             succ = term.right if left2 is TERM else canon(Seq(left2, term.right))
             out.append((occs, succ))
         return tuple(out)
     if isinstance(term, Alt):
         out = []
         for b in term.branches:
-            out.extend(_raw(b, ctx, stack))
+            out.extend(_raw(b, prepared, stack))
         return tuple(out)
-    if isinstance(term, (Par, WholePar)):
-        lmoves = _raw(term.left, ctx, stack)
-        rmoves = _raw(term.right, ctx, stack)
+    if isinstance(term, Par):
+        lmoves = _raw(term.left, prepared, stack)
+        rmoves = _raw(term.right, prepared, stack)
         out = []
         for occs, left2 in lmoves:
             out.append((occs, _par(left2, term.right)))
@@ -295,20 +349,16 @@ def _raw_uncached(term, ctx, stack):
             out.append((o1 + o2, _par(left2, right2)))
         return tuple(out)
     if isinstance(term, (Hide, Encaps, ConflictElim)):
-        out = []
-        steps = _resolved_moves(term.body, ctx, stack)
-        for events, succ in _apply_wrapper(term, steps, ctx.conflicts):
-            succ2 = TERM if succ is TERM else canon(term.rebuild((succ,)))
-            out.append((events, succ2))
-        return tuple(out)
+        steps = _steps(_raw(term.body, prepared, stack), (term,), prepared)
+        return tuple(dict.fromkeys(
+            (events, TERM if succ is TERM else canon(term.rebuild((succ,))))
+            for events, succ in steps))
     if isinstance(term, Sum):
         raise SemanticsError("sum must be elaborated before generation")
     raise TypeError(f"not a term: {term!r}")
 
 
 def _par(left, right):
-    if left is TERM and right is TERM:
-        return TERM
     if left is TERM:
         return right
     if right is TERM:
@@ -316,29 +366,22 @@ def _par(left, right):
     return Par(left, right)
 
 
-def _resolved_moves(term, ctx, stack):
-    """The resolved steps of a wrapper's body, as the step mode permits
-    them: a nested wrapper sees the same steps as a top-level one."""
-    out = []
-    seen = set()
-    interleave = ctx.config.step_mode == "interleave"
-    for occs, succ in _raw(term, ctx, stack):
-        for events in _resolve(occs, ctx):
-            if interleave and len(events) != 1:
-                continue
-            key = (events, succ)
-            if key not in seen:
-                seen.add(key)
-                out.append((events, succ))
-    return out
+def _steps(moves, wrappers, prepared):
+    """Resolve each (occurrences, successor) move into its steps, then
+    apply ``wrappers`` (outermost first) from the innermost out.
+
+    A nested wrapper (``_raw``) and the top-level ones (``enabled_steps``)
+    both come through here, so an operator means the same wherever it is.
+    """
+    steps = [(events, succ) for occs, succ in moves
+             for events in _resolve(occs, prepared)]
+    for wrapper in reversed(wrappers):
+        steps = _apply_wrapper(wrapper, steps, prepared.conflicts)
+    return steps
 
 
 def _apply_wrapper(wrapper, steps, conflicts):
-    """One hide, block or theta applied to a list of (events, successor).
-
-    Nested wrappers (``_raw``) and the top-level ones (``enabled_steps``)
-    both go through here, so an operator means the same wherever it is.
-    """
+    """One hide, block or theta applied to a list of (events, successor)."""
     if isinstance(wrapper, Hide):
         return [(tuple(Event(None, e.fused)
                        if _label_hidden(e.label, wrapper.names) else e
@@ -373,8 +416,9 @@ def _blocked(events, names) -> bool:
 # Fusion resolution
 
 
-def _resolve(occs, ctx: _Context):
-    """All ways to resolve an occurrence multiset into a resolved step."""
+def _resolve(occs, prepared: PreparedSystem):
+    """All ways to resolve an occurrence multiset into a resolved step, as
+    the step mode permits them: under interleave, single events only."""
     done = tuple(o for o in occs if isinstance(o, Event))
     shadows = [o for o in occs if isinstance(o, Shadow)]
     acts = [o for o in occs if isinstance(o, ActionLabel)]
@@ -382,16 +426,19 @@ def _resolve(occs, ctx: _Context):
     results = set()
     for matched in _shadow_matchings(shadows, acts):
         rest = [i for i in range(len(acts)) if i not in matched]
-        for groups in _comm_groupings(rest, acts, ctx):
+        for groups in _comm_groupings(rest, acts, prepared):
             grouped = {i for g in groups for i in g}
             unfused = [i for i in rest if i not in grouped]
-            if ctx.config.shadow_policy == "strict" and any(
-                    acts[i].name in ctx.shadow_bases for i in unfused):
+            if prepared.config.shadow_policy == "strict" and any(
+                    acts[i].name in prepared.shadow_bases for i in unfused):
                 continue
             events = list(done)
             events += [Event(acts[i], True) for i in matched]
-            events += [Event(_comm_label(g, acts, ctx), True) for g in groups]
+            events += [Event(_comm_label(g, acts, prepared), True)
+                       for g in groups]
             events += [Event(acts[i], False) for i in unfused]
+            if prepared.config.step_mode == "interleave" and len(events) != 1:
+                continue
             results.add(tuple(sorted(events, key=_event_key)))
     return sorted(results, key=lambda evs: tuple(map(_event_key, evs)))
 
@@ -411,11 +458,11 @@ def _shadow_matchings(shadows, acts):
             yield sub | {i}
 
 
-def _comm_groupings(idxs, acts, ctx):
-    if ctx.config.comm_policy == "binary":
-        yield from _binary_matchings(tuple(idxs), acts, ctx.comm)
+def _comm_groupings(idxs, acts, prepared):
+    if prepared.config.comm_policy == "binary":
+        yield from _binary_matchings(tuple(idxs), acts, prepared.comm)
     else:
-        yield from _chained_groupings(idxs, acts, ctx)
+        yield from _chained_groupings(idxs, acts, prepared.gamma_components)
 
 
 def _binary_matchings(idxs, acts, comm):
@@ -434,7 +481,7 @@ def _binary_matchings(idxs, acts, comm):
                 yield ((first, j),) + sub
 
 
-def _chained_groupings(idxs, acts, ctx):
+def _chained_groupings(idxs, acts, gamma_components):
     """Chained fusion: a group is a whole component of the gamma graph.
 
     A component fuses only when every one of its action names is on offer;
@@ -443,7 +490,7 @@ def _chained_groupings(idxs, acts, ctx):
     """
     by_comp: dict = {}
     for i in idxs:
-        comp = ctx.gamma_components.get(acts[i].name)
+        comp = gamma_components.get(acts[i].name)
         if comp is not None:
             by_comp.setdefault(comp, []).append(i)
     options = []
@@ -461,10 +508,10 @@ def _chained_groupings(idxs, acts, ctx):
         yield tuple(g for g in combo if g is not None)
 
 
-def _comm_label(group, acts, ctx) -> CommResultLabel:
+def _comm_label(group, acts, prepared) -> CommResultLabel:
     names = tuple(sorted(acts[i].name for i in group))
     if len(names) == 2:
-        declared = ctx.comm.get(frozenset(names))
+        declared = prepared.comm.get(frozenset(names))
         if declared is not None:
             return declared
     return CommResultLabel(names)
@@ -510,51 +557,7 @@ def _step_names(events) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# System preparation and generation
-
-
-@dataclass
-class PreparedSystem:
-    components: tuple         # initial component terms, canonical
-    entries: tuple            # per-component entry variable name or None
-    wrappers: tuple           # top-level hide/block/theta nodes, outermost first
-    ctx: _Context
-
-    def initial_state(self) -> SystemState:
-        rounds = None
-        if self.ctx.config.round_mode == "barrier":
-            rounds = (0,) * len(self.components)
-        return SystemState(self.components, rounds)
-
-
-def prepare_system(system: ProcessTerm, model: Model, config: Config) -> PreparedSystem:
-    domains = model.domain_map()
-    equations = {name: canon(elaborate_sums(rhs, domains))
-                 for name, rhs in model.equations().items()}
-    comm = model.comms.mapping()
-    ctx = _Context(
-        equations=equations,
-        comm=comm,
-        gamma_components=_gamma_components(comm),
-        conflicts=model.conflicts.pairs,
-        shadow_bases=frozenset(),
-        config=config,
-    )
-    term = canon(elaborate_sums(system, domains))
-    wrappers = []
-    while isinstance(term, (Hide, Encaps, ConflictElim)):
-        wrappers.append(term)
-        term = term.body
-    components = tuple(_flatten_par(term))
-    entries = tuple(c.name if isinstance(c, Var) else None for c in components)
-    ctx.shadow_bases = _collect_shadow_bases(components, equations)
-    return PreparedSystem(components, entries, tuple(wrappers), ctx)
-
-
-def _flatten_par(term):
-    if isinstance(term, (Par, WholePar)):
-        return _flatten_par(term.left) + _flatten_par(term.right)
-    return [term]
+# Step generation
 
 
 def _moves(term, prepared):
@@ -568,36 +571,27 @@ def _moves(term, prepared):
     ``all_of``.  Without that, ``_resolve`` yields no step, or only steps
     that a top-level block drops.
     """
-    ctx = prepared.ctx
-    moves = ctx._moves_cache.get(term)
+    moves = prepared._moves_cache.get(term)
     if moves is not None:
         return moves
-    # the block sets a step meets before anything can change it: walking
-    # out from the components, stop at a hide (it may hide a blocked
-    # action) and at a theta with conflicts (a step that block drops may
-    # still eliminate a sibling); a theta without conflicts is the identity
-    blocked = frozenset()
-    for wrapper in reversed(prepared.wrappers):
-        if isinstance(wrapper, Encaps):
-            blocked |= wrapper.names
-        elif isinstance(wrapper, Hide) or ctx.conflicts:
-            break
-    strict = ctx.config.shadow_policy == "strict"
+    blocked = prepared.blocked
+    strict = prepared.config.shadow_policy == "strict"
     moves = []
-    for occs, succ in _raw(term, ctx):
+    for occs, succ in _raw(term, prepared):
         names = frozenset(o.name for o in occs if isinstance(o, ActionLabel))
         bases = frozenset(o.base for o in occs if isinstance(o, Shadow))
         # a shadow fuses only with an action of its base name
         needs = [(None, frozenset((b,)), frozenset()) for b in bases]
         for n in names:
-            if not (strict and n in ctx.shadow_bases or n in blocked):
+            if not (strict and n in prepared.shadow_bases or n in blocked):
                 continue
             # unfused, it is discarded or blocked: it needs its shadow or a
             # gamma rescue (its whole component, or any binary partner)
-            if ctx.config.comm_policy == "chained":
-                rescue = (frozenset(), ctx.gamma_components.get(n, frozenset()))
+            if prepared.config.comm_policy == "chained":
+                rescue = (frozenset(),
+                          prepared.gamma_components.get(n, frozenset()))
             else:
-                rescue = (frozenset(x for pair in ctx.comm if n in pair
+                rescue = (frozenset(x for pair in prepared.comm if n in pair
                                     for x in pair if x != n), frozenset())
             needs.append((n,) + rescue)
         if _blocked([o for o in occs if isinstance(o, Event)], blocked):
@@ -605,7 +599,7 @@ def _moves(term, prepared):
             needs.append((None, frozenset(), frozenset()))
         moves.append((occs, succ, names, bases, tuple(needs)))
     moves = tuple(moves)
-    ctx._moves_cache[term] = moves
+    prepared._moves_cache[term] = moves
     return moves
 
 
@@ -657,10 +651,9 @@ def _combinations(local):
 
 def enabled_steps(state: SystemState, prepared: PreparedSystem):
     """All (label, successor state) steps the configuration permits."""
-    ctx = prepared.ctx
-    config = ctx.config
     comps = state.components
     n = len(comps)
+    entries = prepared.entries
 
     # barrier rounds are normalized to 0 over the live entried components
     # and are 0 for the others, so a component at round 0 may move
@@ -668,41 +661,30 @@ def enabled_steps(state: SystemState, prepared: PreparedSystem):
     allowed = [i for i in range(n) if comps[i] is not TERM and not rounds[i]]
 
     local = [_moves(comps[i], prepared) for i in allowed]
-    candidates = []
+    moves = []
     for combo in _combinations(local):
-        occs = tuple(o for _, move in combo for o in move[0])
-        for events in _resolve(occs, ctx):
-            if config.step_mode == "interleave" and len(events) != 1:
-                continue
-            new_comps = list(comps)
-            moved = {}
+        new_comps = list(comps)
+        for p, move in combo:
+            new_comps[allowed[p]] = move[1]
+        rounds2 = state.rounds
+        if rounds2 is not None:
+            rl = list(rounds2)
             for p, move in combo:
-                new_comps[allowed[p]] = move[1]
-                moved[allowed[p]] = move[1]
-            rounds2 = state.rounds
-            if rounds2 is not None:
-                rl = list(rounds2)
-                for i, succ in moved.items():
-                    entry = prepared.entries[i]
-                    if entry is not None and succ == Var(entry):
-                        rl[i] += 1
-                # rounds only mean anything for live, entried
-                # components; normalize over those and zero the rest
-                live = [i for i in range(n)
-                        if new_comps[i] is not TERM
-                        and prepared.entries[i] is not None]
-                lo = min((rl[i] for i in live), default=0)
-                rounds2 = tuple(
-                    rl[i] - lo if i in live else 0 for i in range(n))
-            candidates.append(
-                (events, SystemState(tuple(new_comps), rounds2)))
-
-    for wrapper in reversed(prepared.wrappers):   # innermost out
-        candidates = _apply_wrapper(wrapper, candidates, ctx.conflicts)
+                entry = entries[allowed[p]]
+                if entry is not None and move[1] == Var(entry):
+                    rl[allowed[p]] += 1
+            # rounds only mean anything for live, entried components;
+            # normalize over those and zero the rest
+            live = [i for i in range(n)
+                    if new_comps[i] is not TERM and entries[i] is not None]
+            lo = min((rl[i] for i in live), default=0)
+            rounds2 = tuple(rl[i] - lo if i in live else 0 for i in range(n))
+        moves.append((tuple(o for _, move in combo for o in move[0]),
+                      SystemState(tuple(new_comps), rounds2)))
 
     out = []
     seen = set()
-    for events, succ in candidates:
+    for events, succ in _steps(moves, prepared.wrappers, prepared):
         label = step_label(events)
         key = (label, succ)
         if key not in seen:

@@ -161,6 +161,13 @@ class TestErrors:
         assert main(["check", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "unknown-domain" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_unknown_wso_exits_2(self, capsys):
+        assert main(["derive-ab", MODEL_PATH, "--wso", "Nope"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_parse_error_exits_2(self, tmp_path, capsys):

@@ -1,11 +1,14 @@
-"""Two benchmark workloads generate exactly the LTSs the benchmark records.
+"""Two benchmark workloads generate exactly the LTSs the benchmark records,
+and the bundled model the LTSs recorded below.
 
 The models come from ``bench.families`` and the expected fingerprints
 (SHA-256 of the sorted name-level transition triples) from
 ``bench.workloads``; ``bench`` is only imported, never changed.
 """
 import contextlib
+import hashlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -18,6 +21,8 @@ if str(ROOT) not in sys.path:
 
 from bench import families, spans, workloads  # noqa: E402
 from stepcheck import cli  # noqa: E402
+from stepcheck.semantics import POLICIES, Config, generate_lts  # noqa: E402
+from stepcheck.terms import Var  # noqa: E402
 
 
 @pytest.mark.parametrize("name, decls", [
@@ -71,3 +76,53 @@ def test_tau_chain_closed_form(tmp_path):
               if n == "equivalence.check_relation"
               and r.relation == "branching bisimulation"]
     assert blocks == [4]
+
+
+# per policy combination: SHA-256 of "name fingerprint" lines over every
+# system and equation of the bundled model, sorted by name
+BUNDLED = {
+    ('binary', 'interleave', 'overlap', 'strict'):
+        "9f5b04d9c19e9c475c836ef9bc5b3d530d8350bbe509c14bcad58fed55442a78",
+    ('binary', 'interleave', 'overlap', 'loose'):
+        "2df1a15c261f7d0e569639b9a688441b7bff02e0f381c666cfc85a1a3bd21c13",
+    ('binary', 'interleave', 'barrier', 'strict'):
+        "ec65bf383e5026bc916b062a75c604a8456f1db6d8c9ce612c7823c3293a016b",
+    ('binary', 'interleave', 'barrier', 'loose'):
+        "50842da94da32af9c0a14410b85bd780e4d2250bb5f453120198f83ff868d11b",
+    ('binary', 'step', 'overlap', 'strict'):
+        "984405f7b8197875b5386ee6dd9e4694d659c546605a1ab3ecba1301d320a689",
+    ('binary', 'step', 'overlap', 'loose'):
+        "52faec59854844f411e546f916519ad55bf910e7d855408df2cbec9cb702f2dc",
+    ('binary', 'step', 'barrier', 'strict'):
+        "5aabefd807213778342514064f289957d0cc78584437806af3f3bb5746338e23",
+    ('binary', 'step', 'barrier', 'loose'):
+        "ceba89675795bdb3415db4480af760b53aa72e61d31ec5ec82d0f5ce7081505d",
+    ('chained', 'interleave', 'overlap', 'strict'):
+        "56c58178c498ee971f08c5c66327fa304dd3bd849b3cca89a14da0d608388452",
+    ('chained', 'interleave', 'overlap', 'loose'):
+        "a314112d4eb6a3ffafceb851e97ba1011c71cf98ab9ae8a11905e603b797d199",
+    ('chained', 'interleave', 'barrier', 'strict'):
+        "4d794978d9a44fc6cc330934715066d9b6e0ab70f4f508131f6125bcc6d6166f",
+    ('chained', 'interleave', 'barrier', 'loose'):
+        "43621bb8f11a0e67b759c17cf1718daf61c99727a666f991961b885159927141",
+    ('chained', 'step', 'overlap', 'strict'):
+        "eaf12f2bbc24c2626e47e3843ba2eb088b7faad8412553508c7b97828ee8f0a9",
+    ('chained', 'step', 'overlap', 'loose'):
+        "a1ea998097972b27de0666af0c25c6b1dfcd0b9aead66b06d67aeef1c7525801",
+    ('chained', 'step', 'barrier', 'strict'):
+        "9f23c4235ad171e9a60f807564358cbe3ded32543217e941ef23fe5152250094",
+    ('chained', 'step', 'barrier', 'loose'):
+        "01dc6fc3f0930a01ff93529389e0fbdfe8fdddda4f7f6f3f095ad2decea1ae1a",
+}
+
+
+@pytest.mark.parametrize("policies", list(itertools.product(
+    *(allowed for _, allowed in POLICIES.values()))), ids="-".join)
+def test_bundled_model_fingerprints(ws_model, policies):
+    config = Config(*policies)
+    terms = {**ws_model.systems, **{n: Var(n) for n in ws_model.equations()}}
+    assert len(terms) == 25
+    lines = "\n".join(
+        f"{name} {workloads.fingerprint(generate_lts(term, ws_model, config))}"
+        for name, term in sorted(terms.items()))
+    assert hashlib.sha256(lines.encode()).hexdigest() == BUNDLED[policies]

@@ -218,7 +218,7 @@ def reference_steps(state, prepared):
     combination resolved, then the top-level wrappers from the innermost
     out: the literal reading of the step semantics that ``enabled_steps``
     must agree with."""
-    ctx = prepared.ctx
+    ctx = prepared
     config = ctx.config
     comps = state.components
     n = len(comps)
