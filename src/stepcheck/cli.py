@@ -17,7 +17,7 @@ from dataclasses import fields
 from . import composition
 from .dsl import ParseError, ResolutionError, parse_model
 from .equivalence import check_relation, minimize
-from .model import Model, RELATIONS
+from .model import Model
 from .semantics import (
     POLICIES,
     Config,

@@ -187,7 +187,7 @@ def correspondence_check(model: Model, ab: AbDef, ws_name: str,
                          config: Config = Config()) -> Verdict:
     """Does the derived activity base mirror the web service's skeleton?
 
-    The web service's shadows are read as plain actions; the activity
+    The web service's shadows are removed (``strip_shadows``); the activity
     base's labels are renamed (by default through the communication table)
     onto the service's alphabet, then the two are compared up to strong
     step bisimulation.

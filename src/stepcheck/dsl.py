@@ -48,14 +48,7 @@ KEYWORDS = frozenset({
     "sum", "in", "hide", "block", "theta", "delta",
 })
 
-RELATION_SYMBOLS = {
-    "~sb": "strong-step-bisim",
-    "~bb": "branching-bisim",
-    "~rbb": "rooted-branching-bisim",
-    "~tr": "weak-trace-inclusion",
-}
-
-_SYMBOL_FOR_RELATION = {v: k for k, v in RELATION_SYMBOLS.items()}
+RELATION_SYMBOLS = {sym: name for name, sym in RELATIONS.items()}
 
 
 class ParseError(Exception):
@@ -84,7 +77,7 @@ class Token:
     col: int
 
 
-_SYMBOLS = ("~rbb", "~sb", "~bb", "~tr", "->", "||", "<>",
+_SYMBOLS = (*RELATION_SYMBOLS, "->", "||", "<>",
             "{", "}", "(", ")", "=", ".", "+", ",", "#", "@", ":")
 
 
@@ -295,7 +288,8 @@ class _Parser:
         left = first.text
         tok = self.peek()
         if tok.kind != "symbol" or tok.text not in RELATION_SYMBOLS:
-            self.error("expected a relation (~sb, ~bb, ~rbb or ~tr)")
+            *syms, last = RELATION_SYMBOLS
+            self.error(f"expected a relation ({', '.join(syms)} or {last})")
         relation = RELATION_SYMBOLS[self.next().text]
         right = self.expect_name("process or system name").text
         overrides = {}
@@ -494,8 +488,8 @@ def render_model(model: Model) -> str:
         lines.append("")
     for goal in model.checks:
         opts = "".join(f" {k}={v}" for k, v in goal.overrides.items())
-        sym = _SYMBOL_FOR_RELATION[goal.relation]
-        lines.append(f"check {goal.name}: {goal.left} {sym} {goal.right}{opts}")
+        lines.append(f"check {goal.name}: {goal.left} "
+                     f"{RELATIONS[goal.relation]} {goal.right}{opts}")
     while lines and not lines[-1]:
         lines.pop()
     return "\n".join(lines) + "\n"

@@ -2,8 +2,8 @@
 
 Strong step bisimulation and (rooted) branching bisimulation via
 signature-based partition refinement, weak trace inclusion via a
-subset construction, and supporting analyses (minimization, deadlock
-and divergence detection, bounded counter monitoring).
+subset construction, minimization, divergence detection and bounded
+counter monitoring.  Deadlock states are ``StepLTS.deadlock_states``.
 """
 from __future__ import annotations
 
@@ -194,19 +194,15 @@ def _strong_counterexample(out, init_l, init_r, history):
         k = split_round(p, q)
         if k is None:
             break
-        if k == 0 or k == 1:
-            # distinguishable by enabled step labels alone
+        if k == 0:
+            # round 0 splits by the set of enabled step labels
             lp = frozenset(a for a, _ in out[p])
             lq = frozenset(a for a, _ in out[q])
-            only = sorted(lp ^ lq, key=lambda a: label_str(a))
-            if only:
-                a = only[0]
-                side = "left" if a in lp else "right"
-                return StepCounterexample(
-                    tuple(trace),
-                    f"step {label_str(a)} is enabled on the {side} side only")
+            a = min(lp ^ lq, key=label_str)
+            side = "left" if a in lp else "right"
             return StepCounterexample(
-                tuple(trace), "states are distinguishable")
+                tuple(trace),
+                f"step {label_str(a)} is enabled on the {side} side only")
         # find a move of p that q cannot match at round k-1
         prev = history[k - 1]
         for a, t in sorted(out[p], key=lambda at: (label_str(at[0]), at[1])):

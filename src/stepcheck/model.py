@@ -15,12 +15,13 @@ from .terms import (
     validate_terms,
 )
 
-RELATIONS = (
-    "strong-step-bisim",
-    "branching-bisim",
-    "rooted-branching-bisim",
-    "weak-trace-inclusion",
-)
+# each relation a check may name -> its symbol in the model language
+RELATIONS = {
+    "strong-step-bisim": "~sb",
+    "branching-bisim": "~bb",
+    "rooted-branching-bisim": "~rbb",
+    "weak-trace-inclusion": "~tr",
+}
 
 
 @dataclass

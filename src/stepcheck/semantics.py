@@ -90,56 +90,67 @@ class _Terminated(ProcessTerm):
 TERM = _Terminated()
 
 
-def _term_key(t: ProcessTerm) -> str:
-    if t is TERM:
-        return "\x00"
-    return term_to_str(t)
-
-
 def canon(term: ProcessTerm) -> ProcessTerm:
-    """Behavioral canonical form used for state memoization.
-
-    Seq is right-associated, Alt is flattened/sorted/deduplicated, WholePar
-    collapses into Par, empty hide/block wrappers vanish and nested identical
-    wrappers merge.
-    """
+    """Behavioral canonical form used for state memoization: the children
+    made canonical, then the node rebuilt through the constructors below."""
+    kids = tuple(map(canon, term.children()))
     if isinstance(term, Seq):
-        left = canon(term.left)
-        right = canon(term.right)
-        if left is TERM:
-            return right
-        if isinstance(left, Seq):  # right-associate
-            return canon(Seq(left.left, Seq(left.right, right)))
-        return Seq(left, right)
+        return _seq(*kids)
     if isinstance(term, Alt):
-        flat = []
-        for b in term.branches:
-            cb = canon(b)
-            if isinstance(cb, Alt):
-                flat.extend(cb.branches)
-            else:
-                flat.append(cb)
-        uniq = sorted(set(flat), key=_term_key)
-        if len(uniq) == 1:
-            return uniq[0]
-        return Alt(tuple(uniq))
+        return _alt(kids)
     if isinstance(term, (Par, WholePar)):
-        return _par(canon(term.left), canon(term.right))
-    if isinstance(term, (Hide, Encaps)):
-        body = canon(term.body)
-        names = frozenset(term.names)
-        if type(body) is type(term):
-            names |= body.names
-            body = body.body
-        if not names or body is TERM:
-            return body
-        return type(term)(names, body)
-    if isinstance(term, ConflictElim):
-        body = canon(term.body)
-        if isinstance(body, ConflictElim) or body is TERM:
-            return body
-        return ConflictElim(body)
-    return term.rebuild(tuple(map(canon, term.children())))
+        return _par(*kids)
+    if isinstance(term, (Hide, Encaps, ConflictElim)):
+        return _wrap(term, *kids)
+    return term.rebuild(kids)
+
+
+# The four constructors of canonical terms take canonical parts.  Generation
+# builds every successor through them, so no term is made canonical twice.
+
+
+def _seq(left, right):
+    """A terminated left operand drops; a sequence on the left
+    right-associates along its spine."""
+    if left is TERM:
+        return right
+    if isinstance(left, Seq):
+        return Seq(left.left, _seq(left.right, right))
+    return Seq(left, right)
+
+
+def _alt(branches):
+    """Nested alternatives flatten; the branches are de-duplicated and
+    sorted by their text, and a single branch stands alone."""
+    flat = []
+    for b in branches:
+        flat.extend(b.branches if isinstance(b, Alt) else (b,))
+    uniq = sorted(set(flat), key=term_to_str)
+    return uniq[0] if len(uniq) == 1 else Alt(tuple(uniq))
+
+
+def _par(left, right):
+    """A terminated side drops."""
+    if left is TERM:
+        return right
+    if right is TERM:
+        return left
+    return Par(left, right)
+
+
+def _wrap(wrapper, body):
+    """``wrapper``'s hide, block or theta over ``body``: it vanishes over a
+    terminated body or with no names, merges with a wrapper of its kind
+    directly below, and theta over theta is one theta."""
+    if body is TERM:
+        return body
+    if isinstance(wrapper, ConflictElim):
+        return body if isinstance(body, ConflictElim) else ConflictElim(body)
+    names = frozenset(wrapper.names)
+    if type(body) is type(wrapper):
+        names |= body.names
+        body = body.body
+    return type(wrapper)(names, body) if names else body
 
 
 @dataclass(frozen=True)
@@ -327,16 +338,11 @@ def _raw_uncached(term, prepared, stack):
         return _raw(prepared.equations[term.name], prepared,
                     stack | {term.name})
     if isinstance(term, Seq):
-        out = []
-        for occs, left2 in _raw(term.left, prepared, stack):
-            succ = term.right if left2 is TERM else canon(Seq(left2, term.right))
-            out.append((occs, succ))
-        return tuple(out)
+        return tuple((occs, _seq(left2, term.right))
+                     for occs, left2 in _raw(term.left, prepared, stack))
     if isinstance(term, Alt):
-        out = []
-        for b in term.branches:
-            out.extend(_raw(b, prepared, stack))
-        return tuple(out)
+        return tuple(move for b in term.branches
+                     for move in _raw(b, prepared, stack))
     if isinstance(term, Par):
         lmoves = _raw(term.left, prepared, stack)
         rmoves = _raw(term.right, prepared, stack)
@@ -351,19 +357,10 @@ def _raw_uncached(term, prepared, stack):
     if isinstance(term, (Hide, Encaps, ConflictElim)):
         steps = _steps(_raw(term.body, prepared, stack), (term,), prepared)
         return tuple(dict.fromkeys(
-            (events, TERM if succ is TERM else canon(term.rebuild((succ,))))
-            for events, succ in steps))
+            (events, _wrap(term, succ)) for events, succ in steps))
     if isinstance(term, Sum):
         raise SemanticsError("sum must be elaborated before generation")
     raise TypeError(f"not a term: {term!r}")
-
-
-def _par(left, right):
-    if left is TERM:
-        return right
-    if right is TERM:
-        return left
-    return Par(left, right)
 
 
 def _steps(moves, wrappers, prepared):
@@ -569,7 +566,9 @@ def _moves(term, prepared):
     ``(base, any_of, all_of)`` is met in a combination that offers a
     shadow on ``base``, one of the names ``any_of`` or all of the names
     ``all_of``.  Without that, ``_resolve`` yields no step, or only steps
-    that a top-level block drops.
+    that a top-level block drops.  A move whose events, resolved below
+    this level, hold an unfused action of a top-level block set is left
+    out: nothing can fuse it now, so the block drops every step it is in.
     """
     moves = prepared._moves_cache.get(term)
     if moves is not None:
@@ -578,6 +577,8 @@ def _moves(term, prepared):
     strict = prepared.config.shadow_policy == "strict"
     moves = []
     for occs, succ in _raw(term, prepared):
+        if _blocked([o for o in occs if isinstance(o, Event)], blocked):
+            continue
         names = frozenset(o.name for o in occs if isinstance(o, ActionLabel))
         bases = frozenset(o.base for o in occs if isinstance(o, Shadow))
         # a shadow fuses only with an action of its base name
@@ -594,9 +595,6 @@ def _moves(term, prepared):
                 rescue = (frozenset(x for pair in prepared.comm if n in pair
                                     for x in pair if x != n), frozenset())
             needs.append((n,) + rescue)
-        if _blocked([o for o in occs if isinstance(o, Event)], blocked):
-            # resolved below this level: nothing can fuse it now
-            needs.append((None, frozenset(), frozenset()))
         moves.append((occs, succ, names, bases, tuple(needs)))
     moves = tuple(moves)
     prepared._moves_cache[term] = moves

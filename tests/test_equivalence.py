@@ -60,6 +60,14 @@ class TestStrong:
         labels = {a for _, a, _ in left.transitions}
         assert all(step in labels for step in cx.trace)
 
+    def test_split_after_one_round_names_the_step(self):
+        # both sides offer {a} first, so the split comes at round 1: the
+        # answer names the step whose targets differ, not "distinguishable"
+        left = lts_of("process P { P = a . b . delta + a . c . delta }")
+        right = lts_of("process P { P = a . (b . delta + c . delta) }")
+        cx = strong_step_bisim(left, right).counterexample
+        assert cx.pretty() == "after {a}: the right side cannot match step {a}"
+
 
 class TestBranching:
     def test_inert_tau_is_ignored(self):

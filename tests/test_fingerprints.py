@@ -1,5 +1,5 @@
 """Two benchmark workloads generate exactly the LTSs the benchmark records,
-and the bundled model the LTSs recorded below.
+and the bundled model the LTSs and CLI output recorded below.
 
 The models come from ``bench.families`` and the expected fingerprints
 (SHA-256 of the sorted name-level transition triples) from
@@ -20,7 +20,7 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from bench import families, spans, workloads  # noqa: E402
-from stepcheck import cli  # noqa: E402
+from stepcheck import bundled_model_path, cli  # noqa: E402
 from stepcheck.semantics import POLICIES, Config, generate_lts  # noqa: E402
 from stepcheck.terms import Var  # noqa: E402
 
@@ -126,3 +126,30 @@ def test_bundled_model_fingerprints(ws_model, policies):
         f"{name} {workloads.fingerprint(generate_lts(term, ws_model, config))}"
         for name, term in sorted(terms.items()))
     assert hashlib.sha256(lines.encode()).hexdigest() == BUNDLED[policies]
+
+
+# SHA-256 of the CLI's standard output on the bundled model.  Unlike the
+# name-level fingerprints above, these also pin the BFS state numbering
+# and the order of every list in the JSON.
+CLI_OUTPUTS = {
+    ("lts", "--format", "json", "--system", "Sys"):
+        "b82461e6216d03aad52a29a825996109e2161bb1d94158c36c17306023afe384",
+    ("lts", "--format", "json", "--system", "Sys", "--round-mode", "barrier"):
+        "4de7f863dfdcf048b8938748d4d79b7133d0f959b0051fcf1c6ceb114b53b6ae",
+    ("check", "--json"):
+        "403ffdeed5bf583b8af98376cfefd6685e15dfba1ade451cc18004c43f0ba013",
+    ("derive-ab", "--wso", "WSOA", "--json"):
+        "5470fd3acfc8487473a7bbac3f64f67a09b7546b48aa09f90e4ae7033d7e4746",
+    ("derive-ab", "--wso", "WSOB", "--json"):
+        "31fdd5666ceb14abd196b64bee874a7df9fb44f2bec0f7c52680fe2b35648b0f",
+}
+
+
+@pytest.mark.parametrize("args", list(CLI_OUTPUTS), ids=" ".join)
+def test_bundled_model_cli_output(args):
+    argv = [args[0], str(bundled_model_path()), *args[1:]]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    assert code == 0
+    assert (hashlib.sha256(out.getvalue().encode()).hexdigest()
+            == CLI_OUTPUTS[args])

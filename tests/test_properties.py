@@ -23,11 +23,16 @@ from stepcheck.semantics import (
     Config,
     Event,
     SystemState,
+    _alt,
     _blocked,
     _label_hidden,
+    _par,
     _raw,
     _resolve,
+    _seq,
+    _wrap,
     apply_theta,
+    canon,
     enabled_steps,
     generate_lts,
     prepare_system,
@@ -52,6 +57,7 @@ from stepcheck.terms import (
     Var,
     WholePar,
     guardedness_check,
+    term_to_str,
 )
 
 CASES = 150
@@ -372,6 +378,17 @@ class TestStepEnumeration:
                         frontier.append(succ)
         assert states > 3 * CASES
 
+    def test_block_outside_hide_keeps_the_hidden_step(self):
+        # the block sees a already hidden, so P's move stays as a tau step
+        model = parse_model("process P { P = a . P }\n"
+                            "process Q { Q = b . Q }\n"
+                            "system S = block {a} in hide {a} in (P <> Q)")
+        prepared = prepare_system(model.systems["S"], model, Config())
+        state = prepared.initial_state()
+        steps = enabled_steps(state, prepared)
+        assert steps == reference_steps(state, prepared)
+        assert [label for label, _ in steps].count(()) == 1
+
 
 class TestWrapperPlacement:
     """A system means the same whether its hide/block/theta wrappers sit at
@@ -456,3 +473,107 @@ class TestThetaDifferential:
                 steps, conflicts)
             pruned += len(expected) < len(set(steps))
         assert pruned > 5 * CASES
+
+
+def reference_canon(term):
+    """The canonical form as one recursive rewrite: every node's children
+    made canonical, then the node normalised, re-normalising a sequence
+    after each re-association."""
+    def key(t):
+        return "\x00" if t is TERM else term_to_str(t)
+
+    if isinstance(term, Seq):
+        left = reference_canon(term.left)
+        right = reference_canon(term.right)
+        if left is TERM:
+            return right
+        if isinstance(left, Seq):
+            return reference_canon(Seq(left.left, Seq(left.right, right)))
+        return Seq(left, right)
+    if isinstance(term, Alt):
+        flat = []
+        for b in term.branches:
+            cb = reference_canon(b)
+            flat.extend(cb.branches if isinstance(cb, Alt) else (cb,))
+        uniq = sorted(set(flat), key=key)
+        return uniq[0] if len(uniq) == 1 else Alt(tuple(uniq))
+    if isinstance(term, (Par, WholePar)):
+        left = reference_canon(term.left)
+        right = reference_canon(term.right)
+        if left is TERM:
+            return right
+        if right is TERM:
+            return left
+        return Par(left, right)
+    if isinstance(term, (Hide, Encaps)):
+        body = reference_canon(term.body)
+        names = frozenset(term.names)
+        if type(body) is type(term):
+            names |= body.names
+            body = body.body
+        if not names or body is TERM:
+            return body
+        return type(term)(names, body)
+    if isinstance(term, ConflictElim):
+        body = reference_canon(term.body)
+        if isinstance(body, ConflictElim) or body is TERM:
+            return body
+        return ConflictElim(body)
+    return term.rebuild(tuple(map(reference_canon, term.children())))
+
+
+_LEAVES = st.sampled_from((
+    Act(ActionLabel("a")), Act(ActionLabel("b")), Act(ActionLabel("c", ("d1",))),
+    Var("X"), Deadlock(), Shadow("a")))
+_NAMES = st.frozensets(st.sampled_from(("a", "b", "c")), max_size=2)
+
+
+def _wrappers(body):
+    """Hide, block (both possibly with no names) and theta over ``body``."""
+    return st.one_of(st.builds(Hide, _NAMES, body),
+                     st.builds(Encaps, _NAMES, body),
+                     st.builds(ConflictElim, body))
+
+
+def _nodes(kids):
+    return st.one_of(
+        st.builds(Seq, kids, kids),
+        st.builds(lambda a, b, c: Seq(Seq(a, b), c), kids, kids, kids),
+        st.lists(kids, min_size=1, max_size=4).map(lambda bs: Alt(tuple(bs))),
+        st.builds(lambda b: Alt((b, b)), kids),
+        st.builds(Par, kids, kids),
+        st.builds(WholePar, kids, kids),
+        _wrappers(kids),
+        _wrappers(_wrappers(kids)),
+    )
+
+
+RAW_TERMS = st.recursive(_LEAVES, _nodes, max_leaves=10)
+CANONICAL = RAW_TERMS.map(reference_canon)
+
+
+class TestCanonDifferential:
+    """``canon`` and the four constructors it shares with generation
+    against the canonical form written as one recursive rewrite."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              database=None)
+    @given(RAW_TERMS)
+    def test_canon_equals_reference(self, term):
+        assert canon(term) == reference_canon(term)
+
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              database=None)
+    @given(st.one_of(st.just(TERM), CANONICAL),
+           st.one_of(st.just(TERM), CANONICAL),
+           _wrappers(st.just(Deadlock())),
+           st.lists(CANONICAL, min_size=1, max_size=3))
+    def test_constructors_on_canonical_parts(self, left, right, wrapper,
+                                             branches):
+        assert _seq(left, right) == reference_canon(Seq(left, right))
+        assert _par(left, right) == reference_canon(Par(left, right))
+        # also over its own kind, which the wrapper merges with
+        for body in (left, reference_canon(wrapper.rebuild((left,)))):
+            assert (_wrap(wrapper, body)
+                    == reference_canon(wrapper.rebuild((body,))))
+        assert _alt(branches) == reference_canon(Alt(tuple(branches)))
