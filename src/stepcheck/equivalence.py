@@ -65,12 +65,9 @@ class Verdict:
 
 def _union(left: StepLTS, right: StepLTS):
     n = left.num_states
-    out = [[] for _ in range(n + right.num_states)]
-    for s, a, t in left.transitions:
-        out[s].append((a, t))
-    for s, a, t in right.transitions:
-        out[n + s].append((a, n + t))
-    return out, left.initial, n + right.initial, n + right.num_states
+    out = left.outgoing() + [[(a, n + t) for a, t in row]
+                             for row in right.outgoing()]
+    return out, left.initial, n + right.initial, len(out)
 
 
 # ---------------------------------------------------------------------------
@@ -138,29 +135,54 @@ def _branching_signatures(out, block):
     return sig
 
 
+def _signatures(out, block, inert):
+    """Each state's (label, block) moves; with ``inert``, branching ones."""
+    if inert:
+        return _branching_signatures(out, block)
+    # lazily, so that _refine numbers each key as it is built: a list of
+    # keys costs more in GC
+    return (frozenset((a, block[t]) for a, t in row) for row in out)
+
+
 def _refine(out, total, inert):
     """Signature refinement to strong bisimilarity, or with ``inert`` branching.
 
     Returns the final block of every state and the blocks after each
-    round, which the counterexample replays.
+    round, from which ``_explain`` reads why two states differ.
     """
     block = [0] * total
     n_blocks = min(total, 1)
     history = []
     while True:
         sigs = {}
-        # number each key as it is built: a list of keys costs more in GC
-        if inert:
-            new = [sigs.setdefault(key, len(sigs))
-                   for key in zip(block, _branching_signatures(out, block))]
-        else:
-            new = [sigs.setdefault(
-                       (b, frozenset((a, block[t]) for a, t in row)), len(sigs))
-                   for b, row in zip(block, out)]
+        new = [sigs.setdefault(key, len(sigs))
+               for key in zip(block, _signatures(out, block, inert))]
         history.append(new)
         if len(sigs) == n_blocks:
             return new, history
         block, n_blocks = new, len(sigs)
+
+
+def _unmatched(left_sig, right_sig):
+    """The least (label, block) move of one signature only, and its side."""
+    move = min(left_sig ^ right_sig, key=lambda m: (label_str(m[0]), m[1]))
+    return move, "left" if move in left_sig else "right"
+
+
+def _explain(out, p, q, history, inert):
+    """Why states p (left) and q (right) differ: a move one side has and
+    the other cannot match at the round that split them (Cleaveland 1990).
+    """
+    k = next(k for k, blocks in enumerate(history) if blocks[p] != blocks[q])
+    prev = history[k - 1] if k else [0] * len(out)
+    sigs = list(_signatures(out, prev, inert))
+    (a, _), side = _unmatched(sigs[p], sigs[q])
+    if not k:
+        return StepCounterexample(
+            (), f"step {label_str(a)} is enabled on the {side} side only")
+    other = "right" if side == "left" else "left"
+    return StepCounterexample(
+        (a,), f"the {other} side cannot match step {label_str(a)}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,52 +196,8 @@ def strong_step_bisim(left: StepLTS, right: StepLTS) -> Verdict:
     verdict = Verdict(holds, "strong step bisimulation",
                       details={"blocks": len(set(block))})
     if not holds:
-        verdict.counterexample = _strong_counterexample(
-            out, init_l, init_r, history)
+        verdict.counterexample = _explain(out, init_l, init_r, history, False)
     return verdict
-
-
-def _strong_counterexample(out, init_l, init_r, history):
-    """Replay the refinement: find the earliest split and a move that causes it."""
-    # depth k = first refinement round at which the pair separates
-    def split_round(p, q):
-        for k, blocks in enumerate(history):
-            if blocks[p] != blocks[q]:
-                return k
-        return None
-
-    trace = []
-    p, q = init_l, init_r
-    for _ in range(len(history) + 1):
-        k = split_round(p, q)
-        if k is None:
-            break
-        if k == 0:
-            # round 0 splits by the set of enabled step labels
-            lp = frozenset(a for a, _ in out[p])
-            lq = frozenset(a for a, _ in out[q])
-            a = min(lp ^ lq, key=label_str)
-            side = "left" if a in lp else "right"
-            return StepCounterexample(
-                tuple(trace),
-                f"step {label_str(a)} is enabled on the {side} side only")
-        # find a move of p that q cannot match at round k-1
-        prev = history[k - 1]
-        for a, t in sorted(out[p], key=lambda at: (label_str(at[0]), at[1])):
-            matches = [t2 for a2, t2 in out[q]
-                       if a2 == a and prev[t2] == prev[t]]
-            if not matches:
-                return StepCounterexample(
-                    tuple(trace) + (a,),
-                    f"the right side cannot match step {label_str(a)}")
-            bad = [t2 for t2 in matches if split_round(t, t2) is not None]
-            if bad:
-                trace.append(a)
-                p, q = t, bad[0]
-                break
-        else:
-            return StepCounterexample(tuple(trace), "states are distinguishable")
-    return StepCounterexample(tuple(trace), "states are distinguishable")
 
 
 # ---------------------------------------------------------------------------
@@ -229,27 +207,22 @@ def _strong_counterexample(out, init_l, init_r, history):
 def branching_bisim(left: StepLTS, right: StepLTS,
                     rooted: bool = False) -> Verdict:
     out, init_l, init_r, total = _union(left, right)
-    block, _ = _refine(out, total, True)
+    block, history = _refine(out, total, True)
     name = ("rooted " if rooted else "") + "branching bisimulation"
     if block[init_l] == block[init_r]:
         if rooted:
             # root condition: every initial move must be matched immediately
-            sig_l = frozenset((a, block[t]) for a, t in out[init_l])
-            sig_r = frozenset((a, block[t]) for a, t in out[init_r])
-            if sig_l != sig_r:
-                only = sorted(sig_l ^ sig_r, key=lambda x: (label_str(x[0]), x[1]))
-                a, _ = only[0]
-                side = "left" if (a, _) in sig_l else "right"
+            sigs = list(_signatures(out, block, False))
+            if sigs[init_l] != sigs[init_r]:
+                (a, _), side = _unmatched(sigs[init_l], sigs[init_r])
                 return Verdict(False, name, StepCounterexample(
                     (), f"root condition: initial step {label_str(a)} "
                         f"on the {side} side has no immediate match"))
         return Verdict(True, name, details={"blocks": len(set(block))})
     # prefer a weak-trace counterexample: concrete and easy to read
     traces = weak_traces_equal(left, right)
-    if not traces.holds:
-        return Verdict(False, name, traces.counterexample)
-    return Verdict(False, name, StepCounterexample(
-        (), "initial states fall into different branching classes"))
+    return Verdict(False, name, traces.counterexample
+                   or _explain(out, init_l, init_r, history, True))
 
 
 def rooted_branching_bisim(left: StepLTS, right: StepLTS) -> Verdict:

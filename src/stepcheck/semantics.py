@@ -396,8 +396,6 @@ def _label_hidden(label, names) -> bool:
     if isinstance(label, ActionLabel):
         return label.name in names
     # a communication is hidden by its result name or by all participants
-    if label.name is not None and label.name in names:
-        return True
     if label.pretty() in names:
         return True
     return all(p in names for p in label.participants)

@@ -1,10 +1,20 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stepcheck as sc
 from stepcheck import equivalence
 from stepcheck.cli import main
+from stepcheck.dsl import (
+    ParseError,
+    ResolutionError,
+    parse_model,
+    render_model,
+    tokenize,
+)
 
 MODEL_PATH = str(sc.bundled_model_path())
 
@@ -200,3 +210,46 @@ class TestSilentLoop:
         assert data["loop"]["holds"]
         assert (data["loop"]["left_states"], data["loop"]["right_states"]) == (3, 2)
         assert not data["strict"]["holds"]
+
+
+MODEL_TOKENS = tuple(t.text for t in tokenize(sc.bundled_model_path().read_text())
+                     if t.kind != "eof")
+# unknown names, a huge number, stray braces and a sum over an unknown domain
+REPLACEMENTS = ("Nope", "zz", "999999", "{", "}", "sum x in Nope .")
+COMMANDS = (("check",), ("lts", "--system", "Sys"),
+            ("derive-ab", "--wso", "WSOA"), ("derive-ab", "--wso", "Nope"))
+
+
+@st.composite
+def mutant(draw):
+    """The bundled model's tokens with one or two dropped, doubled or replaced."""
+    tokens = list(MODEL_TOKENS)
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        tokens[i] = draw(st.sampled_from(
+            ("", f"{tokens[i]} {tokens[i]}", *REPLACEMENTS)))
+    return " ".join(tokens)
+
+
+class TestFuzz:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(mutant())
+    def test_every_input_ends_in_a_verdict_or_one_line(self, tmp_path_factory,
+                                                       text):
+        path = tmp_path_factory.getbasetemp() / "mutant.aptc"
+        path.write_text(text)
+        for command in COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command[0], str(path), *command[1:],
+                             "--max-states", "300"])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert err.getvalue().count("\n") == 1
+        try:
+            model = parse_model(text)
+        except (ParseError, ResolutionError):
+            return
+        rendered = render_model(model)
+        assert render_model(parse_model(rendered)) == rendered

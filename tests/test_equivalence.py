@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,13 @@ from stepcheck.equivalence import (
     weak_trace_inclusion,
     weak_traces_equal,
 )
-from stepcheck.semantics import Config, StepLTS, generate_lts, prune_dead
+from stepcheck.semantics import (
+    Config,
+    StepLTS,
+    generate_lts,
+    label_str,
+    prune_dead,
+)
 from stepcheck.terms import ActionLabel, Var
 
 
@@ -68,6 +75,13 @@ class TestStrong:
         cx = strong_step_bisim(left, right).counterexample
         assert cx.pretty() == "after {a}: the right side cannot match step {a}"
 
+    def test_unmatched_move_of_the_right_side_is_named(self):
+        # the right side's {a} into c . delta has no match on the left
+        left = lts_of("process P { P = a . b . delta }")
+        right = lts_of("process P { P = a . b . delta + a . c . delta }")
+        cx = strong_step_bisim(left, right).counterexample
+        assert cx.pretty() == "after {a}: the left side cannot match step {a}"
+
 
 class TestBranching:
     def test_inert_tau_is_ignored(self):
@@ -95,6 +109,14 @@ class TestBranching:
         verdict = branching_bisim(lts_of(LOOP_A), lts_of(LOOP_B))
         assert not verdict.holds
         assert isinstance(verdict.counterexample, TraceCounterexample)
+
+    def test_equal_weak_traces_explained_by_the_split_round(self):
+        left = lts_of("process P { P = a . b . delta + a . c . delta }")
+        right = lts_of("process P { P = a . (b . delta + c . delta) }")
+        verdict = branching_bisim(left, right)
+        assert not verdict.holds
+        assert (verdict.counterexample.pretty()
+                == "after {a}: the right side cannot match step {a}")
 
 
 class TestMinimize:
@@ -318,3 +340,65 @@ class TestRefinementDifferential:
     @given(random_lts())
     def test_prune_dead_matches_reference(self, lts):
         assert prune_dead(lts) == reference_prune_dead(lts)
+
+
+UNEXPLAINED = ("states are distinguishable",
+               "initial states fall into different branching classes")
+
+
+@st.composite
+def lts_pair(draw):
+    """Two random LTSs, or one and a copy with a transition added or removed.
+
+    The copies tend to split after round 0, where a step is unmatched.
+    """
+    left = draw(random_lts())
+    if draw(st.booleans()):
+        return left, draw(random_lts())
+    state = st.integers(0, left.num_states - 1)
+    edge = draw(st.tuples(state, st.sampled_from(_LABELS), state))
+    return left, replace(left, transitions=tuple(
+        sorted(set(left.transitions) ^ {edge}, key=repr)))
+
+
+def claimed_move(cx, moves):
+    """The label and the side a step counterexample says only one side has."""
+    for side, other in (("left", "right"), ("right", "left")):
+        for a, _ in moves[side]:
+            if (cx.trace == () and cx.reason
+                    == f"step {label_str(a)} is enabled on the {side} side only"):
+                return a, side, other
+            if (cx.trace == (a,) and cx.reason
+                    == f"the {other} side cannot match step {label_str(a)}"):
+                return a, side, other
+    raise AssertionError(f"no move of either side fits {cx.pretty()!r}")
+
+
+class TestExplanation:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(lts_pair())
+    def test_strong_counterexample_is_sound(self, pair):
+        left, right = pair
+        verdict = strong_step_bisim(left, right)
+        if verdict.holds:
+            return
+        out, p, q, total = equivalence._union(left, right)
+        block, _ = reference_blocks(out, total, False)
+        moves = {"left": out[p], "right": out[q]}
+        a, side, other = claimed_move(verdict.counterexample, moves)
+        targets = [t for b, t in moves[other] if b == a]
+        if not verdict.counterexample.trace:
+            assert not targets
+        else:
+            assert any(all(block[t] != block[u] for u in targets)
+                       for b, t in moves[side] if b == a)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(lts_pair())
+    def test_every_failure_is_explained(self, pair):
+        left, right = pair
+        for check in (strong_step_bisim, branching_bisim,
+                      rooted_branching_bisim):
+            verdict = check(left, right)
+            if not verdict.holds:
+                assert not any(u in verdict.pretty() for u in UNEXPLAINED)
