@@ -162,7 +162,8 @@ class _Parser:
         if tok.kind != "name":
             self.error(f"expected {what}")
         if tok.text in KEYWORDS:
-            self.error(f"{tok.text!r} is a keyword, not an {what}")
+            article = "an" if what[0] in "aeiou" else "a"
+            self.error(f"{tok.text!r} is a keyword, not {article} {what}")
         if tok.text[0].isdigit():
             self.error(f"{what} cannot start with a digit")
         return self.next()

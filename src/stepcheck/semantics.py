@@ -212,6 +212,7 @@ class PreparedSystem:
     config: Config
     _raw_cache: dict = field(default_factory=dict)
     _moves_cache: dict = field(default_factory=dict)
+    _resolve_cache: dict = field(default_factory=dict)
 
     def initial_state(self) -> SystemState:
         rounds = None
@@ -411,9 +412,21 @@ def _blocked(events, names) -> bool:
 # Fusion resolution
 
 
-def _resolve(occs, prepared: PreparedSystem):
+def _resolve(occs, prepared: PreparedSystem) -> tuple:
     """All ways to resolve an occurrence multiset into a resolved step, as
-    the step mode permits them: under interleave, single events only."""
+    the step mode permits them: under interleave, single events only.
+
+    Memoized per prepared system by occurrence tuple; the result is a
+    tuple, since every caller with that key shares it.
+    """
+    steps = prepared._resolve_cache.get(occs)
+    if steps is None:
+        steps = tuple(_resolve_uncached(occs, prepared))
+        prepared._resolve_cache[occs] = steps
+    return steps
+
+
+def _resolve_uncached(occs, prepared):
     done = tuple(o for o in occs if isinstance(o, Event))
     shadows = [o for o in occs if isinstance(o, Shadow)]
     acts = [o for o in occs if isinstance(o, ActionLabel)]

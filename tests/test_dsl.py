@@ -101,6 +101,16 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_model("process hide { X = a . X }")
 
+    def test_keyword_error_takes_a_before_a_consonant(self):
+        with pytest.raises(ParseError) as exc:
+            parse_model("domain in = { d1 }")
+        assert exc.value.message == "'in' is a keyword, not a domain name"
+
+    def test_keyword_error_takes_an_before_a_vowel(self):
+        with pytest.raises(ParseError) as exc:
+            parse_model("comm hide, b")
+        assert exc.value.message == "'hide' is a keyword, not an action name"
+
     def test_unknown_character(self):
         with pytest.raises(ParseError) as exc:
             parse_model("process P { P = a ? P }")

@@ -5,11 +5,13 @@ well over 1000 cases are exercised per test run.
 """
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import stepcheck as sc
+from stepcheck import semantics
 from stepcheck.dsl import parse_model, render_model
 from stepcheck.equivalence import (
     branching_bisim,
@@ -19,6 +21,7 @@ from stepcheck.equivalence import (
 )
 from stepcheck.model import Model
 from stepcheck.semantics import (
+    POLICIES,
     TERM,
     Config,
     Event,
@@ -29,6 +32,7 @@ from stepcheck.semantics import (
     _par,
     _raw,
     _resolve,
+    _resolve_uncached,
     _seq,
     _wrap,
     apply_theta,
@@ -388,6 +392,45 @@ class TestStepEnumeration:
         steps = enabled_steps(state, prepared)
         assert steps == reference_steps(state, prepared)
         assert [label for label, _ in steps].count(()) == 1
+
+
+class TestResolveMemo:
+    """``_resolve`` answers from its per-system memo exactly what the
+    uncached resolver computes, for every occurrence tuple that step
+    enumeration meets, and hands out tuples that no caller can change."""
+
+    @settings(derandomize=True, max_examples=CASES, deadline=None,
+              database=None)
+    @given(rng=st.randoms(use_true_random=False),
+           policies=st.sampled_from(list(itertools.product(
+               *(allowed for _, allowed in POLICIES.values())))))
+    def test_memo_equals_uncached_resolver(self, rng, policies):
+        model, system = rand_system(rng)
+        prepared = prepare_system(system, model, Config(*policies))
+        met = []
+
+        def checked(occs, prepared):
+            steps = _resolve(occs, prepared)
+            assert isinstance(steps, tuple)
+            assert steps == tuple(_resolve_uncached(occs, prepared))
+            met.append(occs)
+            return steps
+
+        frontier = [prepared.initial_state()]
+        seen = set(frontier)
+        with mock.patch.object(semantics, "_resolve", checked):
+            while frontier and len(seen) < 40:
+                for _, succ in enabled_steps(frontier.pop(), prepared):
+                    if succ not in seen:
+                        seen.add(succ)
+                        frontier.append(succ)
+        assert met
+        assert set(prepared._resolve_cache) == set(met)
+        for occs in dict.fromkeys(met):
+            again = _resolve(occs, prepared)
+            assert isinstance(again, tuple)
+            assert again is prepared._resolve_cache[occs]
+            assert again == tuple(_resolve_uncached(occs, prepared))
 
 
 class TestWrapperPlacement:

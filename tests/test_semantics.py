@@ -1,6 +1,7 @@
 import pytest
 
 import stepcheck as sc
+from stepcheck import semantics
 from stepcheck.dsl import parse_model
 from stepcheck.equivalence import strong_step_bisim
 from stepcheck.semantics import (
@@ -312,3 +313,44 @@ class TestDeterminism:
         a = generate_lts(ws_model.systems["Sys"], ws_model, cfg)
         b = generate_lts(ws_model.systems["Sys"], ws_model, cfg)
         assert a == b
+
+
+class TestResolveOnce:
+    @pytest.mark.parametrize("round_mode", ["overlap", "barrier"])
+    def test_each_occurrence_tuple_resolved_once_per_system(
+            self, ws_model, monkeypatch, round_mode):
+        met = {"strict": [], "loose": []}        # tuples passed to _resolve
+        resolved = {"strict": [], "loose": []}   # tuples actually resolved
+        resolve, uncached = semantics._resolve, semantics._resolve_uncached
+
+        def meeting(occs, prepared):
+            met[prepared.config.shadow_policy].append(occs)
+            return resolve(occs, prepared)
+
+        def resolving(occs, prepared):
+            resolved[prepared.config.shadow_policy].append(occs)
+            return uncached(occs, prepared)
+
+        monkeypatch.setattr(semantics, "_resolve", meeting)
+        monkeypatch.setattr(semantics, "_resolve_uncached", resolving)
+        for shadow in ("strict", "loose"):
+            generate_lts(ws_model.systems["Sys"], ws_model,
+                         Config(round_mode=round_mode, shadow_policy=shadow))
+        for shadow in ("strict", "loose"):
+            assert len(met[shadow]) > len(resolved[shadow])
+            assert len(resolved[shadow]) == len(set(resolved[shadow]))
+            assert set(resolved[shadow]) == set(met[shadow])
+        # the second system meets tuples the first one resolved, and
+        # resolves them again under its own shadow policy
+        assert set(resolved["strict"]) & set(resolved["loose"])
+
+    def test_shadow_policy_changes_what_one_tuple_resolves_to(self, ws_model):
+        # why the memo lives on the prepared system: shared between two
+        # configs, it would hand one of them the other's steps
+        prepared = {shadow: semantics.prepare_system(
+            ws_model.systems["Sys"], ws_model, Config(shadow_policy=shadow))
+            for shadow in ("strict", "loose")}
+        occs = (ActionLabel(min(prepared["strict"].shadow_bases)),)
+        assert semantics._resolve(occs, prepared["strict"]) == ()
+        assert semantics._resolve(occs, prepared["loose"]) == (
+            (semantics.Event(occs[0], False),),)
