@@ -128,7 +128,7 @@ def tokenize(source: str):
 # afterwards turns them into Var (equation names) or Act (everything else).
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Name(ProcessTerm):
     name: str
     args: tuple = ()

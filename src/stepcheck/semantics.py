@@ -81,7 +81,7 @@ class Config:
 # Canonical terms and states
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Terminated(ProcessTerm):
     def __repr__(self):
         return "TERM"
@@ -125,7 +125,7 @@ def _alt(branches):
     flat = []
     for b in branches:
         flat.extend(b.branches if isinstance(b, Alt) else (b,))
-    uniq = sorted(set(flat), key=term_to_str)
+    uniq = sorted(dict.fromkeys(flat), key=term_to_str)
     return uniq[0] if len(uniq) == 1 else Alt(tuple(uniq))
 
 
@@ -679,8 +679,8 @@ def enabled_steps(state: SystemState, prepared: PreparedSystem):
         if rounds2 is not None:
             rl = list(rounds2)
             for p, move in combo:
-                entry = entries[allowed[p]]
-                if entry is not None and move[1] == Var(entry):
+                succ = move[1]
+                if isinstance(succ, Var) and succ.name == entries[allowed[p]]:
                     rl[allowed[p]] += 1
             # rounds only mean anything for live, entried components;
             # normalize over those and zero the rest

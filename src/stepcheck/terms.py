@@ -81,8 +81,31 @@ Label = Union[ActionLabel, CommResultLabel]
 # Abstract syntax
 
 
-class ProcessTerm:
-    """Base class for all term nodes.  Instances are immutable.
+# Every node is hash-consed (Filliatre & Conchon, "Type-safe modular
+# hash-consing", 2006): constructing one returns the single instance with
+# its class and field values, so structurally equal terms are the same
+# object, and the node classes compare and hash by identity.  The table
+# lives for the process and is never evicted.
+_INTERNED: dict = {}
+
+
+class _Interning(type):
+    """Metaclass of the term nodes: interns each node once its
+    ``__init__`` and ``__post_init__`` have accepted it."""
+
+    def __call__(cls, *args, **kwargs):
+        term = super().__call__(*args, **kwargs)
+        return _INTERNED.setdefault((cls, *_field_values(term)), term)
+
+
+def _field_values(term) -> tuple:
+    # a dataclass's __match_args__ names its fields in declaration order
+    return tuple(getattr(term, f) for f in term.__match_args__)
+
+
+class ProcessTerm(metaclass=_Interning):
+    """Base class for all term nodes.  Instances are immutable and
+    interned: ``==`` and ``hash`` are identity.
 
     ``children()`` gives the direct subterms, left to right, and
     ``rebuild(kids)`` the same node over new subterms; the traversals
@@ -90,6 +113,11 @@ class ProcessTerm:
     """
 
     __slots__ = ()
+
+    # copies, deep copies and unpickled terms are rebuilt through the
+    # constructor, so they come back as the interned instance
+    def __reduce__(self):
+        return type(self), _field_values(self)
 
     def children(self) -> tuple:
         return ()
@@ -118,35 +146,35 @@ class _Unary(ProcessTerm):
         return replace(self, body=kids[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Deadlock(ProcessTerm):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Act(ProcessTerm):
     label: ActionLabel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Shadow(ProcessTerm):
     """Placeholder that only fires fused with a concurrent base action."""
 
     base: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(ProcessTerm):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Seq(_Binary):
     left: ProcessTerm
     right: ProcessTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Alt(ProcessTerm):
     branches: tuple[ProcessTerm, ...]
 
@@ -161,13 +189,13 @@ class Alt(ProcessTerm):
         return Alt(tuple(kids))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Par(_Binary):
     left: ProcessTerm
     right: ProcessTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WholePar(_Binary):
     """System-level parallel composition; semantically identical to Par."""
 
@@ -175,26 +203,26 @@ class WholePar(_Binary):
     right: ProcessTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sum(_Unary):
     binder: str
     domain: str
     body: ProcessTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hide(_Unary):
     names: frozenset
     body: ProcessTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Encaps(_Unary):
     names: frozenset
     body: ProcessTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConflictElim(_Unary):
     body: ProcessTerm
 
@@ -267,8 +295,16 @@ _PREC_SEQ = 2
 _PREC_ATOM = 3
 
 
+# term -> (text, precedence); like the intern table, it lives for the
+# process, so each interned term is rendered once
+_RENDERED: dict = {}
+
+
 def term_to_str(term: ProcessTerm, prec: int = _PREC_ALT) -> str:
-    s, p = _render(term)
+    rendered = _RENDERED.get(term)
+    if rendered is None:
+        rendered = _RENDERED[term] = _render(term)
+    s, p = rendered
     if p < prec:
         return "(" + s + ")"
     return s

@@ -1,9 +1,11 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
 from stepcheck.dsl import _Name, parse_model
-from stepcheck.semantics import TERM
+from stepcheck.semantics import TERM, _alt, _par, _seq, _wrap, canon
 from stepcheck.terms import (
     Act,
     ActionLabel,
@@ -32,6 +34,7 @@ from stepcheck.terms import (
     unguarded_vars,
     validate_spec,
 )
+from stepcheck.terms import _INTERNED, _PREC_SEQ, _RENDERED
 
 
 def act(name, *args):
@@ -207,3 +210,94 @@ class TestCommTable:
         (label,) = table.mapping().values()
         assert label.pretty() == "cab"
         assert label.participants == ("a", "b")
+
+
+class TestInterning:
+    """Equal structure is one object, whichever path builds it."""
+
+    def test_every_node_class_interns(self):
+        samples = {type(t): t for t in NODES}
+        classes = list(node_classes())
+        assert _Name in classes and type(TERM) in classes
+        for cls in classes:
+            t = samples[cls]
+            values = {f.name: getattr(t, f.name)
+                      for f in dataclasses.fields(cls)}
+            assert cls(*values.values()) is t
+            assert cls(**values) is t
+            assert dataclasses.replace(t) is t
+            assert t.rebuild(t.children()) is t
+            assert cls.__eq__ is object.__eq__
+            assert cls.__hash__ is object.__hash__
+
+    def test_parsed_terms_are_shared(self):
+        m = parse_model("""
+            process P { P = a . P + b . (c || d) }
+            process Q { Q = a . P + b . (c || d) }
+            system S = hide { a } in (P <> Q)
+        """)
+        p_rhs = m.equations()["P"]
+        assert m.equations()["Q"] is p_rhs
+        assert p_rhs is Alt((Seq(act("a"), Var("P")),
+                             Seq(act("b"), Par(act("c"), act("d")))))
+        assert m.systems["S"] is Hide(frozenset({"a"}),
+                                      WholePar(Var("P"), Var("Q")))
+
+    def test_sum_paths_intern(self):
+        doms = {"D": DataDomain("D", ("d1", "d2"))}
+        body = Seq(act("A", "d"), Var("X"))
+        assert substitute(body, "d", "d1") is Seq(act("A", "d1"), Var("X"))
+        assert substitute(act("B"), "d", "d1") is act("B")
+        assert elaborate_sums(Sum("d", "D", body), doms) is Alt((
+            Seq(act("A", "d1"), Var("X")), Seq(act("A", "d2"), Var("X"))))
+
+    def test_canonical_constructors_intern(self):
+        a, b = act("a"), act("b")
+        assert _seq(Seq(a, b), a) is Seq(a, Seq(b, a))
+        assert _seq(TERM, b) is b
+        assert _alt((b, Alt((a, b)))) is Alt((a, b))
+        assert _par(a, b) is Par(a, b)
+        assert _wrap(Hide(frozenset({"a"}), a),
+                     Hide(frozenset({"b"}), b)) is Hide(frozenset("ab"), b)
+        assert _wrap(ConflictElim(a), ConflictElim(b)) is ConflictElim(b)
+        assert canon(WholePar(Seq(Seq(a, b), a), b)) is Par(
+            Seq(a, Seq(b, a)), b)
+
+    def test_copies_and_pickles_are_the_same_object(self):
+        terms = NODES + [Alt((Seq(act("a", "d1"), Var("P")),
+                              Hide(frozenset({"a"}), TERM)))]
+        for t in terms:
+            assert copy.copy(t) is t
+            assert copy.deepcopy(t) is t
+            assert copy.deepcopy({"t": [t]})["t"][0] is t
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(t, protocol)) is t
+
+    def test_failed_construction_leaves_no_entry(self):
+        size = len(_INTERNED)
+        with pytest.raises(ValueError):
+            Alt(())
+        with pytest.raises(ValueError):
+            Alt(branches=())
+        assert len(_INTERNED) == size
+        assert (Alt, ()) not in _INTERNED
+
+    def test_each_term_is_rendered_once(self):
+        t = Seq(Par(act("r1"), act("r2")), Var("R"))
+        assert t not in _RENDERED
+        text = term_to_str(t)
+        assert _RENDERED[t] == (text, _PREC_SEQ)
+        assert term_to_str(t) is text
+        assert term_to_str(t.left, _PREC_SEQ) == "(r1 || r2)"
+
+    def test_deep_sequence_hashes_without_recursion(self):
+        def chain():
+            t = act("a")
+            for _ in range(10_000):
+                t = Seq(act("a"), t)
+            return t
+
+        t = chain()
+        assert chain() is t and chain() == t
+        assert hash(chain()) == hash(t)
+        assert {t: "deep"}[chain()] == "deep"
