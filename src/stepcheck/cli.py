@@ -39,7 +39,10 @@ def _config_from_args(args, overrides=None) -> Config:
         if key in _OVERRIDE_KEYS:
             values[_OVERRIDE_KEYS[key]] = value
         elif key == "max_states":
-            values["max_states"] = int(value)
+            try:
+                values["max_states"] = int(value)
+            except ValueError:
+                raise SemanticsError(f"bad max_states {value}") from None
         else:
             raise SemanticsError(f"unknown check option {key}")
     for field in fields(Config):

@@ -139,28 +139,86 @@ def _signatures(out, block, inert):
     """Each state's (label, block) moves; with ``inert``, branching ones."""
     if inert:
         return _branching_signatures(out, block)
-    # lazily, so that _refine numbers each key as it is built: a list of
-    # keys costs more in GC
-    return (frozenset((a, block[t]) for a, t in row) for row in out)
+    return [frozenset((a, block[t]) for a, t in row) for row in out]
+
+
+def _first_appearance(block):
+    """Block ids renumbered in order of first appearance."""
+    first = {}
+    return [first.setdefault(b, len(first)) for b in block]
+
+
+def _splits(out, block, members, dirty, inert):
+    """Re-sign the ``dirty`` states; the parts that leave their blocks.
+
+    After round 0 a strong round re-signs the predecessors of the states
+    that moved in the round before.  Each of them has a move into a block
+    that is new since then, and no other state has one, so the untouched
+    members of a block form a part of their own.  The largest part keeps
+    the block, so that the fewest states move.  Returns the leaving parts
+    and the blocks they leave.
+    """
+    sigs = _branching_signatures(out, block) if inert else None
+    touched = {}
+    for s in dirty:
+        key = sigs[s] if inert else frozenset((a, block[t]) for a, t in out[s])
+        touched.setdefault(block[s], {}).setdefault(key, []).append(s)
+    parts, shrunk = [], []
+    for b, groups in touched.items():
+        mem = members[b]
+        groups = list(groups.values())
+        rest = len(mem) - sum(map(len, groups))
+        if not rest and len(groups) == 1:
+            continue
+        keep = max(groups, key=len)
+        if rest >= len(keep):
+            parts += groups
+        else:
+            parts += (g for g in groups if g is not keep)
+            if rest:
+                parts.append([s for s in mem if s not in dirty])
+        shrunk.append(b)
+    return parts, shrunk
 
 
 def _refine(out, total, inert):
     """Signature refinement to strong bisimilarity, or with ``inert`` branching.
 
+    Block ids are stable: a block that splits keeps its id for one part.
+    A strong signature can then change only if a successor moved, so each
+    strong round re-signs only the predecessors of the states that moved
+    in the round before.  Branching signatures follow inert closures,
+    which any split can change, so every branching round re-signs every
+    state.  A round computes all its splits against the ids of the round
+    before and applies them at its end.
+
     Returns the final block of every state and the blocks after each
-    round, from which ``_explain`` reads why two states differ.
+    round, from which ``_explain`` reads why two states differ.  The
+    partitions are those of re-signing every state in every round, but
+    their ids are not numbered by first appearance.
     """
     block = [0] * total
-    n_blocks = min(total, 1)
+    members = [list(range(total))]
+    if not inert:
+        pred = [[] for _ in range(total)]
+        for s, row in enumerate(out):
+            for _, t in row:
+                pred[t].append(s)
+    dirty = range(total)
     history = []
     while True:
-        sigs = {}
-        new = [sigs.setdefault(key, len(sigs))
-               for key in zip(block, _signatures(out, block, inert))]
-        history.append(new)
-        if len(sigs) == n_blocks:
-            return new, history
-        block, n_blocks = new, len(sigs)
+        parts, shrunk = _splits(out, block, members, dirty, inert)
+        for part in parts:
+            for s in part:
+                block[s] = len(members)
+            members.append(part)
+        for b in shrunk:
+            members[b] = [s for s in members[b] if block[s] == b]
+        history.append(block[:])
+        if not parts:
+            return block, history
+        if not inert:
+            dirty = {p for part in parts for s in part for p in pred[s]}
 
 
 def _unmatched(left_sig, right_sig):
@@ -174,8 +232,8 @@ def _explain(out, p, q, history, inert):
     the other cannot match at the round that split them (Cleaveland 1990).
     """
     k = next(k for k, blocks in enumerate(history) if blocks[p] != blocks[q])
-    prev = history[k - 1] if k else [0] * len(out)
-    sigs = list(_signatures(out, prev, inert))
+    prev = _first_appearance(history[k - 1]) if k else [0] * len(out)
+    sigs = _signatures(out, prev, inert)
     (a, _), side = _unmatched(sigs[p], sigs[q])
     if not k:
         return StepCounterexample(
@@ -212,7 +270,7 @@ def branching_bisim(left: StepLTS, right: StepLTS,
     if block[init_l] == block[init_r]:
         if rooted:
             # root condition: every initial move must be matched immediately
-            sigs = list(_signatures(out, block, False))
+            sigs = _signatures(out, _first_appearance(block), False)
             if sigs[init_l] != sigs[init_r]:
                 (a, _), side = _unmatched(sigs[init_l], sigs[init_r])
                 return Verdict(False, name, StepCounterexample(

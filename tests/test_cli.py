@@ -180,6 +180,17 @@ class TestErrors:
         assert err.count("error:") == 1 and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("option, message", [
+        ("max_states=abc", "error: bad max_states abc\n"),
+        ("round=nope", "error: bad round_mode nope\n"),
+    ])
+    def test_bad_check_option_value_is_named(self, tmp_path, capsys,
+                                             option, message):
+        path = tmp_path / "option.aptc"
+        path.write_text(f"process P {{ P = a . P }}\ncheck c: P ~sb P {option}\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == message
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.aptc"
         path.write_text("process {")

@@ -312,6 +312,26 @@ def random_lts(draw):
         state_names=tuple(f"s{i}" for i in range(n)))
 
 
+@st.composite
+def long_lts(draw):
+    """A tau chain or cycle of up to 40 states with a few visible steps and
+    random extra edges, so that refinement runs for many rounds."""
+    n = draw(st.integers(2, 40))
+    steps = dict.fromkeys(range(n - 1 + draw(st.booleans())), TAU)
+    for s, a in draw(st.lists(st.tuples(st.sampled_from(sorted(steps)),
+                                        st.sampled_from(_LABELS[3:])),
+                              min_size=1, max_size=3)):
+        steps[s] = a
+    state = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(state, st.sampled_from(_LABELS), state),
+                          max_size=3))
+    edges = {(s, a, (s + 1) % n) for s, a in steps.items()} | set(extra)
+    return StepLTS(
+        initial=draw(state), num_states=n,
+        transitions=tuple(sorted(edges, key=repr)),
+        state_names=tuple(f"s{i}" for i in range(n)))
+
+
 class TestRefinementDifferential:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(random_lts(), random_lts(), st.booleans())
@@ -323,6 +343,36 @@ class TestRefinementDifferential:
         assert len(history) == len(ref_history)
         assert ([renamed(b) for b in history]
                 == [renamed(b) for b in ref_history])
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(long_lts(), long_lts(), st.booleans())
+    def test_long_refinement_matches_reference(self, left, right, inert):
+        out, _, _, total = equivalence._union(left, right)
+        block, history = equivalence._refine(out, total, inert)
+        ref_block, ref_history = reference_blocks(out, total, inert)
+        assert renamed(block) == ref_block
+        assert [renamed(b) for b in history] == ref_history
+
+    def test_chain_splits_one_state_per_round(self):
+        # s0 -tau-> ... -tau-> s39 -a-> s40: round 0 splits off s39 and
+        # s40, each later round the next state back, and round 39 is stable
+        lts = StepLTS(
+            initial=0, num_states=41,
+            transitions=tuple((s, TAU, s + 1) for s in range(39))
+            + ((39, (_A,), 40),),
+            state_names=tuple(f"s{i}" for i in range(41)))
+        out = lts.outgoing()
+        block, history = equivalence._refine(out, 41, False)
+        assert len(set(block)) == 41 and len(history) == 40
+        assert ([renamed(b) for b in history]
+                == reference_blocks(out, 41, False)[1])
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(long_lts(), st.sampled_from(("strong", "branching")))
+    def test_long_minimize_matches_reference(self, lts, relation):
+        quotient = minimize(lts, relation)
+        with mock.patch.object(equivalence, "_refine", reference_blocks):
+            assert quotient == minimize(lts, relation)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(random_lts(), st.sampled_from(("strong", "branching")))
@@ -392,6 +442,39 @@ class TestExplanation:
         else:
             assert any(all(block[t] != block[u] for u in targets)
                        for b, t in moves[side] if b == a)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(lts_pair())
+    def test_counterexamples_match_reference_engine(self, pair):
+        # the explanation breaks ties by block number, so this pins the
+        # numbering it reads as well as the partitions
+        left, right = pair
+        for check in (strong_step_bisim, branching_bisim,
+                      rooted_branching_bisim):
+            verdict = check(left, right)
+            with mock.patch.object(equivalence, "_refine", reference_blocks):
+                ref = check(left, right)
+            assert verdict.pretty() == ref.pretty()
+            assert verdict.details == ref.details
+
+    def test_root_condition_breaks_ties_by_first_appearance(self):
+        # the initial states differ only in where their {a} steps lead: the
+        # {a, b} ending (block 1 by first appearance) or the {b} ending,
+        # whose block is the largest; the least block decides the side
+        def side(x, y):
+            edges = {(1, (_A, _B), 0), (2, (_B,), 0), (3, (_B,), 0),
+                     (4, (_B,), 0), (5, TAU, 6), (6, TAU, 5),
+                     (5, (_A,), x), (6, (_A,), y)}
+            return StepLTS(initial=5, num_states=7,
+                           transitions=tuple(sorted(edges, key=repr)),
+                           state_names=tuple(f"s{i}" for i in range(7)))
+        verdict = rooted_branching_bisim(side(2, 1), side(1, 2))
+        assert verdict.pretty() == (
+            "rooted branching bisimulation fails: after <initial states>: "
+            "root condition: initial step {a} on the right side has no "
+            "immediate match")
+        with mock.patch.object(equivalence, "_refine", reference_blocks):
+            assert rooted_branching_bisim(side(2, 1), side(1, 2)) == verdict
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(lts_pair())
