@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import Model
 from .terms import (
@@ -38,12 +38,13 @@ class SemanticsError(Exception):
 
 
 class StateBudgetExceeded(SemanticsError):
-    def __init__(self, max_states, frontier):
+    def __init__(self, max_states, frontier, depth):
         super().__init__(
-            f"state budget of {max_states} states exceeded "
-            f"({frontier} states still on the frontier)")
+            f"state budget of {max_states} states exceeded at BFS depth "
+            f"{depth} ({frontier} states still on the frontier)")
         self.max_states = max_states
         self.frontier = frontier
+        self.depth = depth
 
 
 class UnguardedRecursion(SemanticsError):
@@ -153,8 +154,9 @@ def _wrap(wrapper, body):
     return type(wrapper)(names, body) if names else body
 
 
-@dataclass(frozen=True)
-class SystemState:
+class SystemState(NamedTuple):
+    """A named tuple, so states hash and compare in C."""
+
     components: tuple  # of canonical ProcessTerm
     rounds: Optional[tuple] = None  # per-component, barrier mode only
 
@@ -170,8 +172,7 @@ class SystemState:
 # Events
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     label: Optional[Label]  # None = silent contribution
     fused: bool
 
@@ -184,6 +185,11 @@ def step_label(events) -> tuple:
     """Final LTS label: the sorted multiset of visible labels (empty = tau)."""
     labels = [e.label for e in events if e.label is not None]
     return tuple(sorted(labels, key=lambda l: l.pretty()))
+
+
+def _label_key(label: tuple) -> tuple:
+    """The sort key of a step label: its labels' texts."""
+    return tuple(l.pretty() for l in label)
 
 
 def label_str(label: tuple) -> str:
@@ -203,6 +209,7 @@ class PreparedSystem:
     components: tuple         # initial component terms, canonical
     entries: tuple            # per-component entry variable name or None
     wrappers: tuple           # top-level hide/block/theta nodes, outermost first
+    split: tuple              # the wrappers as (per step, per state)
     equations: dict           # name -> canonical, ground ProcessTerm
     comm: dict                # frozenset pair -> CommResultLabel
     gamma_components: dict    # action name -> frozenset of its component
@@ -212,7 +219,7 @@ class PreparedSystem:
     config: Config
     _raw_cache: dict = field(default_factory=dict)
     _moves_cache: dict = field(default_factory=dict)
-    _resolve_cache: dict = field(default_factory=dict)
+    _step_cache: dict = field(default_factory=dict)
 
     def initial_state(self) -> SystemState:
         rounds = None
@@ -233,21 +240,22 @@ def prepare_system(system: ProcessTerm, model: Model, config: Config) -> Prepare
         wrappers.append(term)
         term = term.body
     components = tuple(_flatten_par(term))
+    split = _split_wrappers(wrappers, conflicts)
     # the block sets a step meets before anything can change it: walking
     # out from the components, stop at a hide (it may hide a blocked
-    # action) and at a theta with conflicts (a step that block drops may
-    # still eliminate a sibling); a theta without conflicts is the identity
+    # action) and at the per-state wrappers (a step that block drops may
+    # still eliminate a sibling under a theta with conflicts)
     blocked = frozenset()
-    for wrapper in reversed(wrappers):
-        if isinstance(wrapper, Encaps):
-            blocked |= wrapper.names
-        elif isinstance(wrapper, Hide) or conflicts:
+    for wrapper in reversed(split[0]):
+        if isinstance(wrapper, Hide):
             break
+        blocked |= wrapper.names
     return PreparedSystem(
         components=components,
         entries=tuple(c.name if isinstance(c, Var) else None
                       for c in components),
         wrappers=tuple(wrappers),
+        split=split,
         equations=equations,
         comm=comm,
         gamma_components=_gamma_components(comm),
@@ -256,6 +264,25 @@ def prepare_system(system: ProcessTerm, model: Model, config: Config) -> Prepare
         blocked=blocked,
         config=config,
     )
+
+
+def _split_wrappers(wrappers, conflicts) -> tuple:
+    """``wrappers`` (outermost first) as (per step, per state).
+
+    Walking out from the components, each hide and block up to the first
+    theta over declared conflicts changes or drops a step on its own, so it
+    is applied per step.  That theta compares the steps a state has, so it
+    and every wrapper outside it are applied per state.  A theta with no
+    conflicts is the identity and is left out.
+    """
+    if not conflicts:
+        return tuple(w for w in wrappers
+                     if not isinstance(w, ConflictElim)), ()
+    cut = 0
+    for i, wrapper in enumerate(wrappers):
+        if isinstance(wrapper, ConflictElim):
+            cut = i + 1
+    return tuple(wrappers[cut:]), tuple(wrappers[:cut])
 
 
 def _flatten_par(term):
@@ -356,25 +383,50 @@ def _raw_uncached(term, prepared, stack):
             out.append((o1 + o2, _par(left2, right2)))
         return tuple(out)
     if isinstance(term, (Hide, Encaps, ConflictElim)):
-        steps = _steps(_raw(term.body, prepared, stack), (term,), prepared)
+        steps = _steps(_raw(term.body, prepared, stack),
+                       _split_wrappers((term,), prepared.conflicts), prepared)
         return tuple(dict.fromkeys(
-            (events, _wrap(term, succ)) for events, succ in steps))
+            (events, _wrap(term, succ)) for events, _, succ in steps))
     if isinstance(term, Sum):
         raise SemanticsError("sum must be elaborated before generation")
     raise TypeError(f"not a term: {term!r}")
 
 
-def _steps(moves, wrappers, prepared):
+def _steps(moves, split, prepared):
     """Resolve each (occurrences, successor) move into its steps, then
-    apply ``wrappers`` (outermost first) from the innermost out.
+    apply the wrappers of ``split`` (``_split_wrappers``) from the
+    innermost out: the per-step ones through ``_resolved``'s memo, then
+    the per-state ones.  Returns (events, label, successor) triples.
 
     A nested wrapper (``_raw``) and the top-level ones (``enabled_steps``)
     both come through here, so an operator means the same wherever it is.
     """
-    steps = [(events, succ) for occs, succ in moves
-             for events in _resolve(occs, prepared)]
-    for wrapper in reversed(wrappers):
-        steps = _apply_wrapper(wrapper, steps, prepared.conflicts)
+    per_step, per_state = split
+    steps = [(events, label, succ) for occs, succ in moves
+             for events, label in _resolved(occs, per_step, prepared)]
+    if per_state:
+        pairs = [(events, succ) for events, _, succ in steps]
+        for wrapper in reversed(per_state):
+            pairs = _apply_wrapper(wrapper, pairs, prepared.conflicts)
+        steps = [(events, step_label(events), succ) for events, succ in pairs]
+    return steps
+
+
+def _resolved(occs, per_step, prepared) -> tuple:
+    """The steps an occurrence tuple resolves into (``_resolve_uncached``),
+    after the per-step wrappers ``per_step``, each with its ``step_label``.
+
+    Memoized per prepared system by (occurrence tuple, wrappers); the
+    result is a tuple, since every caller with that key shares it.
+    """
+    key = (occs, per_step)
+    steps = prepared._step_cache.get(key)
+    if steps is None:
+        pairs = [(events, None) for events in _resolve_uncached(occs, prepared)]
+        for wrapper in reversed(per_step):
+            pairs = _apply_wrapper(wrapper, pairs, prepared.conflicts)
+        steps = prepared._step_cache[key] = tuple(
+            (events, step_label(events)) for events, _ in pairs)
     return steps
 
 
@@ -412,21 +464,9 @@ def _blocked(events, names) -> bool:
 # Fusion resolution
 
 
-def _resolve(occs, prepared: PreparedSystem) -> tuple:
-    """All ways to resolve an occurrence multiset into a resolved step, as
-    the step mode permits them: under interleave, single events only.
-
-    Memoized per prepared system by occurrence tuple; the result is a
-    tuple, since every caller with that key shares it.
-    """
-    steps = prepared._resolve_cache.get(occs)
-    if steps is None:
-        steps = tuple(_resolve_uncached(occs, prepared))
-        prepared._resolve_cache[occs] = steps
-    return steps
-
-
 def _resolve_uncached(occs, prepared):
+    """All ways to resolve an occurrence multiset into a resolved step, as
+    the step mode permits them: under interleave, single events only."""
     done = tuple(o for o in occs if isinstance(o, Event))
     shadows = [o for o in occs if isinstance(o, Shadow)]
     acts = [o for o in occs if isinstance(o, ActionLabel)]
@@ -576,7 +616,7 @@ def _moves(term, prepared):
     fusion, and the needs of its occurrences.  A need
     ``(base, any_of, all_of)`` is met in a combination that offers a
     shadow on ``base``, one of the names ``any_of`` or all of the names
-    ``all_of``.  Without that, ``_resolve`` yields no step, or only steps
+    ``all_of``.  Without that, fusion yields no step, or only steps
     that a top-level block drops.  A move whose events, resolved below
     this level, hold an unfused action of a top-level block set is left
     out: nothing can fuse it now, so the block drops every step it is in.
@@ -630,23 +670,30 @@ def _combinations(local):
         s_names[p] = s_names[p + 1].union(*(move[2] for move in local[p]))
         s_bases[p] = s_bases[p + 1].union(*(move[3] for move in local[p]))
 
-    def met(need, names, bases):
-        base, any_of, all_of = need
-        return (base in bases or not any_of.isdisjoint(names)
-                or bool(all_of) and all_of <= names)
+    def unmet(pending, names, bases, p):
+        """In one pass, the pending needs the prefix does not meet, or None
+        when one of them is met neither by it nor by components p on."""
+        later_names, later_bases = s_names[p], s_bases[p]
+        kept = []
+        for need in pending:
+            base, any_of, all_of = need
+            if (base in bases or not any_of.isdisjoint(names)
+                    or all_of and all_of <= names):
+                continue
+            if not (base in later_bases or not any_of.isdisjoint(later_names)
+                    or all_of and all_of <= names | later_names):
+                return None
+            kept.append(need)
+        return tuple(kept)
 
     combos = []
     stack = [(0, (), frozenset(), frozenset(), ())]
     while stack:
         p, picks, names, bases, pending = stack.pop()
         if pending:
-            names_later = names | s_names[p]
-            bases_later = bases | s_bases[p]
-            if not all(met(need, names_later, bases_later)
-                       for need in pending):
+            pending = unmet(pending, names, bases, p)
+            if pending is None:
                 continue
-            pending = tuple(need for need in pending
-                            if not met(need, names, bases))
         if p == m:
             if picks:
                 combos.append(picks)
@@ -658,8 +705,33 @@ def _combinations(local):
     return combos
 
 
-def enabled_steps(state: SystemState, prepared: PreparedSystem):
-    """All (label, successor state) steps the configuration permits."""
+class _Rendered(dict):
+    """A memo that renders each missing key once, with ``render``."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        value = self[key] = self.render(key)
+        return value
+
+
+def enabled_steps(state: SystemState, prepared: PreparedSystem,
+                  names=None, label_keys=None):
+    """All (label, successor state) steps the configuration permits,
+    sorted by label key and successor name.
+
+    ``names`` and ``label_keys`` are ``_Rendered`` memos of state names
+    and label keys, which ``generate_lts`` shares across one generation;
+    left out, each call renders its own.
+    """
+    if names is None:
+        names = _Rendered(SystemState.pretty)
+    if label_keys is None:
+        label_keys = _Rendered(_label_key)
     comps = state.components
     n = len(comps)
     entries = prepared.entries
@@ -691,16 +763,10 @@ def enabled_steps(state: SystemState, prepared: PreparedSystem):
         moves.append((tuple(o for _, move in combo for o in move[0]),
                       SystemState(tuple(new_comps), rounds2)))
 
-    out = []
-    seen = set()
-    for events, succ in _steps(moves, prepared.wrappers, prepared):
-        label = step_label(events)
-        key = (label, succ)
-        if key not in seen:
-            seen.add(key)
-            out.append((label, succ))
-    out.sort(key=lambda ls: (tuple(l.pretty() for l in ls[0]),
-                             ls[1].pretty()))
+    out = list(dict.fromkeys(
+        (label, succ) for _, label, succ in _steps(moves, prepared.split,
+                                                   prepared)))
+    out.sort(key=lambda ls: (label_keys[ls[0]], names[ls[1]]))
     return out
 
 
@@ -731,34 +797,38 @@ class StepLTS:
 
 def generate_lts(system: ProcessTerm, model: Model,
                  config: Config = Config()) -> StepLTS:
-    """Breadth-first closure of enabled steps with canonical memoization."""
+    """Breadth-first closure of enabled steps with canonical memoization.
+
+    Each distinct state's name and each label's sort key is rendered once
+    per call, and every sort reads the stored text.
+    """
     prepared = prepare_system(system, model, config)
+    names = _Rendered(SystemState.pretty)
+    label_keys = _Rendered(_label_key)
     init = prepared.initial_state()
     index = {init: 0}
-    names = [init.pretty()]
-    order = [init]
+    order = [init]     # a state's index is its place here
     transitions = []
-    head = 0
-    while head < len(order):
-        state = order[head]
-        src = index[state]
-        head += 1
-        for label, succ in enabled_steps(state, prepared):
-            if succ not in index:
+    # order[src] is at BFS depth ``depth`` while src < level_end
+    depth, level_end = 0, 1
+    for src, state in enumerate(order):   # order grows during the walk
+        if src == level_end:
+            depth, level_end = depth + 1, len(order)
+        for label, succ in enabled_steps(state, prepared, names, label_keys):
+            dst = index.get(succ)
+            if dst is None:
                 if len(order) >= config.max_states:
-                    raise StateBudgetExceeded(config.max_states,
-                                              len(order) - head)
-                index[succ] = len(order)
-                names.append(succ.pretty())
+                    raise StateBudgetExceeded(
+                        config.max_states, len(order) - src - 1, depth + 1)
+                dst = index[succ] = len(order)
                 order.append(succ)
-            transitions.append((src, label, index[succ]))
+            transitions.append((src, label, dst))
+    transitions.sort(key=lambda t: (t[0], label_keys[t[1]], t[2]))
     return StepLTS(
         initial=0,
         num_states=len(order),
-        transitions=tuple(sorted(
-            transitions,
-            key=lambda t: (t[0], tuple(l.pretty() for l in t[1]), t[2]))),
-        state_names=tuple(names),
+        transitions=tuple(transitions),
+        state_names=tuple(names[state] for state in order),
     )
 
 

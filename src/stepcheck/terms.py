@@ -7,7 +7,7 @@ sum-free terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 TAU_NAME = "tau"
 DELTA_NAME = "delta"
@@ -36,18 +36,26 @@ class DataDomain:
             raise ValueError(f"domain {self.name} repeats a value")
 
 
-@dataclass(frozen=True, order=True)
-class ActionLabel:
-    """An atomic action, optionally instantiated with data constants."""
+# The labels are named tuples, so they hash and compare in C; each checks
+# its fields in ``__new__``.
 
+
+class _ActionLabelFields(NamedTuple):
     name: str
     args: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if not self.name:
+
+class ActionLabel(_ActionLabelFields):
+    """An atomic action, optionally instantiated with data constants."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, args: tuple = ()):
+        if not name:
             raise ValueError("action name must be non-empty")
-        if self.name in RESERVED_NAMES and self.args:
-            raise ValueError(f"{self.name} carries no arguments")
+        if name in RESERVED_NAMES and args:
+            raise ValueError(f"{name} carries no arguments")
+        return super().__new__(cls, name, args)
 
     def pretty(self) -> str:
         if not self.args:
@@ -55,18 +63,22 @@ class ActionLabel:
         return f"{self.name}({','.join(self.args)})"
 
 
-@dataclass(frozen=True, order=True)
-class CommResultLabel:
-    """The label of a synchronized (fused) occurrence of several actions."""
-
+class _CommResultLabelFields(NamedTuple):
     participants: tuple[str, ...]
     name: Optional[str] = None
 
-    def __post_init__(self):
-        if len(self.participants) < 2:
+
+class CommResultLabel(_CommResultLabelFields):
+    """The label of a synchronized (fused) occurrence of several actions."""
+
+    __slots__ = ()
+
+    def __new__(cls, participants: tuple, name: Optional[str] = None):
+        if len(participants) < 2:
             raise ValueError("a communication needs at least two participants")
-        if tuple(sorted(self.participants)) != tuple(self.participants):
+        if tuple(sorted(participants)) != tuple(participants):
             raise ValueError("participants must be sorted")
+        return super().__new__(cls, participants, name)
 
     def pretty(self) -> str:
         if self.name is not None:

@@ -88,6 +88,20 @@ class TestCheck:
         assert main(["check", str(path), "--name", "tight"]) == 2
         assert "state budget of 1 states" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "lts"])
+    def test_state_budget_error_names_the_bfs_depth(self, tmp_path, capsys,
+                                                    command):
+        path = tmp_path / "budget.aptc"
+        path.write_text("process P { P = a . (b . P || c . P) }\n"
+                        "check c: P ~sb P\n")
+        args = [command, str(path), "--max-states", "4"]
+        assert main(args + (["--system", "P"] if command == "lts" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: state budget of 4 states exceeded at BFS depth 2 "
+            "(2 states still on the frontier)\n")
+        assert captured.out == ""
+
     def test_rooted_runs_only_the_rooted_check(self, monkeypatch, capsys):
         calls = []
         plain = equivalence.branching_bisim

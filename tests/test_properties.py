@@ -31,8 +31,8 @@ from stepcheck.semantics import (
     _label_hidden,
     _par,
     _raw,
-    _resolve,
     _resolve_uncached,
+    _resolved,
     _seq,
     _wrap,
     apply_theta,
@@ -247,7 +247,7 @@ def reference_steps(state, prepared):
         for subset in itertools.combinations(allowed, size):
             for choice in itertools.product(*[local[i] for i in subset]):
                 occs = tuple(o for occs_i, _ in choice for o in occs_i)
-                for events in _resolve(occs, ctx):
+                for events in _resolve_uncached(occs, ctx):
                     if config.step_mode == "interleave" and len(events) != 1:
                         continue
                     new_comps = list(comps)
@@ -269,28 +269,35 @@ def reference_steps(state, prepared):
                     candidates.append(
                         (events, SystemState(tuple(new_comps), rounds2)))
     for wrapper in reversed(prepared.wrappers):
-        if isinstance(wrapper, Hide):
-            candidates = [
-                (tuple(Event(None, e.fused)
-                       if _label_hidden(e.label, wrapper.names) else e
-                       for e in ev), st)
-                for ev, st in candidates]
-        elif isinstance(wrapper, Encaps):
-            candidates = [(ev, st) for ev, st in candidates
-                          if not _blocked(ev, wrapper.names)]
-        else:
-            candidates = apply_theta(candidates, ctx.conflicts)
+        candidates = reference_wrap(wrapper, candidates, ctx.conflicts)
     out = []
     seen = set()
     for events, succ in candidates:
-        labels = [e.label for e in events if e.label is not None]
-        label = tuple(sorted(labels, key=lambda l: l.pretty()))
+        label = reference_label(events)
         if (label, succ) not in seen:
             seen.add((label, succ))
             out.append((label, succ))
     out.sort(key=lambda ls: (tuple(l.pretty() for l in ls[0]),
                              ls[1].pretty()))
     return out
+
+
+def reference_wrap(wrapper, candidates, conflicts):
+    """One hide, block or theta over a list of (events, successor)."""
+    if isinstance(wrapper, Hide):
+        return [(tuple(Event(None, e.fused)
+                       if _label_hidden(e.label, wrapper.names) else e
+                       for e in ev), st)
+                for ev, st in candidates]
+    if isinstance(wrapper, Encaps):
+        return [(ev, st) for ev, st in candidates
+                if not _blocked(ev, wrapper.names)]
+    return apply_theta(candidates, conflicts)
+
+
+def reference_label(events):
+    labels = [e.label for e in events if e.label is not None]
+    return tuple(sorted(labels, key=lambda l: l.pretty()))
 
 
 STEP_ACTIONS = ["a", "b", "c", "d"]
@@ -393,11 +400,54 @@ class TestStepEnumeration:
         assert steps == reference_steps(state, prepared)
         assert [label for label, _ in steps].count(()) == 1
 
+    # the conflict a # b makes theta compare the steps of a state, so it
+    # and every wrapper outside it apply per state, the rest per step
+    WRAPPED = {
+        "hide outside theta": "hide {a} in theta (P <> Q)",
+        "theta outside hide": "theta (hide {a} in (P <> Q))",
+        "block outside theta": "block {c} in theta (P <> Q <> R)",
+        "block inside theta": "hide {b} in theta (block {c} in (P <> Q <> R))",
+    }
+
+    @pytest.mark.parametrize("system", WRAPPED.values(), ids=WRAPPED.keys())
+    @pytest.mark.parametrize("step_mode", ["step", "interleave"])
+    def test_wrappers_around_theta_with_conflicts(self, system, step_mode):
+        model = parse_model("process P { P = a . c . P + b . P }\n"
+                            "process Q { Q = b . d . Q }\n"
+                            "process R { R = c . R + d . R }\n"
+                            "conflict a # b\n"
+                            f"system S = {system}")
+        prepared = prepare_system(model.systems["S"], model,
+                                  Config(step_mode=step_mode))
+        assert prepared.split[1], "theta is applied per state"
+        frontier = [prepared.initial_state()]
+        seen = set(frontier)
+        while frontier:
+            state = frontier.pop()
+            expected = reference_steps(state, prepared)
+            assert expected
+            assert enabled_steps(state, prepared) == expected
+            for _, succ in expected:
+                if succ not in seen:
+                    seen.add(succ)
+                    frontier.append(succ)
+        assert len(seen) > 1
+
+
+def uncached_pipeline(occs, per_step, prepared):
+    """``_resolve_uncached``, then the per-step wrappers from the
+    innermost out, each step with its label."""
+    steps = [(events, None) for events in _resolve_uncached(occs, prepared)]
+    for wrapper in reversed(per_step):
+        steps = reference_wrap(wrapper, steps, prepared.conflicts)
+    return tuple((events, reference_label(events)) for events, _ in steps)
+
 
 class TestResolveMemo:
-    """``_resolve`` answers from its per-system memo exactly what the
-    uncached resolver computes, for every occurrence tuple that step
-    enumeration meets, and hands out tuples that no caller can change."""
+    """``_resolved`` answers from its per-system memo exactly what the
+    uncached pipeline computes, for every (occurrence tuple, per-step
+    wrappers) key that step enumeration meets, and hands out tuples that
+    no caller can change."""
 
     @settings(derandomize=True, max_examples=CASES, deadline=None,
               database=None)
@@ -409,28 +459,29 @@ class TestResolveMemo:
         prepared = prepare_system(system, model, Config(*policies))
         met = []
 
-        def checked(occs, prepared):
-            steps = _resolve(occs, prepared)
+        def checked(occs, per_step, prepared):
+            steps = _resolved(occs, per_step, prepared)
             assert isinstance(steps, tuple)
-            assert steps == tuple(_resolve_uncached(occs, prepared))
-            met.append(occs)
+            assert steps == uncached_pipeline(occs, per_step, prepared)
+            met.append((occs, per_step))
             return steps
 
         frontier = [prepared.initial_state()]
         seen = set(frontier)
-        with mock.patch.object(semantics, "_resolve", checked):
+        with mock.patch.object(semantics, "_resolved", checked):
             while frontier and len(seen) < 40:
                 for _, succ in enabled_steps(frontier.pop(), prepared):
                     if succ not in seen:
                         seen.add(succ)
                         frontier.append(succ)
-        assert met
-        assert set(prepared._resolve_cache) == set(met)
-        for occs in dict.fromkeys(met):
-            again = _resolve(occs, prepared)
+        # only a system without a single step meets no key
+        assert met or not enabled_steps(prepared.initial_state(), prepared)
+        assert set(prepared._step_cache) == set(met)
+        for occs, per_step in dict.fromkeys(met):
+            again = _resolved(occs, per_step, prepared)
             assert isinstance(again, tuple)
-            assert again is prepared._resolve_cache[occs]
-            assert again == tuple(_resolve_uncached(occs, prepared))
+            assert again is prepared._step_cache[occs, per_step]
+            assert again == uncached_pipeline(occs, per_step, prepared)
 
 
 class TestWrapperPlacement:

@@ -277,6 +277,15 @@ class TestErrors:
         with pytest.raises(StateBudgetExceeded):
             lts_of(src, "P", max_states=20)
 
+    def test_state_budget_reports_the_bfs_depth(self):
+        # a chain of five states: the fourth state found is at depth 3
+        src = "process P { P = a . b . c . d . e . P }"
+        with pytest.raises(StateBudgetExceeded) as info:
+            lts_of(src, "P", max_states=3)
+        assert (info.value.max_states, info.value.depth,
+                info.value.frontier) == (3, 3, 0)
+        assert lts_of(src, "P", max_states=5).num_states == 5
+
 
 class TestPruneDead:
     def test_removes_doomed_branch(self):
@@ -319,30 +328,36 @@ class TestResolveOnce:
     @pytest.mark.parametrize("round_mode", ["overlap", "barrier"])
     def test_each_occurrence_tuple_resolved_once_per_system(
             self, ws_model, monkeypatch, round_mode):
-        met = {"strict": [], "loose": []}        # tuples passed to _resolve
+        met = {"strict": [], "loose": []}        # keys passed to _resolved
         resolved = {"strict": [], "loose": []}   # tuples actually resolved
-        resolve, uncached = semantics._resolve, semantics._resolve_uncached
+        memos = {}
+        memo, uncached = semantics._resolved, semantics._resolve_uncached
 
-        def meeting(occs, prepared):
-            met[prepared.config.shadow_policy].append(occs)
-            return resolve(occs, prepared)
+        def meeting(occs, per_step, prepared):
+            met[prepared.config.shadow_policy].append((occs, per_step))
+            memos[prepared.config.shadow_policy] = prepared._step_cache
+            return memo(occs, per_step, prepared)
 
         def resolving(occs, prepared):
             resolved[prepared.config.shadow_policy].append(occs)
             return uncached(occs, prepared)
 
-        monkeypatch.setattr(semantics, "_resolve", meeting)
+        monkeypatch.setattr(semantics, "_resolved", meeting)
         monkeypatch.setattr(semantics, "_resolve_uncached", resolving)
         for shadow in ("strict", "loose"):
             generate_lts(ws_model.systems["Sys"], ws_model,
                          Config(round_mode=round_mode, shadow_policy=shadow))
         for shadow in ("strict", "loose"):
-            assert len(met[shadow]) > len(resolved[shadow])
-            assert len(resolved[shadow]) == len(set(resolved[shadow]))
-            assert set(resolved[shadow]) == set(met[shadow])
+            keys = set(met[shadow])
+            assert len(met[shadow]) > len(keys)
+            # one resolution per distinct key, and none for a key not met
+            assert len(resolved[shadow]) == len(keys)
+            assert set(resolved[shadow]) == {occs for occs, _ in keys}
+            assert set(memos[shadow]) == keys
         # the second system meets tuples the first one resolved, and
         # resolves them again under its own shadow policy
         assert set(resolved["strict"]) & set(resolved["loose"])
+        assert memos["strict"] is not memos["loose"]
 
     def test_shadow_policy_changes_what_one_tuple_resolves_to(self, ws_model):
         # why the memo lives on the prepared system: shared between two
@@ -351,6 +366,26 @@ class TestResolveOnce:
             ws_model.systems["Sys"], ws_model, Config(shadow_policy=shadow))
             for shadow in ("strict", "loose")}
         occs = (ActionLabel(min(prepared["strict"].shadow_bases)),)
-        assert semantics._resolve(occs, prepared["strict"]) == ()
-        assert semantics._resolve(occs, prepared["loose"]) == (
-            (semantics.Event(occs[0], False),),)
+        assert semantics._resolved(occs, (), prepared["strict"]) == ()
+        assert semantics._resolved(occs, (), prepared["loose"]) == (
+            ((semantics.Event(occs[0], False),), occs),)
+
+
+class TestRenderOnce:
+    @pytest.mark.parametrize("round_mode", ["overlap", "barrier"])
+    def test_each_state_name_rendered_once_per_generation(
+            self, ws_model, monkeypatch, round_mode):
+        rendered = []
+        pretty = semantics.SystemState.pretty
+
+        def counting(state):
+            rendered.append(state)
+            return pretty(state)
+
+        monkeypatch.setattr(semantics.SystemState, "pretty", counting)
+        config = Config(round_mode=round_mode)
+        for _ in range(2):
+            rendered.clear()
+            lts = generate_lts(ws_model.systems["Sys"], ws_model, config)
+            assert len(rendered) == len(set(rendered)) == lts.num_states
+            assert sorted(lts.state_names) == sorted(map(pretty, rendered))
