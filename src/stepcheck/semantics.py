@@ -216,10 +216,13 @@ class PreparedSystem:
     conflicts: frozenset      # of frozenset pairs
     shadow_bases: frozenset   # in the components and the equations they reach
     blocked: frozenset        # top-level block sets no hide or theta precedes
+    groups: tuple             # of component positions (_fusion_groups)
+    group_of: tuple           # per component position, its index in groups
     config: Config
     _raw_cache: dict = field(default_factory=dict)
     _moves_cache: dict = field(default_factory=dict)
     _step_cache: dict = field(default_factory=dict)
+    _group_cache: dict = field(default_factory=dict)
 
     def initial_state(self) -> SystemState:
         rounds = None
@@ -250,6 +253,14 @@ def prepare_system(system: ProcessTerm, model: Model, config: Config) -> Prepare
         if isinstance(wrapper, Hide):
             break
         blocked |= wrapper.names
+    gamma_components = _gamma_components(comm)
+    alphabets = [_alphabet(c, equations) for c in components]
+    groups = _fusion_groups([names | bases for names, bases in alphabets],
+                            gamma_components)
+    group_of = [0] * len(components)
+    for g, positions in enumerate(groups):
+        for i in positions:
+            group_of[i] = g
     return PreparedSystem(
         components=components,
         entries=tuple(c.name if isinstance(c, Var) else None
@@ -258,10 +269,12 @@ def prepare_system(system: ProcessTerm, model: Model, config: Config) -> Prepare
         split=split,
         equations=equations,
         comm=comm,
-        gamma_components=_gamma_components(comm),
+        gamma_components=gamma_components,
         conflicts=conflicts,
-        shadow_bases=_collect_shadow_bases(components, equations),
+        shadow_bases=frozenset().union(*(bases for _, bases in alphabets)),
         blocked=blocked,
+        groups=groups,
+        group_of=tuple(group_of),
         config=config,
     )
 
@@ -315,14 +328,18 @@ def _gamma_components(comm: dict) -> dict:
     return comp
 
 
-def _collect_shadow_bases(terms, equations) -> frozenset:
-    """Shadow bases in the given terms and the equations they reach."""
+def _alphabet(term, equations) -> tuple:
+    """The action names and the shadow bases of ``term`` and of the
+    equations it reaches, names under a nested wrapper included."""
+    names: set = set()
     bases: set = set()
     seen: set = set()
-    stack = list(terms)
+    stack = [term]
     while stack:
         t = stack.pop()
-        if isinstance(t, Shadow):
+        if isinstance(t, Act):
+            names.add(t.label.name)
+        elif isinstance(t, Shadow):
             bases.add(t.base)
         elif isinstance(t, Var):
             if t.name not in seen and t.name in equations:
@@ -330,7 +347,32 @@ def _collect_shadow_bases(terms, equations) -> frozenset:
                 stack.append(equations[t.name])
         else:
             stack.extend(t.children())
-    return frozenset(bases)
+    return frozenset(names), frozenset(bases)
+
+
+def _fusion_groups(alphabets, gamma_components) -> tuple:
+    """The component positions, partitioned so that two components share a
+    group when their alphabets meet: when they hold one name (an action
+    name or a shadow base) or names of one gamma component.
+
+    A move fuses only with moves that offer one of its names or a name of
+    its gamma component, and a need of ``_moves`` waits only for such
+    names, so no fusion and no need crosses a group.  The groups come
+    ordered by their first position, each with its positions in order.
+    """
+    merged = []   # (keys, positions) per group found so far
+    for i, alphabet in enumerate(alphabets):
+        keys = {gamma_components.get(n, n) for n in alphabet}
+        positions = [i]
+        apart = []
+        for other_keys, other in merged:
+            if keys.isdisjoint(other_keys):
+                apart.append((other_keys, other))
+            else:
+                keys |= other_keys
+                positions += other
+        merged = apart + [(keys, positions)]
+    return tuple(sorted(tuple(sorted(positions)) for _, positions in merged))
 
 
 # ---------------------------------------------------------------------------
@@ -652,17 +694,20 @@ def _moves(term, prepared):
     return moves
 
 
-def _combinations(local):
-    """Combinations of local moves whose steps can survive fusion and block.
+def _combinations(comps, positions, prepared):
+    """Combinations of the moves of the components ``comps[i]``, for ``i``
+    in ``positions``, whose steps can survive fusion and block.
 
-    ``local[p]`` holds the ``_moves`` of the ``p``-th allowed component.  A
-    combination is a tuple of ``(p, move)`` pairs, at most one per
-    component and at least one in all.  Components are walked in order,
-    each skipped or given one move, and a prefix is abandoned once one of
-    its needs can be met neither by the prefix nor by any later component.
-    The combinations come in walk order; ``enabled_steps`` does not depend
-    on it, since theta's removals do not and its output is sorted.
+    A combination is a pair ``(picks, occs)``: ``picks`` holds ``(i,
+    move)`` pairs with ``move`` from ``_moves(comps[i])``, at most one per
+    component and at least one in all, and ``occs`` the occurrences of
+    those moves, in order.  Components are walked in the order of
+    ``positions``, each skipped or given one move, and a prefix is
+    abandoned once one of its needs can be met neither by the prefix nor
+    by any later component.  The combinations come in walk order: at each
+    position, the moves from the last to the first, then the skip.
     """
+    local = [_moves(comps[i], prepared) for i in positions]
     m = len(local)
     s_names = [frozenset()] * (m + 1)   # offered by components p and later
     s_bases = [frozenset()] * (m + 1)
@@ -696,12 +741,54 @@ def _combinations(local):
                 continue
         if p == m:
             if picks:
-                combos.append(picks)
+                combos.append((picks, tuple(
+                    o for _, move in picks for o in move[0])))
             continue
         stack.append((p + 1, picks, names, bases, pending))
+        i = positions[p]
         for move in local[p]:
-            stack.append((p + 1, picks + ((p, move),), names | move[2],
+            stack.append((p + 1, picks + ((i, move),), names | move[2],
                           bases | move[3], pending + move[4]))
+    return combos
+
+
+def _group_combinations(comps, allowed, prepared):
+    """``_combinations`` over ``allowed``, walked once per fusion group.
+
+    No need crosses a group (``_fusion_groups``), so a combination survives
+    exactly when each group's part of it does.  Each group's combinations
+    come from ``PreparedSystem._group_cache``, keyed by the group's allowed
+    positions and their terms; the state's are the product of each group's
+    combinations and its skip, less the one that skips every group.  With
+    a single live group the walk runs directly.
+
+    When the groups' positions do not interleave, the product comes in the
+    walk's order.  When they do, the combinations and the occurrences in
+    each come in another order.  ``enabled_steps`` sorts its steps by label
+    text and successor name, so that shows only where two steps tie on both.
+    """
+    by_group: dict = {}
+    if len(prepared.groups) > 1:
+        group_of = prepared.group_of
+        for i in allowed:
+            g = group_of[i]
+            if g in by_group:
+                by_group[g].append(i)
+            else:
+                by_group[g] = [i]
+    if len(by_group) < 2:
+        return _combinations(comps, allowed, prepared)
+    combos = None
+    for positions in by_group.values():
+        key = (tuple(positions), tuple(map(comps.__getitem__, positions)))
+        part = prepared._group_cache.get(key)
+        if part is None:
+            part = prepared._group_cache[key] = (
+                *_combinations(comps, positions, prepared), ((), ()))
+        combos = part if combos is None else [
+            (picks + more, occs + more_occs)
+            for picks, occs in combos for more, more_occs in part]
+    combos.pop()   # every group skipped
     return combos
 
 
@@ -741,27 +828,25 @@ def enabled_steps(state: SystemState, prepared: PreparedSystem,
     rounds = state.rounds or (0,) * n
     allowed = [i for i in range(n) if comps[i] is not TERM and not rounds[i]]
 
-    local = [_moves(comps[i], prepared) for i in allowed]
     moves = []
-    for combo in _combinations(local):
+    for picks, occs in _group_combinations(comps, allowed, prepared):
         new_comps = list(comps)
-        for p, move in combo:
-            new_comps[allowed[p]] = move[1]
+        for i, move in picks:
+            new_comps[i] = move[1]
         rounds2 = state.rounds
         if rounds2 is not None:
             rl = list(rounds2)
-            for p, move in combo:
+            for i, move in picks:
                 succ = move[1]
-                if isinstance(succ, Var) and succ.name == entries[allowed[p]]:
-                    rl[allowed[p]] += 1
+                if isinstance(succ, Var) and succ.name == entries[i]:
+                    rl[i] += 1
             # rounds only mean anything for live, entried components;
             # normalize over those and zero the rest
             live = [i for i in range(n)
                     if new_comps[i] is not TERM and entries[i] is not None]
             lo = min((rl[i] for i in live), default=0)
             rounds2 = tuple(rl[i] - lo if i in live else 0 for i in range(n))
-        moves.append((tuple(o for _, move in combo for o in move[0]),
-                      SystemState(tuple(new_comps), rounds2)))
+        moves.append((occs, SystemState(tuple(new_comps), rounds2)))
 
     out = list(dict.fromkeys(
         (label, succ) for _, label, succ in _steps(moves, prepared.split,
@@ -833,7 +918,9 @@ def generate_lts(system: ProcessTerm, model: Model,
 
 
 def prune_dead(lts: StepLTS) -> StepLTS:
-    """Least-fixpoint removal of states from which deadlock is inevitable."""
+    """Least-fixpoint removal of states from which deadlock is inevitable,
+    then of the states no longer reachable; ``lts`` itself when nothing
+    is removed."""
     out = lts.outgoing()
     # live[s]: transitions of s not known to lead to a dead state; 0 = dead
     live = [len(row) for row in out]
@@ -859,6 +946,8 @@ def prune_dead(lts: StepLTS) -> StepLTS:
             if live[t] and t not in seen:
                 seen.add(t)
                 queue.append(t)
+    if len(seen) == lts.num_states:
+        return lts   # every state is live and reachable: nothing to prune
     keep = sorted(seen)
     remap = {s: i for i, s in enumerate(keep)}
     transitions = tuple(

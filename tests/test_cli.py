@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +55,18 @@ class TestCheck:
     def test_unknown_check_exits_2(self, capsys):
         assert main(["check", MODEL_PATH, "--name", "nope"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        env = dict(os.environ)
+        src = str(Path(sc.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stepcheck", "check", MODEL_PATH, "--json"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert main(["check", MODEL_PATH, "--json"]) == 0
+        assert proc.stdout == capsys.readouterr().out
 
     def test_json_output_is_stable(self, capsys):
         main(["check", MODEL_PATH, "--json"])

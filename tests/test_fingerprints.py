@@ -1,5 +1,6 @@
 """Two benchmark workloads generate exactly the LTSs the benchmark records,
-and the bundled model the LTSs and CLI output recorded below.
+and the bundled model and two systems of several fusion groups the LTSs
+and CLI output recorded below.
 
 The models come from ``bench.families`` and the expected fingerprints
 (SHA-256 of the sorted name-level transition triples) from
@@ -21,7 +22,14 @@ if str(ROOT) not in sys.path:
 
 from bench import families, spans, workloads  # noqa: E402
 from stepcheck import bundled_model_path, cli  # noqa: E402
-from stepcheck.semantics import POLICIES, Config, generate_lts  # noqa: E402
+from stepcheck.dsl import parse_model  # noqa: E402
+from stepcheck.semantics import (  # noqa: E402
+    POLICIES,
+    Config,
+    generate_lts,
+    label_str,
+    prepare_system,
+)
 from stepcheck.terms import Var  # noqa: E402
 
 
@@ -126,6 +134,75 @@ def test_bundled_model_fingerprints(ws_model, policies):
         f"{name} {workloads.fingerprint(generate_lts(term, ws_model, config))}"
         for name, term in sorted(terms.items()))
     assert hashlib.sha256(lines.encode()).hexdigest() == BUNDLED[policies]
+
+
+def exact_fingerprint(lts) -> str:
+    """SHA-256 of the initial state, the state names in order and the
+    transitions in order: unlike ``workloads.fingerprint``, this also pins
+    the BFS state numbering."""
+    rows = [f"{lts.initial} {lts.num_states}", *lts.state_names,
+            *(f"{s} {label_str(a)} {t}" for s, a, t in lts.transitions)]
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+# per policy combination: SHA-256 of "name exact_fingerprint" lines over
+# ws_pair(2)'s Sys and Spec and tau_chain(12, 2)'s S, whose components fall
+# into two or more fusion groups
+MULTI_GROUP = {
+    ('binary', 'interleave', 'overlap', 'strict'):
+        "1d67631738d34264ad9eb3c089638391ecca01415560d043a9d2d24b3afb4fd3",
+    ('binary', 'interleave', 'overlap', 'loose'):
+        "c7802cd11edb043b597de08ac6a8b5d88150c412aae7f8c65234bca55f8b4132",
+    ('binary', 'interleave', 'barrier', 'strict'):
+        "481b734b947efdef628b7bcf3b49d3afeeeece0f419539555b786eec8807d2b1",
+    ('binary', 'interleave', 'barrier', 'loose'):
+        "ef00cf30b28bc9236385433c1052f1cbb7fe97a0b15a596188200efa5d6d994f",
+    ('binary', 'step', 'overlap', 'strict'):
+        "ff6cd69dbf9704f2764f174ae04c166e7b9847eff15fbeb8b1ab2841a4c04ab9",
+    ('binary', 'step', 'overlap', 'loose'):
+        "6695dba55f81fc0219b957901ad6c778144f3d17fd185ad56e18a2d709df8251",
+    ('binary', 'step', 'barrier', 'strict'):
+        "5b8a6d436ab79da863036fed75b280ed9abb40d3e29255b704d208926e1922dc",
+    ('binary', 'step', 'barrier', 'loose'):
+        "f7293140fc71bf43b142cac723c52e6c188f444b7fa401a5f906b24e4272f636",
+    ('chained', 'interleave', 'overlap', 'strict'):
+        "06014916bd572ff1535dd5f0069c88e7bdad00e75763dd1c550bc47124348ef1",
+    ('chained', 'interleave', 'overlap', 'loose'):
+        "48adf89c6d00e90286c99e423352f0d584716a83c3f3015668a86b94dd689b8c",
+    ('chained', 'interleave', 'barrier', 'strict'):
+        "075743354175d134f6c0841208f8611e07eb249d00786a8aaea2a4b74267680c",
+    ('chained', 'interleave', 'barrier', 'loose'):
+        "32d8eb2ac8099693b3827824289c93f86f3fe91d728595bf4e34936943f48881",
+    ('chained', 'step', 'overlap', 'strict'):
+        "0f67e20f88bc948564f82c994e17e7abd1e7abef22703d9d732f2976e3dfe848",
+    ('chained', 'step', 'overlap', 'loose'):
+        "edfd7f53a7ec2b1c676595fb0afb328e43148b3f7e77985d643eeecd1081a90b",
+    ('chained', 'step', 'barrier', 'strict'):
+        "30cc5e3c1bd9c37ff82f56d683533f2d453e5e8badca573a0066db92f688246d",
+    ('chained', 'step', 'barrier', 'loose'):
+        "ea4f5823af9405dc803dadb9691eaf16446fb800a33db351d6c80579f7e5c6f5",
+}
+
+
+@pytest.fixture(scope="module")
+def multi_group_systems():
+    ws = parse_model(families.render(families.ws_pair(2), seed=1))
+    tau = parse_model(families.render(families.tau_chain(12, 2), seed=1))
+    return [("Sys", ws), ("Spec", ws), ("S", tau)]
+
+
+@pytest.mark.parametrize("policies", list(itertools.product(
+    *(allowed for _, allowed in POLICIES.values()))), ids="-".join)
+def test_multi_group_fingerprints(multi_group_systems, policies):
+    config = Config(*policies)
+    lines = []
+    for name, model in multi_group_systems:
+        system = model.systems[name]
+        assert len(prepare_system(system, model, config).groups) >= 2
+        lines.append(
+            f"{name} {exact_fingerprint(generate_lts(system, model, config))}")
+    assert (hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            == MULTI_GROUP[policies])
 
 
 # SHA-256 of the CLI's standard output on the bundled model.  Unlike the

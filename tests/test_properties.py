@@ -28,6 +28,7 @@ from stepcheck.semantics import (
     SystemState,
     _alt,
     _blocked,
+    _flatten_par,
     _label_hidden,
     _par,
     _raw,
@@ -432,6 +433,153 @@ class TestStepEnumeration:
                     seen.add(succ)
                     frontier.append(succ)
         assert len(seen) > 1
+
+
+POLICY_COMBINATIONS = list(itertools.product(
+    *(allowed for _, allowed in POLICIES.values())))
+RENAMED = dict(zip(STEP_ACTIONS, ("e", "f", "g", "h")))
+
+
+def renamed(term):
+    """``term`` with every action, shadow base and hidden or blocked name
+    moved from a-d to e-h, and every process name prefixed with R."""
+    if isinstance(term, Act):
+        return Act(ActionLabel(RENAMED[term.label.name], term.label.args))
+    if isinstance(term, Shadow):
+        return Shadow(RENAMED[term.base])
+    if isinstance(term, Var):
+        return Var("R" + term.name)
+    if isinstance(term, (Hide, Encaps)):
+        return type(term)(frozenset(RENAMED[n] for n in term.names),
+                          renamed(term.body))
+    return term.rebuild(tuple(map(renamed, term.children())))
+
+
+def rand_grouped_system(rng):
+    """A system of two or more fusion groups: one or two components of a
+    ``rand_system`` beside their copy on the names e-h, in the original
+    or a shuffled order, under that system's top-level wrappers widened
+    to both alphabets.  The model holds both copies' equations,
+    communications and conflicts."""
+    model, system = rand_system(rng)
+    wrappers = []
+    while isinstance(system, (Hide, Encaps, ConflictElim)):
+        wrappers.append(system)
+        system = system.body
+    comps = _flatten_par(system)[:rng.randint(1, 2)]
+    comps += [renamed(c) for c in comps]
+    if rng.random() < 0.5:
+        rng.shuffle(comps)   # the groups' positions interleave
+    system = comps[0]
+    for comp in comps[1:]:
+        system = Par(system, comp)
+    for wrapper in reversed(wrappers):
+        if isinstance(wrapper, ConflictElim):
+            system = ConflictElim(system)
+        else:
+            names = wrapper.names | {RENAMED[n] for n in wrapper.names}
+            system = type(wrapper)(frozenset(names), system)
+    specs = tuple(RecursiveSpec(
+        "R" + spec.name,
+        {"R" + name: renamed(rhs) for name, rhs in spec.equations.items()},
+        "R" + spec.entry) for spec in model.processes)
+    comms = tuple(CommEntry(RENAMED[e.a], RENAMED[e.b],
+                            e.result and "g" + RENAMED[e.a] + RENAMED[e.b])
+                  for e in model.comms.entries)
+    conflicts = frozenset(frozenset(RENAMED[n] for n in pair)
+                          for pair in model.conflicts.pairs)
+    return Model(
+        processes=model.processes + specs,
+        comms=CommTable(model.comms.entries + comms),
+        conflicts=ConflictRelation(model.conflicts.pairs | conflicts)), system
+
+
+def live_groups(state, prepared) -> int:
+    """How many fusion groups hold a component that may move in ``state``."""
+    rounds = state.rounds or (0,) * len(state.components)
+    return len({prepared.group_of[i]
+                for i, comp in enumerate(state.components)
+                if comp is not TERM and not rounds[i]})
+
+
+class TestGroupedEnumeration:
+    """Step enumeration over two or more fusion groups, each group's
+    combinations taken from its memo, against ``reference_steps``."""
+
+    @pytest.mark.parametrize("policies", POLICY_COMBINATIONS, ids="-".join)
+    def test_grouped_enumeration_equals_reference(self, policies):
+        rng = random.Random("grouped " + " ".join(policies))
+        states = grouped = 0
+        for _ in range(CASES // 3):
+            model, system = rand_grouped_system(rng)
+            prepared = prepare_system(system, model, Config(*policies))
+            assert len(prepared.groups) >= 2
+            frontier = [prepared.initial_state()]
+            seen = set(frontier)
+            while frontier and len(seen) < 25:
+                state = frontier.pop()
+                expected = reference_steps(state, prepared)
+                assert enabled_steps(state, prepared) == expected, (
+                    system, policies, state.pretty())
+                states += 1
+                grouped += live_groups(state, prepared) >= 2
+                for _, succ in expected:
+                    if succ not in seen:
+                        seen.add(succ)
+                        frontier.append(succ)
+        # 151 to 295 of the 173 to 309 states per combination
+        assert grouped >= 100
+
+
+def groups_of(source, system="S"):
+    model = parse_model(source)
+    return prepare_system(model.systems[system], model, Config()).groups
+
+
+class TestFusionGroups:
+    def test_comm_partners_share_a_group(self):
+        assert groups_of("process P { P = a . P }\n"
+                         "process Q { Q = b . Q }\n"
+                         "process R { R = c . R }\n"
+                         "comm a, b\n"
+                         "system S = P <> R <> Q") == ((0, 2), (1,))
+
+    def test_a_chained_gamma_chain_shares_a_group(self):
+        # P and Q share no name and no comm pair; b links them
+        assert groups_of("process P { P = a . P }\n"
+                         "process Q { Q = c . Q }\n"
+                         "comm a, b\n"
+                         "comm b, c\n"
+                         "system S = P <> Q") == ((0, 1),)
+
+    def test_a_shadow_shares_a_group_with_its_action(self):
+        assert groups_of("process P { P = @x . P }\n"
+                         "process Q { Q = x . Q }\n"
+                         "process R { R = y . R }\n"
+                         "system S = P <> Q <> R") == ((0, 1), (2,))
+
+    def test_a_shared_name_shares_a_group(self):
+        assert groups_of("process P { P = a . P }\n"
+                         "process Q { Q = b . a . Q }\n"
+                         "system S = P <> Q") == ((0, 1),)
+
+    @pytest.mark.parametrize("wrapper", ["hide {a} in", "block {a} in"])
+    def test_names_under_a_nested_wrapper_count(self, wrapper):
+        assert groups_of("process P { P = c . P1\n"
+                         f"  P1 = {wrapper} (a . b . P1) }}\n"
+                         "process Q { Q = a . Q }\n"
+                         "system S = P <> Q") == ((0, 1),)
+
+    def test_a_delta_component_sits_alone(self):
+        assert groups_of("process P { P = a . P }\n"
+                         "process Q { Q = a . Q }\n"
+                         "system S = P <> delta <> Q") == ((0, 2), (1,))
+
+    def test_disjoint_alphabets_give_separate_groups(self):
+        assert groups_of("process P { P = a . b . P }\n"
+                         "process Q { Q = c . Q }\n"
+                         "process R { R = d . R + e . R }\n"
+                         "system S = P <> Q <> R") == ((0,), (1,), (2,))
 
 
 def uncached_pipeline(occs, per_step, prepared):

@@ -303,6 +303,14 @@ class TestPruneDead:
         assert pruned.num_states == lts.num_states
         assert pruned.transitions == lts.transitions
 
+    def test_nothing_to_prune_returns_the_input(self):
+        # every state live and reachable, as on two hidden cycles side by side
+        lts = lts_of("process P { P = a . t . P }\n"
+                     "process Q { Q = b . t . t . Q }\n"
+                     "system S = hide {t} in (P <> Q)")
+        assert lts.num_states == 6
+        assert prune_dead(lts) is lts
+
 
 class TestBundledOrchestration:
     def test_wsoa_state_count(self, ws_model):
