@@ -16,6 +16,7 @@ from .composition import (
     assemble_system,
     correspondence_check,
     derive_ab,
+    side_lts,
     verify_system,
     wsc_conformance,
 )

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from . import composition
 from .dsl import ParseError, ResolutionError, parse_model
@@ -69,12 +69,6 @@ def _load_model(path: str) -> Model:
     return model
 
 
-def _side_lts(model: Model, name: str, config: Config) -> StepLTS:
-    if name in model.systems:
-        return prune_dead(generate_lts(model.systems[name], model, config))
-    return generate_lts(Var(name), model, config)
-
-
 def _run_checks(model: Model, args) -> int:
     goals = model.checks
     if args.name:
@@ -88,12 +82,11 @@ def _run_checks(model: Model, args) -> int:
     for goal in goals:
         config = _config_from_args(args, goal.overrides)
         start = time.monotonic()
-        left = _side_lts(model, goal.left, config)
-        right = _side_lts(model, goal.right, config)
-        relation = goal.relation
-        if args.rooted and relation == "branching-bisim":
-            relation = "rooted-branching-bisim"
-        verdict = check_relation(relation, left, right)
+        left = composition.side_lts(model, goal.left, config)
+        right = composition.side_lts(model, goal.right, config)
+        if args.rooted and goal.relation == "branching-bisim":
+            goal = replace(goal, relation="rooted-branching-bisim")
+        verdict = check_relation(goal.relation, left, right)
         elapsed = time.monotonic() - start
         reports.append((goal, verdict, left, right, elapsed))
         if not verdict.holds:

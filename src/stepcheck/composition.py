@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .equivalence import (
-    StepCounterexample,
     Verdict,
     branching_bisim,
     minimize,
@@ -248,24 +247,24 @@ def assemble_system(model: Model, component_names,
     return term
 
 
+def side_lts(model: Model, side, config: Config = Config()) -> StepLTS:
+    """The LTS a check compares for one side: a system (a term or the name
+    of a declared ``system``) pruned by ``prune_dead``, or a process name's
+    LTS as generated."""
+    if isinstance(side, str):
+        if side not in model.systems:
+            return generate_lts(Var(side), model, config)
+        side = model.systems[side]
+    return prune_dead(generate_lts(side, model, config))
+
+
 def verify_system(model: Model, system: ProcessTerm, spec_name: str,
                   config: Config = Config(),
                   rooted: bool = False) -> Verdict:
-    """Branching-bisimulation check of the assembled system against a spec.
-
-    States of the system from which deadlock is unavoidable are pruned
-    first; an initially dead system fails outright.
-    """
-    sys_lts = prune_dead(generate_lts(system, model, config))
-    if sys_lts.initial_dead:
-        return Verdict(
-            False, ("rooted " if rooted else "") + "branching bisimulation",
-            StepCounterexample((), "the system deadlocks from every run"))
-    spec_lts = generate_lts(Var(spec_name), model, config)
-    verdict = branching_bisim(sys_lts, spec_lts, rooted=rooted)
-    verdict.details["system_states"] = sys_lts.num_states
-    verdict.details["spec_states"] = spec_lts.num_states
-    return verdict
+    """(Rooted) branching-bisimulation check of an assembled system against
+    a specification, each side taken by ``side_lts`` as the CLI takes it."""
+    return branching_bisim(side_lts(model, system, config),
+                           side_lts(model, spec_name, config), rooted=rooted)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +275,7 @@ def wsc_conformance(model: Model, system: ProcessTerm,
                     contract: WscContract,
                     config: Config = Config()) -> Verdict:
     """Do the system's contracted interactions follow the contract protocol?"""
-    sys_lts = prune_dead(generate_lts(system, model, config))
+    sys_lts = side_lts(model, system, config)
     # keep only the contracted interactions, as `x~y` labels; rest is tau
     pair_names = {frozenset(p): "~".join(sorted(p)) for p in contract.pairs}
     projected = _relabel(sys_lts, lambda label: [

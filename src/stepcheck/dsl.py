@@ -281,10 +281,13 @@ class _Parser:
     def check_decl(self, decls):
         self.next()
         first = self.expect_name("process or system name")
-        name = None
+        name = None   # named after parsing, once every explicit name is known
         if self.peek().text == ":":
             self.next()
             name = first.text
+            if any(goal.name == name for goal in decls["checks"]):
+                raise ParseError(f"check {name} declared twice",
+                                 first.line, first.col)
             first = self.expect_name("process or system name")
         left = first.text
         tok = self.peek()
@@ -304,8 +307,6 @@ class _Parser:
                 overrides[key] = self.next().text   # e.g. max_states=500
             else:
                 overrides[key] = self.expect_name("option value").text
-        if name is None:
-            name = f"check{len(decls['checks']) + 1}"
         decls["checks"].append(CheckGoal(name, left, right, relation, overrides))
 
     # -- terms ------------------------------------------------------------
@@ -420,6 +421,19 @@ def _resolve_term(term, equation_names, sets):
                               for k in term.children()))
 
 
+def _name_checks(goals) -> tuple:
+    """Name the i-th check, if unnamed, by the first free ``check<n>``
+    with n >= i, so an auto name never collides with an explicit one."""
+    taken = {goal.name for goal in goals}
+    for n, goal in enumerate(goals, start=1):
+        if goal.name is None:
+            while f"check{n}" in taken:
+                n += 1
+            goal.name = f"check{n}"
+            taken.add(goal.name)
+    return tuple(goals)
+
+
 def parse_model(source: str) -> Model:
     decls = _Parser(tokenize(source)).model()
     equation_names = set()
@@ -441,7 +455,7 @@ def parse_model(source: str) -> Model:
         conflicts=ConflictRelation(frozenset(decls["conflicts"])),
         action_sets=dict(sets),
         systems=systems,
-        checks=tuple(decls["checks"]),
+        checks=_name_checks(decls["checks"]),
     )
     known = set(equation_names) | set(systems)
     for goal in model.checks:

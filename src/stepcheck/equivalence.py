@@ -335,7 +335,6 @@ def minimize(lts: StepLTS, relation: str = "branching") -> StepLTS:
             transitions,
             key=lambda tr: (tr[0], label_str(tr[1]), tr[2]))),
         state_names=tuple(names),
-        initial_dead=lts.initial_dead,
     )
 
 

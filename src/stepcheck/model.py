@@ -6,9 +6,6 @@ from dataclasses import dataclass, field
 from .terms import (
     CommTable,
     ConflictRelation,
-    DataDomain,
-    ProcessTerm,
-    RecursiveSpec,
     Violation,
     validate_comms,
     validate_spec,

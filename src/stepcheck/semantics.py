@@ -865,7 +865,6 @@ class StepLTS:
     num_states: int
     transitions: tuple   # of (src, label tuple, dst)
     state_names: tuple
-    initial_dead: bool = False
 
     def outgoing(self):
         out = [[] for _ in range(self.num_states)]
@@ -933,12 +932,8 @@ def prune_dead(lts: StepLTS) -> StepLTS:
             live[s] -= 1
             if not live[s]:
                 queue.append(s)
-    if not live[lts.initial]:
-        return StepLTS(
-            initial=0, num_states=1, transitions=(),
-            state_names=(lts.state_names[lts.initial],),
-            initial_dead=True)
-    # restrict to live states reachable from the initial one
+    # restrict to live states reachable from the initial one, which is kept
+    # even when dead: an initially dead LTS prunes to it, with no steps
     seen = {lts.initial}
     queue = [lts.initial]
     while queue:
@@ -947,7 +942,7 @@ def prune_dead(lts: StepLTS) -> StepLTS:
                 seen.add(t)
                 queue.append(t)
     if len(seen) == lts.num_states:
-        return lts   # every state is live and reachable: nothing to prune
+        return lts   # every state is kept: nothing to prune
     keep = sorted(seen)
     remap = {s: i for i, s in enumerate(keep)}
     transitions = tuple(

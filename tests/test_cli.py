@@ -129,7 +129,9 @@ class TestCheck:
         monkeypatch.setattr(equivalence, "branching_bisim", counting)
         assert main(["check", MODEL_PATH, "--rooted", "--name", "ab_a"]) == 1
         assert calls == [True]
-        assert "root condition" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "root condition" in out
+        assert "(rooted-branching-bisim) FAILS" in out
 
 
 class TestLts:
@@ -220,6 +222,26 @@ class TestErrors:
         path.write_text(f"process P {{ P = a . P }}\ncheck c: P ~sb P {option}\n")
         assert main(["check", str(path)]) == 2
         assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("twice, message", [
+        ("set I = { a }", "error: 3:5: set I declared twice\n"),
+        ("system I = P", "error: 3:8: system I declared twice\n"),
+        ("check I: P ~bb P", "error: 3:7: check I declared twice\n"),
+    ])
+    def test_declared_twice_exits_2(self, tmp_path, capsys, twice, message):
+        path = tmp_path / "twice.aptc"
+        path.write_text(f"process P {{ P = a . P }}\n{twice}\n{twice}\n"
+                        "check P ~sb P\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == message
+
+    def test_unnamed_check_skips_an_explicit_name(self, tmp_path, capsys):
+        path = tmp_path / "names.aptc"
+        path.write_text("process P { P = a . P }\n"
+                        "check P ~sb P\ncheck check1: P ~bb P\n")
+        assert main(["check", str(path), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [entry["check"] for entry in data] == ["check2", "check1"]
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.aptc"

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 import stepcheck as sc
+from stepcheck.cli import main
 from stepcheck.composition import (
     CompositionError,
     WscContract,
@@ -9,12 +12,13 @@ from stepcheck.composition import (
     correspondence_check,
     default_internal,
     derive_ab,
+    side_lts,
     strip_shadows,
     verify_system,
     wsc_conformance,
 )
 from stepcheck.equivalence import branching_bisim, strong_step_bisim
-from stepcheck.semantics import Config, generate_lts
+from stepcheck.semantics import Config, generate_lts, prune_dead
 from stepcheck.terms import (
     Act,
     ActionLabel,
@@ -149,6 +153,65 @@ class TestVerifySystem:
             ws_model, ws_model.systems["Sys"], "SPEC",
             Config(comm_policy="binary", round_mode="barrier"))
         assert not verdict.holds
+
+
+DEAD_SYSTEM = """
+process P { P = a . P }
+process SPEC { SPEC = delta }
+process SPEC2 { SPEC2 = d . SPEC2 }
+system Sys = block {a} in P
+check dead: Sys ~bb SPEC
+check moves: Sys ~bb SPEC2
+"""
+
+
+def cli_verdicts(argv, capsys):
+    """{check name: (holds, counterexample text or None)} from check --json."""
+    main(["check", *argv, "--json"])
+    return {entry["check"]: (entry["holds"],
+                             entry.get("counterexample", {}).get("detail"))
+            for entry in json.loads(capsys.readouterr().out)}
+
+
+def library_verdict(model, system, spec, config=Config()):
+    verdict = verify_system(model, system, spec, config)
+    cx = verdict.counterexample
+    return verdict.holds, None if cx is None else cx.pretty()
+
+
+class TestCliAgreesWithLibrary:
+    def test_side_rule(self, ws_model):
+        system = ws_model.systems["Sys"]
+        pruned = prune_dead(generate_lts(system, ws_model, BARRIER))
+        assert side_lts(ws_model, "Sys", BARRIER) == pruned
+        assert side_lts(ws_model, system, BARRIER) == pruned
+        assert side_lts(ws_model, "SPEC", BARRIER) == generate_lts(
+            Var("SPEC"), ws_model, BARRIER)
+
+    def test_initially_dead_system(self, tmp_path, capsys):
+        path = tmp_path / "dead.aptc"
+        path.write_text(DEAD_SYSTEM)
+        model = sc.parse_model(DEAD_SYSTEM)
+        dead = side_lts(model, "Sys")
+        assert dead.num_states == 1 and dead.transitions == ()
+        cli = cli_verdicts([str(path)], capsys)
+        system = model.systems["Sys"]
+        assert cli["dead"] == library_verdict(model, system, "SPEC") == (
+            True, None)
+        assert cli["moves"] == library_verdict(model, system, "SPEC2")
+        assert cli["moves"] == (
+            False, "trace {d} is possible on the right side only")
+
+    @pytest.mark.parametrize("round_mode", ["barrier", "overlap"])
+    def test_bundled_theorem(self, ws_model, capsys, round_mode):
+        cli = cli_verdicts([str(sc.bundled_model_path()), "--name", "theorem",
+                            "--round-mode", round_mode], capsys)
+        config = Config(comm_policy="chained", shadow_policy="strict",
+                        round_mode=round_mode)
+        library = library_verdict(ws_model, ws_model.systems["Sys"], "SPEC",
+                                  config)
+        assert cli["theorem"] == library
+        assert library[0] == (round_mode == "barrier")
 
 
 class TestConformance:

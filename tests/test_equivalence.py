@@ -270,8 +270,7 @@ def reference_prune_dead(lts):
                 dead[s] = changed = True
     if dead[lts.initial]:
         return StepLTS(initial=0, num_states=1, transitions=(),
-                       state_names=(lts.state_names[lts.initial],),
-                       initial_dead=True)
+                       state_names=(lts.state_names[lts.initial],))
     keep = set()
     stack = [lts.initial]
     while stack:

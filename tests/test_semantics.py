@@ -295,7 +295,7 @@ class TestPruneDead:
 
     def test_initially_dead_system_flagged(self):
         pruned = prune_dead(lts_of("process P { P = delta }", "P"))
-        assert pruned.initial_dead and pruned.num_states == 1
+        assert pruned.num_states == 1 and pruned.transitions == ()
 
     def test_live_lts_unchanged(self):
         lts = lts_of("process P { P = a . P }", "P")
