@@ -400,8 +400,12 @@ class _SetRef:
 # Resolution: _Name -> Var | Act, _SetRef -> frozenset
 
 
-def _resolve_term(term, equation_names, sets):
+def _resolve_term(term, equation_names, system_names, sets):
     if isinstance(term, _Name):
+        if term.name in system_names:
+            raise ResolutionError(
+                f"system {term.name} is named inside a term; a term may "
+                f"name only processes and actions", term.name)
         if term.name in equation_names:
             if term.args:
                 raise ResolutionError(
@@ -417,8 +421,9 @@ def _resolve_term(term, equation_names, sets):
                     f"unknown action set {names.name}", names.name)
             names = sets[names.name]
         term = type(term)(frozenset(names), term.body)
-    return term.rebuild(tuple(_resolve_term(k, equation_names, sets)
-                              for k in term.children()))
+    return term.rebuild(tuple(
+        _resolve_term(k, equation_names, system_names, sets)
+        for k in term.children()))
 
 
 def _name_checks(goals) -> tuple:
@@ -439,14 +444,20 @@ def parse_model(source: str) -> Model:
     equation_names = set()
     for spec in decls["processes"]:
         equation_names.update(spec.equations)
+    system_names = set(decls["systems"])
+    clash = sorted(system_names & equation_names)
+    if clash:
+        raise ResolutionError(
+            f"system {clash[0]} is named like an equation", clash[0])
     sets = decls["sets"]
     processes = []
     for spec in decls["processes"]:
-        equations = {name: _resolve_term(rhs, equation_names, sets)
+        equations = {name: _resolve_term(rhs, equation_names, system_names,
+                                         sets)
                      for name, rhs in spec.equations.items()}
         processes.append(RecursiveSpec(spec.name, equations, spec.entry))
     comms = CommTable(tuple(decls["comms"]))
-    systems = {name: _resolve_term(t, equation_names, sets)
+    systems = {name: _resolve_term(t, equation_names, system_names, sets)
                for name, t in decls["systems"].items()}
     model = Model(
         domains=tuple(decls["domains"]),
@@ -457,7 +468,7 @@ def parse_model(source: str) -> Model:
         systems=systems,
         checks=_name_checks(decls["checks"]),
     )
-    known = set(equation_names) | set(systems)
+    known = equation_names | system_names
     for goal in model.checks:
         for side in (goal.left, goal.right):
             if side not in known:

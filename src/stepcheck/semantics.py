@@ -202,6 +202,20 @@ def label_str(label: tuple) -> str:
 # System preparation
 
 
+class _Rendered(dict):
+    """A memo that renders each missing key once, with ``render``."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        value = self[key] = self.render(key)
+        return value
+
+
 @dataclass(frozen=True)
 class PreparedSystem:
     """Everything step generation reads about one system, built once."""
@@ -217,12 +231,13 @@ class PreparedSystem:
     shadow_bases: frozenset   # in the components and the equations they reach
     blocked: frozenset        # top-level block sets no hide or theta precedes
     groups: tuple             # of component positions (_fusion_groups)
-    group_of: tuple           # per component position, its index in groups
     config: Config
-    _raw_cache: dict = field(default_factory=dict)
     _moves_cache: dict = field(default_factory=dict)
     _step_cache: dict = field(default_factory=dict)
     _group_cache: dict = field(default_factory=dict)
+    # each state's name and each label's sort key, rendered once
+    _names: dict = field(default_factory=lambda: _Rendered(SystemState.pretty))
+    _label_keys: dict = field(default_factory=lambda: _Rendered(_label_key))
 
     def initial_state(self) -> SystemState:
         rounds = None
@@ -257,10 +272,6 @@ def prepare_system(system: ProcessTerm, model: Model, config: Config) -> Prepare
     alphabets = [_alphabet(c, equations) for c in components]
     groups = _fusion_groups([names | bases for names, bases in alphabets],
                             gamma_components)
-    group_of = [0] * len(components)
-    for g, positions in enumerate(groups):
-        for i in positions:
-            group_of[i] = g
     return PreparedSystem(
         components=components,
         entries=tuple(c.name if isinstance(c, Var) else None
@@ -274,7 +285,6 @@ def prepare_system(system: ProcessTerm, model: Model, config: Config) -> Prepare
         shadow_bases=frozenset().union(*(bases for _, bases in alphabets)),
         blocked=blocked,
         groups=groups,
-        group_of=tuple(group_of),
         config=config,
     )
 
@@ -304,27 +314,34 @@ def _flatten_par(term):
     return [term]
 
 
+def _connected(keyed) -> tuple:
+    """The indices of ``keyed``, a sequence of key sets, partitioned so
+    that two indices share a part when their key sets meet, directly or
+    through other indices.  The parts come ordered by their first index,
+    each with its indices in order."""
+    merged = []   # (keys, indices) per part found so far
+    for i, keys in enumerate(keyed):
+        keys = set(keys)
+        indices = [i]
+        apart = []
+        for other_keys, other in merged:
+            if keys.isdisjoint(other_keys):
+                apart.append((other_keys, other))
+            else:
+                keys |= other_keys
+                indices += other
+        merged = apart + [(keys, indices)]
+    return tuple(sorted(tuple(sorted(indices)) for _, indices in merged))
+
+
 def _gamma_components(comm: dict) -> dict:
-    adj: dict = {}
-    for pair in comm:
-        a, b = sorted(pair)
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
+    """Each action name of a gamma pair -> the names that gamma pairs
+    connect it to, itself included."""
+    pairs = list(comm)
     comp: dict = {}
-    for start in sorted(adj):
-        if start in comp:
-            continue
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        fs = frozenset(seen)
-        for x in seen:
-            comp[x] = fs
+    for part in _connected(pairs):
+        names = frozenset().union(*(pairs[i] for i in part))
+        comp.update(dict.fromkeys(names, names))
     return comp
 
 
@@ -360,19 +377,8 @@ def _fusion_groups(alphabets, gamma_components) -> tuple:
     names, so no fusion and no need crosses a group.  The groups come
     ordered by their first position, each with its positions in order.
     """
-    merged = []   # (keys, positions) per group found so far
-    for i, alphabet in enumerate(alphabets):
-        keys = {gamma_components.get(n, n) for n in alphabet}
-        positions = [i]
-        apart = []
-        for other_keys, other in merged:
-            if keys.isdisjoint(other_keys):
-                apart.append((other_keys, other))
-            else:
-                keys |= other_keys
-                positions += other
-        merged = apart + [(keys, positions)]
-    return tuple(sorted(tuple(sorted(positions)) for _, positions in merged))
+    return _connected([{gamma_components.get(n, n) for n in alphabet}
+                       for alphabet in alphabets])
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +392,6 @@ def _raw(term: ProcessTerm, prepared: PreparedSystem, stack=frozenset()):
     that communication and shadow fusion can span sibling components, or an
     ``Event`` already resolved below a hide/block/theta boundary.
     """
-    if term in prepared._raw_cache:
-        return prepared._raw_cache[term]
-    moves = _raw_uncached(term, prepared, stack)
-    prepared._raw_cache[term] = moves
-    return moves
-
-
-def _raw_uncached(term, prepared, stack):
     if term is TERM or isinstance(term, Deadlock):
         return ()
     if isinstance(term, Act):
@@ -700,12 +698,13 @@ def _combinations(comps, positions, prepared):
 
     A combination is a pair ``(picks, occs)``: ``picks`` holds ``(i,
     move)`` pairs with ``move`` from ``_moves(comps[i])``, at most one per
-    component and at least one in all, and ``occs`` the occurrences of
-    those moves, in order.  Components are walked in the order of
-    ``positions``, each skipped or given one move, and a prefix is
-    abandoned once one of its needs can be met neither by the prefix nor
-    by any later component.  The combinations come in walk order: at each
-    position, the moves from the last to the first, then the skip.
+    component, and ``occs`` the occurrences of those moves, in order.
+    Components are walked in the order of ``positions``, each skipped or
+    given one move, and a prefix is abandoned once one of its needs can be
+    met neither by the prefix nor by any later component.  The
+    combinations come in walk order: at each position, the moves from the
+    last to the first, then the skip.  So the last combination, ``((),
+    ())``, skips every component.
     """
     local = [_moves(comps[i], prepared) for i in positions]
     m = len(local)
@@ -740,9 +739,8 @@ def _combinations(comps, positions, prepared):
             if pending is None:
                 continue
         if p == m:
-            if picks:
-                combos.append((picks, tuple(
-                    o for _, move in picks for o in move[0])))
+            combos.append((picks, tuple(
+                o for _, move in picks for o in move[0])))
             continue
         stack.append((p + 1, picks, names, bases, pending))
         i = positions[p]
@@ -752,84 +750,50 @@ def _combinations(comps, positions, prepared):
     return combos
 
 
-def _group_combinations(comps, allowed, prepared):
-    """``_combinations`` over ``allowed``, walked once per fusion group.
+def _group_combinations(state, prepared):
+    """The combinations of ``_combinations`` over the components of
+    ``state`` that may move, less the one that skips them all.
 
-    No need crosses a group (``_fusion_groups``), so a combination survives
-    exactly when each group's part of it does.  Each group's combinations
-    come from ``PreparedSystem._group_cache``, keyed by the group's allowed
-    positions and their terms; the state's are the product of each group's
-    combinations and its skip, less the one that skips every group.  With
-    a single live group the walk runs directly.
-
-    When the groups' positions do not interleave, the product comes in the
-    walk's order.  When they do, the combinations and the occurrences in
-    each come in another order.  ``enabled_steps`` sorts its steps by label
-    text and successor name, so that shows only where two steps tie on both.
+    No need crosses a fusion group (``_fusion_groups``), so a combination
+    survives exactly when each group's part of it does.  Each group's part
+    comes from ``PreparedSystem._group_cache``, keyed by the group's
+    movable positions and their terms, so it is walked once per key; the
+    state's combinations are the product of the parts over
+    ``prepared.groups``.  With one group that can move, the product comes
+    in its walk order; with more, in another order, which ``enabled_steps``
+    shows only where two steps tie on both label text and successor name.
     """
-    by_group: dict = {}
-    if len(prepared.groups) > 1:
-        group_of = prepared.group_of
-        for i in allowed:
-            g = group_of[i]
-            if g in by_group:
-                by_group[g].append(i)
-            else:
-                by_group[g] = [i]
-    if len(by_group) < 2:
-        return _combinations(comps, allowed, prepared)
+    comps, rounds = state.components, state.rounds
     combos = None
-    for positions in by_group.values():
-        key = (tuple(positions), tuple(map(comps.__getitem__, positions)))
+    for group in prepared.groups:
+        # barrier rounds are normalized to 0 over the live entried
+        # components and are 0 for the others, so a component at round 0
+        # may move
+        positions = tuple(i for i in group if comps[i] is not TERM
+                          and not (rounds and rounds[i]))
+        key = (positions, tuple(map(comps.__getitem__, positions)))
         part = prepared._group_cache.get(key)
         if part is None:
-            part = prepared._group_cache[key] = (
-                *_combinations(comps, positions, prepared), ((), ()))
+            part = prepared._group_cache[key] = tuple(
+                _combinations(comps, positions, prepared))
         combos = part if combos is None else [
             (picks + more, occs + more_occs)
             for picks, occs in combos for more, more_occs in part]
-    combos.pop()   # every group skipped
-    return combos
+    return combos[:-1]   # less the one that skips every group
 
 
-class _Rendered(dict):
-    """A memo that renders each missing key once, with ``render``."""
-
-    __slots__ = ("render",)
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, key):
-        value = self[key] = self.render(key)
-        return value
-
-
-def enabled_steps(state: SystemState, prepared: PreparedSystem,
-                  names=None, label_keys=None):
+def enabled_steps(state: SystemState, prepared: PreparedSystem):
     """All (label, successor state) steps the configuration permits,
     sorted by label key and successor name.
 
-    ``names`` and ``label_keys`` are ``_Rendered`` memos of state names
-    and label keys, which ``generate_lts`` shares across one generation;
-    left out, each call renders its own.
+    The combinations of moves come from ``_group_combinations``, and the
+    sort keys from ``prepared``'s render memos.
     """
-    if names is None:
-        names = _Rendered(SystemState.pretty)
-    if label_keys is None:
-        label_keys = _Rendered(_label_key)
     comps = state.components
     n = len(comps)
     entries = prepared.entries
-
-    # barrier rounds are normalized to 0 over the live entried components
-    # and are 0 for the others, so a component at round 0 may move
-    rounds = state.rounds or (0,) * n
-    allowed = [i for i in range(n) if comps[i] is not TERM and not rounds[i]]
-
     moves = []
-    for picks, occs in _group_combinations(comps, allowed, prepared):
+    for picks, occs in _group_combinations(state, prepared):
         new_comps = list(comps)
         for i, move in picks:
             new_comps[i] = move[1]
@@ -851,6 +815,7 @@ def enabled_steps(state: SystemState, prepared: PreparedSystem,
     out = list(dict.fromkeys(
         (label, succ) for _, label, succ in _steps(moves, prepared.split,
                                                    prepared)))
+    names, label_keys = prepared._names, prepared._label_keys
     out.sort(key=lambda ls: (label_keys[ls[0]], names[ls[1]]))
     return out
 
@@ -884,11 +849,10 @@ def generate_lts(system: ProcessTerm, model: Model,
     """Breadth-first closure of enabled steps with canonical memoization.
 
     Each distinct state's name and each label's sort key is rendered once
-    per call, and every sort reads the stored text.
+    per call, in the prepared system's memos, and every sort reads them.
     """
     prepared = prepare_system(system, model, config)
-    names = _Rendered(SystemState.pretty)
-    label_keys = _Rendered(_label_key)
+    names, label_keys = prepared._names, prepared._label_keys
     init = prepared.initial_state()
     index = {init: 0}
     order = [init]     # a state's index is its place here
@@ -898,7 +862,7 @@ def generate_lts(system: ProcessTerm, model: Model,
     for src, state in enumerate(order):   # order grows during the walk
         if src == level_end:
             depth, level_end = depth + 1, len(order)
-        for label, succ in enabled_steps(state, prepared, names, label_keys):
+        for label, succ in enabled_steps(state, prepared):
             dst = index.get(succ)
             if dst is None:
                 if len(order) >= config.max_states:

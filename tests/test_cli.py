@@ -206,6 +206,16 @@ class TestErrors:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_system_named_in_a_term_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nested.aptc"
+        path.write_text("process P { P = a . P }\n"
+                        "system S = P\nsystem T = S <> P\n"
+                        "check c: T ~sb P\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: system S is named inside a term; a term may name only "
+            "processes and actions\n")
+
     def test_unknown_wso_exits_2(self, capsys):
         assert main(["derive-ab", MODEL_PATH, "--wso", "Nope"]) == 2
         err = capsys.readouterr().err

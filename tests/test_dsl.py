@@ -135,6 +135,24 @@ class TestResolutionErrors:
         with pytest.raises(ResolutionError):
             parse_model("process P { P = a . P }\nsystem S = P(d1)")
 
+    @pytest.mark.parametrize("source", [
+        "system S = P\nsystem T = S <> P",
+        "system T = hide {a} in (P || S)\nsystem S = P",
+        "process Q { Q = S . Q }\nsystem S = P",
+    ], ids=["in a system", "declared later", "in an equation"])
+    def test_a_system_named_in_a_term(self, source):
+        with pytest.raises(ResolutionError) as exc:
+            parse_model("process P { P = a . P }\n" + source)
+        assert exc.value.identifier == "S"
+        assert str(exc.value).startswith("system S is named inside a term")
+
+    def test_a_system_named_like_an_equation(self):
+        with pytest.raises(ResolutionError) as exc:
+            parse_model("process P { P = a . P }\n"
+                        "system P = block {a} in P\ncheck c: P ~sb P")
+        assert exc.value.identifier == "P"
+        assert str(exc.value) == "system P is named like an equation"
+
 
 class TestRoundTrip:
     def test_bundled_model_round_trips(self, ws_model):

@@ -1,6 +1,6 @@
 """Two benchmark workloads generate exactly the LTSs the benchmark records,
-and the bundled model and two systems of several fusion groups the LTSs
-and CLI output recorded below.
+and the bundled model, systems of several fusion groups and systems of
+one fusion group the LTSs and CLI output recorded below.
 
 The models come from ``bench.families`` and the expected fingerprints
 (SHA-256 of the sorted name-level transition triples) from
@@ -203,6 +203,59 @@ def test_multi_group_fingerprints(multi_group_systems, policies):
             f"{name} {exact_fingerprint(generate_lts(system, model, config))}")
     assert (hashlib.sha256("\n".join(lines).encode()).hexdigest()
             == MULTI_GROUP[policies])
+
+
+# per policy combination: SHA-256 of "name exact_fingerprint" lines over
+# ring(7)'s S and SR, whose components all fall into one fusion group
+ONE_GROUP = {
+    ('binary', 'interleave', 'overlap', 'strict'):
+        "7ea1a218a29ff18d363a410cef21b74765fb8af143303ac9c7d8b0bb6116be2a",
+    ('binary', 'interleave', 'overlap', 'loose'):
+        "7ea1a218a29ff18d363a410cef21b74765fb8af143303ac9c7d8b0bb6116be2a",
+    ('binary', 'interleave', 'barrier', 'strict'):
+        "52b15ca19d039c4787278539b4b9766788b0f31c3857b195ef0c9f41c29a06cc",
+    ('binary', 'interleave', 'barrier', 'loose'):
+        "52b15ca19d039c4787278539b4b9766788b0f31c3857b195ef0c9f41c29a06cc",
+    ('binary', 'step', 'overlap', 'strict'):
+        "40971ec7e2385dce801d22921d9047e06ca0cee62f9f0b4aec8c13b23ce00f6f",
+    ('binary', 'step', 'overlap', 'loose'):
+        "40971ec7e2385dce801d22921d9047e06ca0cee62f9f0b4aec8c13b23ce00f6f",
+    ('binary', 'step', 'barrier', 'strict'):
+        "4d4c6854f3537be9aea7c266c5ca1f829da36ce4eeb69aa5779067b527da2622",
+    ('binary', 'step', 'barrier', 'loose'):
+        "4d4c6854f3537be9aea7c266c5ca1f829da36ce4eeb69aa5779067b527da2622",
+    ('chained', 'interleave', 'overlap', 'strict'):
+        "7ea1a218a29ff18d363a410cef21b74765fb8af143303ac9c7d8b0bb6116be2a",
+    ('chained', 'interleave', 'overlap', 'loose'):
+        "7ea1a218a29ff18d363a410cef21b74765fb8af143303ac9c7d8b0bb6116be2a",
+    ('chained', 'interleave', 'barrier', 'strict'):
+        "52b15ca19d039c4787278539b4b9766788b0f31c3857b195ef0c9f41c29a06cc",
+    ('chained', 'interleave', 'barrier', 'loose'):
+        "52b15ca19d039c4787278539b4b9766788b0f31c3857b195ef0c9f41c29a06cc",
+    ('chained', 'step', 'overlap', 'strict'):
+        "40971ec7e2385dce801d22921d9047e06ca0cee62f9f0b4aec8c13b23ce00f6f",
+    ('chained', 'step', 'overlap', 'loose'):
+        "40971ec7e2385dce801d22921d9047e06ca0cee62f9f0b4aec8c13b23ce00f6f",
+    ('chained', 'step', 'barrier', 'strict'):
+        "4d4c6854f3537be9aea7c266c5ca1f829da36ce4eeb69aa5779067b527da2622",
+    ('chained', 'step', 'barrier', 'loose'):
+        "4d4c6854f3537be9aea7c266c5ca1f829da36ce4eeb69aa5779067b527da2622",
+}
+
+
+@pytest.mark.parametrize("policies", list(itertools.product(
+    *(allowed for _, allowed in POLICIES.values()))), ids="-".join)
+def test_one_group_fingerprints(policies):
+    model = parse_model(families.render(families.ring(7), seed=1))
+    config = Config(*policies)
+    lines = []
+    for name in ("S", "SR"):
+        system = model.systems[name]
+        assert len(prepare_system(system, model, config).groups) == 1
+        lines.append(
+            f"{name} {exact_fingerprint(generate_lts(system, model, config))}")
+    assert (hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            == ONE_GROUP[policies])
 
 
 # SHA-256 of the CLI's standard output on the bundled model.  Unlike the

@@ -5,6 +5,8 @@ well over 1000 cases are exercised per test run.
 """
 import itertools
 import random
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -64,6 +66,13 @@ from stepcheck.terms import (
     guardedness_check,
     term_to_str,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from bench import families  # noqa: E402
+
 
 CASES = 150
 ACTIONS = ["a", "b", "c", "d", "e"]
@@ -497,9 +506,8 @@ def rand_grouped_system(rng):
 def live_groups(state, prepared) -> int:
     """How many fusion groups hold a component that may move in ``state``."""
     rounds = state.rounds or (0,) * len(state.components)
-    return len({prepared.group_of[i]
-                for i, comp in enumerate(state.components)
-                if comp is not TERM and not rounds[i]})
+    return sum(any(state.components[i] is not TERM and not rounds[i]
+                   for i in group) for group in prepared.groups)
 
 
 class TestGroupedEnumeration:
@@ -529,6 +537,30 @@ class TestGroupedEnumeration:
                         frontier.append(succ)
         # 151 to 295 of the 173 to 309 states per combination
         assert grouped >= 100
+
+
+class TestGroupMemo:
+    """Every state's combinations come through the group memo, a state
+    with one group that can move included: each group's walk runs once
+    per distinct (positions, terms) key."""
+
+    @pytest.mark.parametrize("round_mode", ["overlap", "barrier"])
+    def test_one_walk_per_key(self, round_mode):
+        model = parse_model(families.render(families.ws_pair(2), seed=1))
+        walk = semantics._combinations
+        keys = []
+
+        def counted(comps, positions, prepared):
+            keys.append((tuple(positions),
+                         tuple(comps[i] for i in positions)))
+            return walk(comps, positions, prepared)
+
+        with mock.patch.object(semantics, "_combinations", counted):
+            generate_lts(model.systems["Sys"], model,
+                         Config(round_mode=round_mode))
+        distinct = len(set(keys))
+        assert distinct and len(keys) == distinct, (
+            f"{len(keys)} walks for {distinct} keys")
 
 
 def groups_of(source, system="S"):
