@@ -128,8 +128,8 @@ def _lts_json(lts: StepLTS) -> dict:
     dead = set(lts.deadlock_states())
     return {
         "initial": lts.initial,
-        "states": [{"id": i, "deadlock": i in dead}
-                   for i in range(lts.num_states)],
+        "states": [{"id": i, "name": name, "deadlock": i in dead}
+                   for i, name in enumerate(lts.state_names)],
         "transitions": [
             {"from": s,
              "label": [l.pretty() for l in a] or ["tau"],

@@ -238,6 +238,9 @@ class PreparedSystem:
     # each state's name and each label's sort key, rendered once
     _names: dict = field(default_factory=lambda: _Rendered(SystemState.pretty))
     _label_keys: dict = field(default_factory=lambda: _Rendered(_label_key))
+    # each pair of group step labels merged once (``_group_steps``)
+    _merged_labels: dict = field(
+        default_factory=lambda: _Rendered(_merge_labels))
 
     def initial_state(self) -> SystemState:
         rounds = None
@@ -259,15 +262,9 @@ def prepare_system(system: ProcessTerm, model: Model, config: Config) -> Prepare
         term = term.body
     components = tuple(_flatten_par(term))
     split = _split_wrappers(wrappers, conflicts)
-    # the block sets a step meets before anything can change it: walking
-    # out from the components, stop at a hide (it may hide a blocked
-    # action) and at the per-state wrappers (a step that block drops may
-    # still eliminate a sibling under a theta with conflicts)
-    blocked = frozenset()
-    for wrapper in reversed(split[0]):
-        if isinstance(wrapper, Hide):
-            break
-        blocked |= wrapper.names
+    # stop at the per-state wrappers: a step that block drops may still
+    # eliminate a sibling under a theta with conflicts
+    blocked = _blocked_names(split[0])
     gamma_components = _gamma_components(comm)
     alphabets = [_alphabet(c, equations) for c in components]
     groups = _fusion_groups([names | bases for names, bases in alphabets],
@@ -306,6 +303,18 @@ def _split_wrappers(wrappers, conflicts) -> tuple:
         if isinstance(wrapper, ConflictElim):
             cut = i + 1
     return tuple(wrappers[cut:]), tuple(wrappers[:cut])
+
+
+def _blocked_names(per_step) -> frozenset:
+    """The block sets of ``per_step`` a step meets before anything can
+    change it: walking out from the components, up to the first hide (it
+    may hide a blocked action)."""
+    blocked = frozenset()
+    for wrapper in reversed(per_step):
+        if isinstance(wrapper, Hide):
+            break
+        blocked |= wrapper.names
+    return blocked
 
 
 def _flatten_par(term):
@@ -436,20 +445,30 @@ def _steps(moves, split, prepared):
     """Resolve each (occurrences, successor) move into its steps, then
     apply the wrappers of ``split`` (``_split_wrappers``) from the
     innermost out: the per-step ones through ``_resolved``'s memo, then
-    the per-state ones.  Returns (events, label, successor) triples.
+    the per-state ones (``_per_state``).  Returns (events, label,
+    successor) triples.
 
-    A nested wrapper (``_raw``) and the top-level ones (``enabled_steps``)
-    both come through here, so an operator means the same wherever it is.
+    A nested wrapper (``_raw``) comes through here and the top-level ones
+    through ``enabled_steps``, which resolves per fusion group and then
+    applies ``_per_state`` too, so an operator means the same wherever it
+    is.
     """
     per_step, per_state = split
     steps = [(events, label, succ) for occs, succ in moves
              for events, label in _resolved(occs, per_step, prepared)]
     if per_state:
-        pairs = [(events, succ) for events, _, succ in steps]
-        for wrapper in reversed(per_state):
-            pairs = _apply_wrapper(wrapper, pairs, prepared.conflicts)
-        steps = [(events, step_label(events), succ) for events, succ in pairs]
+        steps = _per_state([(events, succ) for events, _, succ in steps],
+                           per_state, prepared.conflicts)
     return steps
+
+
+def _per_state(pairs, per_state, conflicts):
+    """The per-state wrappers ``per_state`` applied from the innermost out
+    to a state's (events, successor) pairs.  Returns (events, label,
+    successor) triples."""
+    for wrapper in reversed(per_state):
+        pairs = _apply_wrapper(wrapper, pairs, conflicts)
+    return [(events, step_label(events), succ) for events, succ in pairs]
 
 
 def _resolved(occs, per_step, prepared) -> tuple:
@@ -462,7 +481,8 @@ def _resolved(occs, per_step, prepared) -> tuple:
     key = (occs, per_step)
     steps = prepared._step_cache.get(key)
     if steps is None:
-        pairs = [(events, None) for events in _resolve_uncached(occs, prepared)]
+        pairs = [(events, None) for events in _resolve_uncached(
+            occs, prepared, _blocked_names(per_step))]
         for wrapper in reversed(per_step):
             pairs = _apply_wrapper(wrapper, pairs, prepared.conflicts)
         steps = prepared._step_cache[key] = tuple(
@@ -504,21 +524,27 @@ def _blocked(events, names) -> bool:
 # Fusion resolution
 
 
-def _resolve_uncached(occs, prepared):
+def _resolve_uncached(occs, prepared, blocked=frozenset()):
     """All ways to resolve an occurrence multiset into a resolved step, as
-    the step mode permits them: under interleave, single events only."""
+    the step mode permits them: under interleave, single events only.
+
+    A way that leaves an action of a name in ``blocked`` unfused is left
+    out, as the strict shadow policy leaves out one with an unfused
+    action of a shadow base: the caller's block would drop it.
+    """
     done = tuple(o for o in occs if isinstance(o, Event))
     shadows = [o for o in occs if isinstance(o, Shadow)]
     acts = [o for o in occs if isinstance(o, ActionLabel)]
+    if prepared.config.shadow_policy == "strict":
+        blocked = blocked | prepared.shadow_bases
 
     results = set()
     for matched in _shadow_matchings(shadows, acts):
         rest = [i for i in range(len(acts)) if i not in matched]
-        for groups in _comm_groupings(rest, acts, prepared):
+        for groups in _comm_groupings(rest, acts, prepared, blocked):
             grouped = {i for g in groups for i in g}
             unfused = [i for i in rest if i not in grouped]
-            if prepared.config.shadow_policy == "strict" and any(
-                    acts[i].name in prepared.shadow_bases for i in unfused):
+            if any(acts[i].name in blocked for i in unfused):
                 continue
             events = list(done)
             events += [Event(acts[i], True) for i in matched]
@@ -546,35 +572,40 @@ def _shadow_matchings(shadows, acts):
             yield sub | {i}
 
 
-def _comm_groupings(idxs, acts, prepared):
+def _comm_groupings(idxs, acts, prepared, blocked):
+    """The groupings of ``_binary_matchings`` or ``_chained_groupings``,
+    less some that leave an action of a name in ``blocked`` unfused."""
     if prepared.config.comm_policy == "binary":
-        yield from _binary_matchings(tuple(idxs), acts, prepared.comm)
+        yield from _binary_matchings(tuple(idxs), acts, prepared.comm,
+                                     blocked)
     else:
-        yield from _chained_groupings(idxs, acts, prepared.gamma_components)
+        yield from _chained_groupings(idxs, acts, prepared.gamma_components,
+                                      blocked)
 
 
-def _binary_matchings(idxs, acts, comm):
-    """All sets of disjoint gamma pairs over the occurrence indices."""
+def _binary_matchings(idxs, acts, comm, blocked):
+    """All sets of disjoint gamma pairs over the occurrence indices, less
+    those that leave ``first`` of a name in ``blocked`` unmatched."""
     if not idxs:
         yield ()
         return
     first, rest = idxs[0], idxs[1:]
-    # first stays unmatched
-    for sub in _binary_matchings(rest, acts, comm):
-        yield sub
+    if acts[first].name not in blocked:   # first stays unmatched
+        yield from _binary_matchings(rest, acts, comm, blocked)
     for j in rest:
         if frozenset((acts[first].name, acts[j].name)) in comm:
             remaining = tuple(k for k in rest if k != j)
-            for sub in _binary_matchings(remaining, acts, comm):
+            for sub in _binary_matchings(remaining, acts, comm, blocked):
                 yield ((first, j),) + sub
 
 
-def _chained_groupings(idxs, acts, gamma_components):
+def _chained_groupings(idxs, acts, gamma_components, blocked):
     """Chained fusion: a group is a whole component of the gamma graph.
 
     A component fuses only when every one of its action names is on offer;
     partial relays stay unfused (and are then typically blocked by the
-    encapsulation set).
+    encapsulation set).  A component with an occurrence of a name in
+    ``blocked`` is not left unfused.
     """
     by_comp: dict = {}
     for i in idxs:
@@ -586,12 +617,13 @@ def _chained_groupings(idxs, acts, gamma_components):
         by_name: dict = {}
         for i in members:
             by_name.setdefault(acts[i].name, []).append(i)
+        picks = []
         if set(by_name) == set(comp):
             picks = [tuple(sorted(p)) for p in itertools.product(
                 *[by_name[n] for n in sorted(comp)])]
-            options.append([None] + picks)
-        else:
-            options.append([None])
+        if blocked.isdisjoint(by_name):
+            picks.insert(0, None)
+        options.append(picks)
     for combo in itertools.product(*options):
         yield tuple(g for g in combo if g is not None)
 
@@ -750,21 +782,69 @@ def _combinations(comps, positions, prepared):
     return combos
 
 
-def _group_combinations(state, prepared):
-    """The combinations of ``_combinations`` over the components of
-    ``state`` that may move, less the one that skips them all.
+# The part of a fusion group that moves no component: one step, no events.
+_SKIP = ((), (((), ()),))
 
-    No need crosses a fusion group (``_fusion_groups``), so a combination
-    survives exactly when each group's part of it does.  Each group's part
-    comes from ``PreparedSystem._group_cache``, keyed by the group's
-    movable positions and their terms, so it is walked once per key; the
-    state's combinations are the product of the parts over
-    ``prepared.groups``.  With one group that can move, the product comes
-    in its walk order; with more, in another order, which ``enabled_steps``
-    shows only where two steps tie on both label text and successor name.
+
+def _group_part(comps, positions, prepared):
+    """The resolved combinations of the components ``comps[i]``, for ``i``
+    in ``positions``: one ``(picks, steps)`` entry per combination of
+    ``_combinations`` with steps, in walk order, then ``_SKIP``.
+
+    ``picks`` holds the combination's ``(i, move)`` pairs, and ``steps``
+    its ``_resolved`` steps after the per-step wrappers.  The walk's last
+    combination, the skip, is replaced by ``_SKIP`` rather than resolved:
+    under interleave no occurrences resolve to no step.
+    """
+    per_step = prepared.split[0]
+    part = []
+    for picks, occs in _combinations(comps, positions, prepared)[:-1]:
+        steps = _resolved(occs, per_step, prepared)
+        if steps:
+            part.append((picks, steps))
+    part.append(_SKIP)
+    return tuple(part)
+
+
+def _step_product(steps, more_steps, events_read, merged):
+    """The steps of two moving parts of different groups taken together:
+    each label is the merge of the parts' labels (``merged`` memoizes it
+    per pair), and each event tuple the ``_event_key``-sorted merge of
+    theirs when ``events_read``, else False."""
+    return [
+        (events_read and tuple(sorted(events + more_events, key=_event_key)),
+         more_label if not label else label if not more_label
+         else merged[label, more_label])
+        for events, label in steps for more_events, more_label in more_steps]
+
+
+def _merge_labels(pair) -> tuple:
+    """A pair of step labels as the label of their union: its labels
+    sorted by text."""
+    return tuple(sorted(pair[0] + pair[1], key=lambda l: l.pretty()))
+
+
+def _group_steps(state, prepared):
+    """The ``(picks, steps)`` entries of ``state``: the product of its
+    fusion groups' parts (``_group_part``), less the entry that skips
+    every group.
+
+    No fusion, shadow match or need crosses a group (``_fusion_groups``),
+    and hide and block act per event, so a state's resolved steps are the
+    products of its groups' resolved steps.  Each group's part comes from
+    ``PreparedSystem._group_cache``, keyed by the group's movable
+    positions and their terms.  A product step's label is the merge of
+    its parts' labels; its events, the ``_event_key``-sorted merge of
+    theirs, are built only for the per-state wrappers, which alone read
+    them.  Under interleave no entry takes a moving part from two groups.
+    The entries come in the lexicographic order of the parts' entries;
+    with one group, in its walk order.
     """
     comps, rounds = state.components, state.rounds
-    combos = None
+    events_read = bool(prepared.split[1])
+    interleave = prepared.config.step_mode == "interleave"
+    merged = prepared._merged_labels
+    product = None
     for group in prepared.groups:
         # barrier rounds are normalized to 0 over the live entried
         # components and are 0 for the others, so a component at round 0
@@ -774,26 +854,33 @@ def _group_combinations(state, prepared):
         key = (positions, tuple(map(comps.__getitem__, positions)))
         part = prepared._group_cache.get(key)
         if part is None:
-            part = prepared._group_cache[key] = tuple(
-                _combinations(comps, positions, prepared))
-        combos = part if combos is None else [
-            (picks + more, occs + more_occs)
-            for picks, occs in combos for more, more_occs in part]
-    return combos[:-1]   # less the one that skips every group
+            part = prepared._group_cache[key] = _group_part(
+                comps, positions, prepared)
+        if product is None:
+            product = part
+            continue
+        product = [
+            (picks + more, more_steps if not picks else steps if not more
+             else _step_product(steps, more_steps, events_read, merged))
+            for picks, steps in product for more, more_steps in part
+            if not (interleave and picks and more)]
+    return product[:-1]
 
 
 def enabled_steps(state: SystemState, prepared: PreparedSystem):
     """All (label, successor state) steps the configuration permits,
     sorted by label key and successor name.
 
-    The combinations of moves come from ``_group_combinations``, and the
-    sort keys from ``prepared``'s render memos.
+    The resolved steps come from ``_group_steps``, the per-state wrappers
+    then apply as in ``_steps``, and the sort keys come from
+    ``prepared``'s render memos.
     """
     comps = state.components
     n = len(comps)
     entries = prepared.entries
-    moves = []
-    for picks, occs in _group_combinations(state, prepared):
+    per_state = prepared.split[1]
+    out = []
+    for picks, steps in _group_steps(state, prepared):
         new_comps = list(comps)
         for i, move in picks:
             new_comps[i] = move[1]
@@ -810,11 +897,15 @@ def enabled_steps(state: SystemState, prepared: PreparedSystem):
                     if new_comps[i] is not TERM and entries[i] is not None]
             lo = min((rl[i] for i in live), default=0)
             rounds2 = tuple(rl[i] - lo if i in live else 0 for i in range(n))
-        moves.append((occs, SystemState(tuple(new_comps), rounds2)))
-
-    out = list(dict.fromkeys(
-        (label, succ) for _, label, succ in _steps(moves, prepared.split,
-                                                   prepared)))
+        succ = SystemState(tuple(new_comps), rounds2)
+        if per_state:
+            out += [(events, succ) for events, _ in steps]
+        else:
+            out += [(label, succ) for _, label in steps]
+    if per_state:
+        out = [(label, succ) for _, label, succ in _per_state(
+            out, per_state, prepared.conflicts)]
+    out = list(dict.fromkeys(out))
     names, label_keys = prepared._names, prepared._label_keys
     out.sort(key=lambda ls: (label_keys[ls[0]], names[ls[1]]))
     return out

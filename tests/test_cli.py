@@ -150,6 +150,41 @@ class TestLts:
         labels = {tuple(t["label"]) for t in data["transitions"]}
         assert labels == {("A1(d1)",), ("A1(d2)",), ("B4(d1)",), ("B4(d2)",)}
 
+    def test_json_state_names(self, capsys):
+        # each state entry carries its system state, in state order
+        main(["lts", MODEL_PATH, "--system", "Sys", "--format", "json"])
+        data = json.loads(capsys.readouterr().out)
+        assert [s["id"] for s in data["states"]] == list(range(18))
+        assert [s["name"] for s in data["states"]] == [
+            "WSOA <> WSA <> WSB <> WSOB",
+            "WSOA <> WSA <> WSB1 <> WSOB1",
+            "WSOA1 <> WSA1 <> WSB <> WSOB",
+            "WSOA1 <> WSA1 <> WSB1 <> WSOB1",
+            "WSOA2 <> WSA2 <> WSB2 <> WSOB2",
+            "(A4 || A5) . WSOA3 <> WSA2 <> WSB2 <> WSOB2",
+            "A3 . A4 . WSOA3 <> WSA3 <> WSB3 <> WSOB3",
+            "A4 . WSOA3 <> WSA3 <> WSB3 <> WSOB3",
+            "A5 . WSOA3 <> WSA2 <> WSB2 <> WSOB2",
+            "WSOA3 <> WSA3 <> WSB3 <> WSOB3",
+            "A3 . A4 . WSOA3 <> WSA3 <> WSB <> WSOB",
+            "A4 . WSOA3 <> WSA3 <> WSB <> WSOB",
+            "WSOA3 <> WSA3 <> WSB <> WSOB",
+            "WSOA <> WSA <> WSB3 <> WSOB3",
+            "A3 . A4 . WSOA3 <> WSA3 <> WSB1 <> WSOB1",
+            "A4 . WSOA3 <> WSA3 <> WSB1 <> WSOB1",
+            "WSOA3 <> WSA3 <> WSB1 <> WSOB1",
+            "WSOA1 <> WSA1 <> WSB3 <> WSOB3",
+        ]
+        # a minimized state is named after one state of its block, and
+        # barrier states carry their round counters
+        main(["lts", MODEL_PATH, "--system", "Sys", "--format", "json",
+              "--round-mode", "barrier", "--prune-dead", "--minimize"])
+        data = json.loads(capsys.readouterr().out)
+        assert [s["name"] for s in data["states"]] == [
+            "WSOA <> WSA <> WSB <> WSOB @0,0,0,0",
+            "WSOA1 <> WSA1 <> WSB <> WSOB @0,0,0,0",
+        ]
+
     def test_tau_label_in_json(self, tmp_path, capsys):
         path = tmp_path / "m.aptc"
         path.write_text("process P { P = a . P }\nsystem S = hide {a} in P")

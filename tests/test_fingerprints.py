@@ -263,9 +263,9 @@ def test_one_group_fingerprints(policies):
 # and the order of every list in the JSON.
 CLI_OUTPUTS = {
     ("lts", "--format", "json", "--system", "Sys"):
-        "b82461e6216d03aad52a29a825996109e2161bb1d94158c36c17306023afe384",
+        "17019ca2870b430ccf83e78d705302dd462a6fb5969647d9c342dae705b5ce87",
     ("lts", "--format", "json", "--system", "Sys", "--round-mode", "barrier"):
-        "4de7f863dfdcf048b8938748d4d79b7133d0f959b0051fcf1c6ceb114b53b6ae",
+        "01d35fa2d43ff5a428e9d68c01d732231781f5670448cafbe49cd7e16aa9a585",
     ("check", "--json"):
         "403ffdeed5bf583b8af98376cfefd6685e15dfba1ade451cc18004c43f0ba013",
     ("derive-ab", "--wso", "WSOA", "--json"):

@@ -3,6 +3,8 @@
 Each property runs on at least 150 seeded random cases; across the suites
 well over 1000 cases are exercised per test run.
 """
+import contextlib
+import io
 import itertools
 import random
 import sys
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stepcheck as sc
-from stepcheck import semantics
+from stepcheck import cli, semantics
 from stepcheck.dsl import parse_model, render_model
 from stepcheck.equivalence import (
     branching_bisim,
@@ -21,7 +23,7 @@ from stepcheck.equivalence import (
     rooted_branching_bisim,
     strong_step_bisim,
 )
-from stepcheck.model import Model
+from stepcheck.model import RELATIONS, CheckGoal, Model
 from stepcheck.semantics import (
     POLICIES,
     TERM,
@@ -231,6 +233,37 @@ class TestDslRoundTrip:
             again = parse_model(text)
             assert again.equations() == m.equations()
             assert render_model(again) == text
+
+
+class TestRandomModelsThroughCli:
+    """Well-formed random systems, rendered to text, round-trip through
+    the parser and end in a verdict or a one-line error from the CLI."""
+
+    def test_verdict_or_one_line(self, tmp_path):
+        rng = random.Random(110)
+        path = tmp_path / "random.aptc"
+        codes = set()
+        for _ in range(30):
+            model, system = rand_system(rng)
+            model.systems["S"] = system
+            model.checks = (CheckGoal(
+                "c", "S", rng.choice(("S", "P0_0", "P1_0")),
+                rng.choice(list(RELATIONS))),)
+            text = render_model(model)
+            assert render_model(parse_model(text)) == text
+            path.write_text(text)
+            for command in (["check"], ["lts", "--system", "S"]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    code = cli.main([command[0], str(path), *command[1:],
+                                     "--max-states", "300"])
+                assert code in (0, 1, 2), text
+                assert "Traceback" not in err.getvalue()
+                if code == 2:
+                    assert err.getvalue().count("\n") == 1, err.getvalue()
+                codes.add(code)
+        assert codes >= {0, 1}
 
 
 def reference_steps(state, prepared):
@@ -561,6 +594,77 @@ class TestGroupMemo:
         distinct = len(set(keys))
         assert distinct and len(keys) == distinct, (
             f"{len(keys)} walks for {distinct} keys")
+
+    @pytest.mark.parametrize("round_mode", ["overlap", "barrier"])
+    def test_resolved_meets_group_local_tuples(self, round_mode):
+        """Every occurrence tuple that reaches ``_resolved`` from
+        ``enabled_steps`` is the occurrences of one group's combination,
+        and the resolver runs at most once per such tuple."""
+        model = parse_model(families.render(families.ws_pair(2), seed=1))
+        walk, memo = semantics._combinations, semantics._resolved
+        raw, resolver = semantics._raw, semantics._resolve_uncached
+        group_local = set()   # the occurrences of one group's combinations
+        met = []              # tuples _resolved meets outside _raw
+        runs = []             # tuples the resolver runs on
+        depth = [0]           # open _raw calls
+
+        def walking(comps, positions, prepared):
+            assert any(set(positions) <= set(g) for g in prepared.groups)
+            combos = walk(comps, positions, prepared)
+            group_local.update(occs for _, occs in combos)
+            return combos
+
+        def raw_nested(term, prepared, stack=frozenset()):
+            depth[0] += 1
+            try:
+                return raw(term, prepared, stack)
+            finally:
+                depth[0] -= 1
+
+        def meeting(occs, per_step, prepared):
+            if not depth[0]:
+                met.append(occs)
+            return memo(occs, per_step, prepared)
+
+        def resolving(occs, prepared, *blocked):
+            runs.append(occs)
+            return resolver(occs, prepared, *blocked)
+
+        with mock.patch.multiple(semantics, _combinations=walking,
+                                 _raw=raw_nested, _resolved=meeting,
+                                 _resolve_uncached=resolving):
+            generate_lts(model.systems["Sys"], model,
+                         Config(round_mode=round_mode))
+        assert met and set(met) <= group_local
+        assert len(runs) == len(set(runs)) <= len(group_local)
+
+
+class TestInterleaveAcrossGroups:
+    """Under interleave a step moves one group: the product of the
+    groups' steps never joins two moving parts."""
+
+    @pytest.mark.parametrize("round_mode", ["overlap", "barrier"])
+    @pytest.mark.parametrize("system", ["P <> Q", "theta (P <> Q)"])
+    def test_one_event_per_step(self, round_mode, system):
+        model = parse_model("process P { P = a . b . P }\n"
+                            "process Q { Q = c . d . Q }\n"
+                            "conflict a # c\n"
+                            f"system S = {system}")
+        prepared = prepare_system(model.systems["S"], model, Config(
+            step_mode="interleave", round_mode=round_mode))
+        assert prepared.groups == ((0,), (1,))
+        frontier = [prepared.initial_state()]
+        seen = set(frontier)
+        while frontier:
+            state = frontier.pop()
+            steps = enabled_steps(state, prepared)
+            assert steps and all(len(label) == 1 for label, _ in steps)
+            assert steps == reference_steps(state, prepared)
+            for _, succ in steps:
+                if succ not in seen:
+                    seen.add(succ)
+                    frontier.append(succ)
+        assert len(seen) > 2
 
 
 def groups_of(source, system="S"):
