@@ -383,8 +383,11 @@ def _fusion_groups(alphabets, gamma_components) -> tuple:
 
     A move fuses only with moves that offer one of its names or a name of
     its gamma component, and a need of ``_moves`` waits only for such
-    names, so no fusion and no need crosses a group.  The groups come
-    ordered by their first position, each with its positions in order.
+    names, so no fusion and no need crosses a group.  The same holds for
+    the names that the components' moves offer in one state, so
+    ``_group_part`` splits a group by those on a memo miss.  The groups
+    come ordered by their first position, each with its positions in
+    order.
     """
     return _connected([{gamma_components.get(n, n) for n in alphabet}
                        for alphabet in alphabets])
@@ -788,14 +791,35 @@ _SKIP = ((), (((), ()),))
 
 def _group_part(comps, positions, prepared):
     """The resolved combinations of the components ``comps[i]``, for ``i``
-    in ``positions``: one ``(picks, steps)`` entry per combination of
-    ``_combinations`` with steps, in walk order, then ``_SKIP``.
+    in ``positions``: one ``(picks, steps)`` entry per combination with
+    steps, then ``_SKIP``.
 
-    ``picks`` holds the combination's ``(i, move)`` pairs, and ``steps``
-    its ``_resolved`` steps after the per-step wrappers.  The walk's last
-    combination, the skip, is replaced by ``_SKIP`` rather than resolved:
-    under interleave no occurrences resolve to no step.
+    The positions are first split by ``_fusion_groups`` over the names
+    that their components' moves offer now.  When that gives two or more
+    sub-groups, the part is the ``_part_product`` of theirs, each read
+    from or stored in ``PreparedSystem._group_cache`` under its own key.
+    Otherwise the part is every combination of ``_combinations`` that has
+    steps, in walk order, with ``picks`` its ``(i, move)`` pairs and
+    ``steps`` its ``_resolved`` steps after the per-step wrappers.  The
+    walk's last combination, the skip, is replaced by ``_SKIP`` rather
+    than resolved: under interleave no occurrences resolve to no step.
     """
+    offers = [set().union(*(move[2] | move[3]
+                            for move in _moves(comps[i], prepared)))
+              for i in positions]
+    subgroups = _fusion_groups(offers, prepared.gamma_components)
+    if len(subgroups) > 1:
+        part = None
+        for sub in subgroups:
+            sub = tuple(positions[j] for j in sub)
+            key = (sub, tuple(map(comps.__getitem__, sub)))
+            sub_part = prepared._group_cache.get(key)
+            if sub_part is None:
+                sub_part = prepared._group_cache[key] = _group_part(
+                    comps, sub, prepared)
+            part = (sub_part if part is None
+                    else _part_product(part, sub_part, prepared))
+        return tuple(part)
     per_step = prepared.split[0]
     part = []
     for picks, occs in _combinations(comps, positions, prepared)[:-1]:
@@ -804,6 +828,25 @@ def _group_part(comps, positions, prepared):
             part.append((picks, steps))
     part.append(_SKIP)
     return tuple(part)
+
+
+def _part_product(part, more_part, prepared):
+    """The entries of two parts of components that no fusion joins, taken
+    together, in the lexicographic order of the parts' entries.
+
+    An entry makes the moves of both its entries.  Its steps are the
+    ``_step_product`` of theirs, or the steps of the one that moves: the
+    other's are the skip's single step with no events.  Under interleave
+    no entry takes a moving entry from both parts.
+    """
+    events_read = bool(prepared.split[1])
+    interleave = prepared.config.step_mode == "interleave"
+    merged = prepared._merged_labels
+    return [
+        (picks + more, more_steps if not picks else steps if not more
+         else _step_product(steps, more_steps, events_read, merged))
+        for picks, steps in part for more, more_steps in more_part
+        if not (interleave and picks and more)]
 
 
 def _step_product(steps, more_steps, events_read, merged):
@@ -825,25 +868,23 @@ def _merge_labels(pair) -> tuple:
 
 
 def _group_steps(state, prepared):
-    """The ``(picks, steps)`` entries of ``state``: the product of its
-    fusion groups' parts (``_group_part``), less the entry that skips
-    every group.
+    """The ``(picks, steps)`` entries of ``state``: the ``_part_product``
+    of its fusion groups' parts (``_group_part``), less the entry that
+    skips every group.
 
     No fusion, shadow match or need crosses a group (``_fusion_groups``),
     and hide and block act per event, so a state's resolved steps are the
     products of its groups' resolved steps.  Each group's part comes from
     ``PreparedSystem._group_cache``, keyed by the group's movable
-    positions and their terms.  A product step's label is the merge of
-    its parts' labels; its events, the ``_event_key``-sorted merge of
-    theirs, are built only for the per-state wrappers, which alone read
-    them.  Under interleave no entry takes a moving part from two groups.
-    The entries come in the lexicographic order of the parts' entries;
-    with one group, in its walk order.
+    positions and their terms; on a miss, ``_group_part`` splits the
+    group by what its components offer in this state, and the part is
+    stored under the whole group's key too.  A product step's label is
+    the merge of its parts' labels; its events, the ``_event_key``-sorted
+    merge of theirs, are built only for the per-state wrappers, which
+    alone read them.  Under interleave no entry takes a moving part from
+    two groups.
     """
     comps, rounds = state.components, state.rounds
-    events_read = bool(prepared.split[1])
-    interleave = prepared.config.step_mode == "interleave"
-    merged = prepared._merged_labels
     product = None
     for group in prepared.groups:
         # barrier rounds are normalized to 0 over the live entried
@@ -856,14 +897,8 @@ def _group_steps(state, prepared):
         if part is None:
             part = prepared._group_cache[key] = _group_part(
                 comps, positions, prepared)
-        if product is None:
-            product = part
-            continue
-        product = [
-            (picks + more, more_steps if not picks else steps if not more
-             else _step_product(steps, more_steps, events_read, merged))
-            for picks, steps in product for more, more_steps in part
-            if not (interleave and picks and more)]
+        product = (part if product is None
+                   else _part_product(product, part, prepared))
     return product[:-1]
 
 
@@ -885,7 +920,11 @@ def enabled_steps(state: SystemState, prepared: PreparedSystem):
         for i, move in picks:
             new_comps[i] = move[1]
         rounds2 = state.rounds
-        if rounds2 is not None:
+        # a state's rounds are normalized already: only a mover that
+        # re-enters its entry equation or terminates changes them
+        if rounds2 is not None and any(
+                move[1] is TERM or isinstance(move[1], Var)
+                and move[1].name == entries[i] for i, move in picks):
             rl = list(rounds2)
             for i, move in picks:
                 succ = move[1]

@@ -596,6 +596,37 @@ class TestGroupMemo:
             f"{len(keys)} walks for {distinct} keys")
 
     @pytest.mark.parametrize("round_mode", ["overlap", "barrier"])
+    @pytest.mark.parametrize("system", ["S", "SR"])
+    def test_ring_splits_its_group(self, system, round_mode):
+        """``ring(9)`` is one static group whose state keys never repeat;
+        split by what its components offer, its sub-groups' keys do."""
+        model = parse_model(families.render(families.ring(9), seed=1))
+        walk, resolver = semantics._combinations, semantics._resolve_uncached
+        keys, runs = [], []
+
+        def counted(comps, positions, prepared):
+            keys.append((tuple(positions),
+                         tuple(comps[i] for i in positions)))
+            return walk(comps, positions, prepared)
+
+        def resolving(occs, prepared, *blocked):
+            runs.append(occs)
+            return resolver(occs, prepared, *blocked)
+
+        with mock.patch.multiple(semantics, _combinations=counted,
+                                 _resolve_uncached=resolving):
+            lts = generate_lts(model.systems[system], model,
+                               Config(round_mode=round_mode))
+        distinct = len(set(keys))
+        assert distinct and len(keys) == distinct, (
+            f"{len(keys)} walks for {distinct} keys")
+        # the whole group walks once per state: 126 walks and 75 resolver
+        # runs under overlap, 67 and 67 under barrier
+        assert len(keys) <= {"overlap": 27, "barrier": 18}[round_mode]
+        assert len(runs) <= 9
+        assert lts.num_states == {"overlap": 126, "barrier": 67}[round_mode]
+
+    @pytest.mark.parametrize("round_mode", ["overlap", "barrier"])
     def test_resolved_meets_group_local_tuples(self, round_mode):
         """Every occurrence tuple that reaches ``_resolved`` from
         ``enabled_steps`` is the occurrences of one group's combination,
@@ -716,6 +747,190 @@ class TestFusionGroups:
                          "process Q { Q = c . Q }\n"
                          "process R { R = d . R + e . R }\n"
                          "system S = P <> Q <> R") == ((0,), (1,), (2,))
+
+
+def split_of(source, config=Config()):
+    """The sub-groups that the one fusion group of ``S`` splits into in its
+    initial state: the positions of the group-memo keys other than the
+    whole group's, or the whole group alone when it does not split."""
+    model = parse_model(source)
+    prepared = prepare_system(model.systems["S"], model, config)
+    (group,) = prepared.groups
+    enabled_steps(prepared.initial_state(), prepared)
+    subgroups = sorted(positions for positions, _ in prepared._group_cache
+                       if positions != group)
+    return tuple(subgroups) or (group,)
+
+
+class TestSplitKeys:
+    """On a group-memo miss a group splits by the names its components'
+    moves offer now, under the key rule of ``_fusion_groups``."""
+
+    def test_a_shadow_stays_with_its_action(self):
+        # R offers x only after y, so it sits alone at first
+        assert split_of("process P { P = @x . P }\n"
+                        "process Q { Q = x . Q }\n"
+                        "process R { R = y . x . R }\n"
+                        "system S = P <> Q <> R") == ((0, 1), (2,))
+
+    def test_a_chained_gamma_component_stays_together(self):
+        # a, b and c are one gamma component; T offers a only after d
+        assert split_of("process P { P = a . P }\n"
+                        "process Q { Q = b . Q }\n"
+                        "process R { R = c . R }\n"
+                        "process T { T = d . a . T }\n"
+                        "comm a, b\n"
+                        "comm b, c\n"
+                        "system S = P <> Q <> R <> T") == ((0, 1, 2), (3,))
+
+    @pytest.mark.parametrize("wrapper", ["hide {z} in", "block {z} in"])
+    def test_resolved_events_sit_alone(self, wrapper):
+        # P's x is resolved below its wrapper, so it cannot fuse with Q's x
+        assert split_of(f"process P {{ P = {wrapper} (x . P) }}\n"
+                        "process Q { Q = x . Q }\n"
+                        "system S = P <> Q") == ((0,), (1,))
+
+    def test_a_connected_group_is_walked_whole(self):
+        assert split_of("process P { P = a . b . P }\n"
+                        "process Q { Q = a . b . Q }\n"
+                        "system S = P <> Q") == ((0, 1),)
+
+    @pytest.mark.parametrize("step_mode", ["interleave", "step"])
+    def test_interleave_joins_no_two_subgroups(self, step_mode):
+        model = parse_model("process P { P = a . x . P }\n"
+                            "process Q { Q = x . Q }\n"
+                            "process R { R = b . y . R }\n"
+                            "process T { T = y . T }\n"
+                            "comm a, b\n"
+                            "system S = P <> Q <> R <> T")
+        prepared = prepare_system(model.systems["S"], model,
+                                  Config(step_mode=step_mode))
+        state = prepared.initial_state()
+        steps = enabled_steps(state, prepared)
+        assert steps == reference_steps(state, prepared)
+        subgroups = ((0, 2), (1,), (3,))
+        cache = prepared._group_cache
+        assert {positions for positions, _ in cache} == {
+            (0, 1, 2, 3), *subgroups}
+        part = cache[(0, 1, 2, 3), state.components]
+        joined = [picks for picks, _ in part
+                  if sum(any(i in sub for i, _ in picks)
+                         for sub in subgroups) > 1]
+        if step_mode == "interleave":
+            assert not joined
+            assert all(len(label) == 1 for label, _ in steps)
+        else:
+            assert joined
+
+
+def rand_pairwise_system(rng):
+    """A model and a system of one fusion group: 3 or 4 components that
+    talk pairwise, in a chain or a ring.
+
+    Component k sends ``s<k>`` to the next one's receive ``r<k+1>`` and may
+    have a local action ``l<k>``; a receiver may also shadow its sender's send,
+    and a move may be resolved below a nested hide or block.  Each
+    component cycles through its names, so whether a state's offers
+    connect the whole group depends on the state: the group splits in
+    some states and stays whole in others.
+    """
+    n = rng.randint(3, 4)
+    names = [[f"l{k}"] for k in range(n)]
+    shadows = [[] for _ in range(n)]
+    comms = []
+    for k in range(n if rng.random() < 0.5 else n - 1):
+        j = (k + 1) % n
+        names[k].append(f"s{k}")
+        names[j].append(f"r{j}")
+        comms.append(CommEntry(f"s{k}", f"r{j}", rng.choice((None, f"c{k}"))))
+        if rng.random() < 0.4:
+            shadows[j].append(f"s{k}")
+    all_names = sorted(x for own in names for x in own)
+
+    def head(k, name):
+        roll = rng.random()
+        if roll < 0.15:
+            return Par(Act(ActionLabel(name)), Act(ActionLabel(f"l{k}")))
+        if roll < 0.25:
+            return rng.choice((Hide, Encaps))(
+                frozenset((f"l{k}",)), Act(ActionLabel(name)))
+        return Act(ActionLabel(name))
+
+    specs, comps = [], []
+    for k in range(n):
+        # the local action, first in names[k], is kept in 2 of 5 components
+        heads = [head(k, name) for name in names[k]
+                 if name[0] != "l" or rng.random() >= 0.6]
+        heads += [Shadow(base) for base in shadows[k]]
+        rng.shuffle(heads)
+        eqs = [f"P{k}_{j}" for j in range(len(heads))]
+        equations = {}
+        for j, h in enumerate(heads):
+            body = Seq(h, Var(eqs[(j + 1) % len(eqs)]))
+            if rng.random() < 0.5:
+                extra = Act(ActionLabel(rng.choice(names[k])))
+                body = Alt((body, Seq(extra, Var(rng.choice(eqs)))))
+            equations[eqs[j]] = body
+        specs.append(RecursiveSpec(f"P{k}", equations, eqs[0]))
+        comps.append(Var(eqs[0]))
+    pairs = list(itertools.combinations(all_names, 2))
+    conflicts = frozenset(frozenset(p)
+                          for p in rng.sample(pairs, rng.randint(0, 2)))
+    model = Model(processes=tuple(specs), comms=CommTable(tuple(comms)),
+                  conflicts=ConflictRelation(conflicts))
+    system = comps[0]
+    for comp in comps[1:]:
+        system = Par(system, comp)
+    if rng.random() < 0.5:
+        system = Encaps(frozenset(x for x in all_names if x[0] in "sr"),
+                        system)
+    if rng.random() < 0.3:
+        system = ConflictElim(system)
+    if rng.random() < 0.3:
+        system = Hide(frozenset(rng.sample(all_names, 2)), system)
+    return model, system
+
+
+class TestSplitEnumeration:
+    """A static group split on a memo miss by what its components offer,
+    against ``reference_steps``."""
+
+    @pytest.mark.parametrize("policies", POLICY_COMBINATIONS, ids="-".join)
+    def test_split_enumeration_equals_reference(self, policies):
+        rng = random.Random("split " + " ".join(policies))
+        fusion_groups = semantics._fusion_groups
+        splits = []
+
+        def splitting(alphabets, gamma_components):
+            parts = fusion_groups(alphabets, gamma_components)
+            splits.append(len(parts) > 1)
+            return parts
+
+        states = split_states = whole_states = 0
+        for _ in range(CASES // 3):
+            model, system = rand_pairwise_system(rng)
+            prepared = prepare_system(system, model, Config(*policies))
+            assert max(map(len, prepared.groups)) >= 3
+            frontier = [prepared.initial_state()]
+            seen = set(frontier)
+            while frontier and len(seen) < 25:
+                state = frontier.pop()
+                expected = reference_steps(state, prepared)
+                splits.clear()
+                with mock.patch.object(semantics, "_fusion_groups",
+                                       splitting):
+                    steps = enabled_steps(state, prepared)
+                assert steps == expected, (system, policies, state.pretty())
+                states += 1
+                split_states += any(splits)
+                whole_states += bool(splits) and not any(splits)
+                for _, succ in expected:
+                    if succ not in seen:
+                        seen.add(succ)
+                        frontier.append(succ)
+        # 305 to 577 split misses and 11 to 60 whole ones per combination
+        assert split_states >= 250 and whole_states >= 8, (
+            states, split_states, whole_states)
 
 
 def uncached_pipeline(occs, per_step, prepared):
