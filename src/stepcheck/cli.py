@@ -27,7 +27,7 @@ from .semantics import (
     label_str,
     prune_dead,
 )
-from .terms import Var, term_to_str
+from .terms import term_to_str
 
 _OVERRIDE_KEYS = {key: name for name, (key, _) in POLICIES.items()}
 
@@ -157,13 +157,8 @@ def _lts_dot(lts: StepLTS, name: str) -> str:
 
 def _run_lts(model: Model, args) -> int:
     config = _config_from_args(args)
-    name = args.system
-    if name in model.systems:
-        lts = generate_lts(model.systems[name], model, config)
-    elif name in model.equations():
-        lts = generate_lts(Var(name), model, config)
-    else:
-        raise SemanticsError(f"no system or process named {name}")
+    lts = generate_lts(composition.side_term(model, args.system), model,
+                       config)
     if args.prune_dead:
         lts = prune_dead(lts)
     if args.minimize:
@@ -171,7 +166,7 @@ def _run_lts(model: Model, args) -> int:
     if args.format == "json":
         print(json.dumps(_lts_json(lts), indent=2, sort_keys=True))
     else:
-        print(_lts_dot(lts, name))
+        print(_lts_dot(lts, args.system))
     return 0
 
 

@@ -17,7 +17,15 @@ from .equivalence import (
     strong_step_bisim,
 )
 from .model import Model
-from .semantics import Config, StepLTS, generate_lts, prune_dead
+from .semantics import (
+    Config,
+    SemanticsError,
+    StepLTS,
+    generate_lts,
+    label_key,
+    prune_dead,
+    sorted_label,
+)
 from .terms import (
     Act,
     ActionLabel,
@@ -125,8 +133,8 @@ def _linear_presentation(name: str, lts: StepLTS) -> Optional[RecursiveSpec]:
     actions = {}
     for s in range(lts.num_states):
         moves = []
-        for label, t in sorted(out[s], key=lambda at: (
-                tuple(l.pretty() for l in at[0]), at[1])):
+        for label, t in sorted(out[s],
+                               key=lambda at: (label_key(at[0]), at[1])):
             if len(label) != 1:
                 return None
             moves.append((label[0], t))
@@ -177,7 +185,7 @@ def _relabel(lts: StepLTS, relabel) -> StepLTS:
     """The same LTS with each step label replaced by the labels
     ``relabel`` gives for it, sorted."""
     return replace(lts, transitions=tuple(
-        (s, tuple(sorted(relabel(a), key=lambda l: l.pretty())), t)
+        (s, sorted_label(relabel(a)), t)
         for s, a, t in lts.transitions))
 
 
@@ -247,15 +255,25 @@ def assemble_system(model: Model, component_names,
     return term
 
 
+def side_term(model: Model, side) -> ProcessTerm:
+    """The term of a side: ``side`` itself when it is a term; for a name,
+    the declared ``system``'s term, else the process as a ``Var``."""
+    if not isinstance(side, str):
+        return side
+    if side in model.systems:
+        return model.systems[side]
+    if side not in model.equations():
+        raise SemanticsError(f"no system or process named {side}")
+    return Var(side)
+
+
 def side_lts(model: Model, side, config: Config = Config()) -> StepLTS:
-    """The LTS a check compares for one side: a system (a term or the name
-    of a declared ``system``) pruned by ``prune_dead``, or a process name's
-    LTS as generated."""
-    if isinstance(side, str):
-        if side not in model.systems:
-            return generate_lts(Var(side), model, config)
-        side = model.systems[side]
-    return prune_dead(generate_lts(side, model, config))
+    """The LTS a check compares for one side (``side_term``): a system
+    pruned by ``prune_dead``, or a process name's LTS as generated."""
+    lts = generate_lts(side_term(model, side), model, config)
+    if isinstance(side, str) and side not in model.systems:
+        return lts
+    return prune_dead(lts)
 
 
 def verify_system(model: Model, system: ProcessTerm, spec_name: str,

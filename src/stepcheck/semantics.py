@@ -183,11 +183,15 @@ def _event_key(e: Event):
 
 def step_label(events) -> tuple:
     """Final LTS label: the sorted multiset of visible labels (empty = tau)."""
-    labels = [e.label for e in events if e.label is not None]
+    return sorted_label(e.label for e in events if e.label is not None)
+
+
+def sorted_label(labels) -> tuple:
+    """``labels`` as a step label: sorted by their text."""
     return tuple(sorted(labels, key=lambda l: l.pretty()))
 
 
-def _label_key(label: tuple) -> tuple:
+def label_key(label: tuple) -> tuple:
     """The sort key of a step label: its labels' texts."""
     return tuple(l.pretty() for l in label)
 
@@ -229,7 +233,6 @@ class PreparedSystem:
     gamma_components: dict    # action name -> frozenset of its component
     conflicts: frozenset      # of frozenset pairs
     shadow_bases: frozenset   # in the components and the equations they reach
-    blocked: frozenset        # top-level block sets no hide or theta precedes
     groups: tuple             # of component positions (_fusion_groups)
     config: Config
     _moves_cache: dict = field(default_factory=dict)
@@ -237,7 +240,7 @@ class PreparedSystem:
     _group_cache: dict = field(default_factory=dict)
     # each state's name and each label's sort key, rendered once
     _names: dict = field(default_factory=lambda: _Rendered(SystemState.pretty))
-    _label_keys: dict = field(default_factory=lambda: _Rendered(_label_key))
+    _label_keys: dict = field(default_factory=lambda: _Rendered(label_key))
     # each pair of group step labels merged once (``_group_steps``)
     _merged_labels: dict = field(
         default_factory=lambda: _Rendered(_merge_labels))
@@ -261,10 +264,6 @@ def prepare_system(system: ProcessTerm, model: Model, config: Config) -> Prepare
         wrappers.append(term)
         term = term.body
     components = tuple(_flatten_par(term))
-    split = _split_wrappers(wrappers, conflicts)
-    # stop at the per-state wrappers: a step that block drops may still
-    # eliminate a sibling under a theta with conflicts
-    blocked = _blocked_names(split[0])
     gamma_components = _gamma_components(comm)
     alphabets = [_alphabet(c, equations) for c in components]
     groups = _fusion_groups([names | bases for names, bases in alphabets],
@@ -274,13 +273,12 @@ def prepare_system(system: ProcessTerm, model: Model, config: Config) -> Prepare
         entries=tuple(c.name if isinstance(c, Var) else None
                       for c in components),
         wrappers=tuple(wrappers),
-        split=split,
+        split=_split_wrappers(wrappers, conflicts),
         equations=equations,
         comm=comm,
         gamma_components=gamma_components,
         conflicts=conflicts,
         shadow_bases=frozenset().union(*(bases for _, bases in alphabets)),
-        blocked=blocked,
         groups=groups,
         config=config,
     )
@@ -303,18 +301,6 @@ def _split_wrappers(wrappers, conflicts) -> tuple:
         if isinstance(wrapper, ConflictElim):
             cut = i + 1
     return tuple(wrappers[cut:]), tuple(wrappers[:cut])
-
-
-def _blocked_names(per_step) -> frozenset:
-    """The block sets of ``per_step`` a step meets before anything can
-    change it: walking out from the components, up to the first hide (it
-    may hide a blocked action)."""
-    blocked = frozenset()
-    for wrapper in reversed(per_step):
-        if isinstance(wrapper, Hide):
-            break
-        blocked |= wrapper.names
-    return blocked
 
 
 def _flatten_par(term):
@@ -382,8 +368,7 @@ def _fusion_groups(alphabets, gamma_components) -> tuple:
     name or a shadow base) or names of one gamma component.
 
     A move fuses only with moves that offer one of its names or a name of
-    its gamma component, and a need of ``_moves`` waits only for such
-    names, so no fusion and no need crosses a group.  The same holds for
+    its gamma component, so no fusion crosses a group.  The same holds for
     the names that the components' moves offer in one state, so
     ``_group_part`` splits a group by those on a memo miss.  The groups
     come ordered by their first position, each with its positions in
@@ -484,8 +469,8 @@ def _resolved(occs, per_step, prepared) -> tuple:
     key = (occs, per_step)
     steps = prepared._step_cache.get(key)
     if steps is None:
-        pairs = [(events, None) for events in _resolve_uncached(
-            occs, prepared, _blocked_names(per_step))]
+        pairs = [(events, None)
+                 for events in _resolve_uncached(occs, prepared)]
         for wrapper in reversed(per_step):
             pairs = _apply_wrapper(wrapper, pairs, prepared.conflicts)
         steps = prepared._step_cache[key] = tuple(
@@ -527,27 +512,34 @@ def _blocked(events, names) -> bool:
 # Fusion resolution
 
 
-def _resolve_uncached(occs, prepared, blocked=frozenset()):
+def _resolve_uncached(occs, prepared):
     """All ways to resolve an occurrence multiset into a resolved step, as
     the step mode permits them: under interleave, single events only.
 
-    A way that leaves an action of a name in ``blocked`` unfused is left
-    out, as the strict shadow policy leaves out one with an unfused
-    action of a shadow base: the caller's block would drop it.
+    The actions are fused by the shadow matchings, then by the groupings
+    of the comm policy: ``_binary_matchings`` or ``_chained_groupings``.
+    Under the strict shadow policy a way that leaves an action of a shadow
+    base unfused is left out.
     """
     done = tuple(o for o in occs if isinstance(o, Event))
     shadows = [o for o in occs if isinstance(o, Shadow)]
     acts = [o for o in occs if isinstance(o, ActionLabel)]
+    must_fuse = frozenset()
     if prepared.config.shadow_policy == "strict":
-        blocked = blocked | prepared.shadow_bases
+        must_fuse = prepared.shadow_bases
 
     results = set()
     for matched in _shadow_matchings(shadows, acts):
         rest = [i for i in range(len(acts)) if i not in matched]
-        for groups in _comm_groupings(rest, acts, prepared, blocked):
+        if prepared.config.comm_policy == "binary":
+            groupings = _binary_matchings(tuple(rest), acts, prepared.comm)
+        else:
+            groupings = _chained_groupings(rest, acts,
+                                           prepared.gamma_components)
+        for groups in groupings:
             grouped = {i for g in groups for i in g}
             unfused = [i for i in rest if i not in grouped]
-            if any(acts[i].name in blocked for i in unfused):
+            if any(acts[i].name in must_fuse for i in unfused):
                 continue
             events = list(done)
             events += [Event(acts[i], True) for i in matched]
@@ -575,40 +567,26 @@ def _shadow_matchings(shadows, acts):
             yield sub | {i}
 
 
-def _comm_groupings(idxs, acts, prepared, blocked):
-    """The groupings of ``_binary_matchings`` or ``_chained_groupings``,
-    less some that leave an action of a name in ``blocked`` unfused."""
-    if prepared.config.comm_policy == "binary":
-        yield from _binary_matchings(tuple(idxs), acts, prepared.comm,
-                                     blocked)
-    else:
-        yield from _chained_groupings(idxs, acts, prepared.gamma_components,
-                                      blocked)
-
-
-def _binary_matchings(idxs, acts, comm, blocked):
-    """All sets of disjoint gamma pairs over the occurrence indices, less
-    those that leave ``first`` of a name in ``blocked`` unmatched."""
+def _binary_matchings(idxs, acts, comm):
+    """All sets of disjoint gamma pairs over the occurrence indices."""
     if not idxs:
         yield ()
         return
     first, rest = idxs[0], idxs[1:]
-    if acts[first].name not in blocked:   # first stays unmatched
-        yield from _binary_matchings(rest, acts, comm, blocked)
+    yield from _binary_matchings(rest, acts, comm)   # first stays unmatched
     for j in rest:
         if frozenset((acts[first].name, acts[j].name)) in comm:
             remaining = tuple(k for k in rest if k != j)
-            for sub in _binary_matchings(remaining, acts, comm, blocked):
+            for sub in _binary_matchings(remaining, acts, comm):
                 yield ((first, j),) + sub
 
 
-def _chained_groupings(idxs, acts, gamma_components, blocked):
+def _chained_groupings(idxs, acts, gamma_components):
     """Chained fusion: a group is a whole component of the gamma graph.
 
     A component fuses only when every one of its action names is on offer;
     partial relays stay unfused (and are then typically blocked by the
-    encapsulation set).  A component with an occurrence of a name in
-    ``blocked`` is not left unfused.
+    encapsulation set).
     """
     by_comp: dict = {}
     for i in idxs:
@@ -620,12 +598,10 @@ def _chained_groupings(idxs, acts, gamma_components, blocked):
         by_name: dict = {}
         for i in members:
             by_name.setdefault(acts[i].name, []).append(i)
-        picks = []
+        picks = [None]
         if set(by_name) == set(comp):
-            picks = [tuple(sorted(p)) for p in itertools.product(
+            picks += [tuple(sorted(p)) for p in itertools.product(
                 *[by_name[n] for n in sorted(comp)])]
-        if blocked.isdisjoint(by_name):
-            picks.insert(0, None)
         options.append(picks)
     for combo in itertools.product(*options):
         yield tuple(g for g in combo if g is not None)
@@ -686,102 +662,38 @@ def _step_names(events) -> frozenset:
 def _moves(term, prepared):
     """The local moves of a top-level component, with what each offers.
 
-    One ``(occs, succ, names, bases, needs)`` entry per move of
-    ``_raw(term)``: the action names and shadow bases the move offers to
-    fusion, and the needs of its occurrences.  A need
-    ``(base, any_of, all_of)`` is met in a combination that offers a
-    shadow on ``base``, one of the names ``any_of`` or all of the names
-    ``all_of``.  Without that, fusion yields no step, or only steps
-    that a top-level block drops.  A move whose events, resolved below
-    this level, hold an unfused action of a top-level block set is left
-    out: nothing can fuse it now, so the block drops every step it is in.
+    One ``(occs, succ, names, bases)`` entry per move of ``_raw(term)``:
+    the action names and the shadow bases that the move offers to fusion.
+    Memoized per term.
     """
     moves = prepared._moves_cache.get(term)
-    if moves is not None:
-        return moves
-    blocked = prepared.blocked
-    strict = prepared.config.shadow_policy == "strict"
-    moves = []
-    for occs, succ in _raw(term, prepared):
-        if _blocked([o for o in occs if isinstance(o, Event)], blocked):
-            continue
-        names = frozenset(o.name for o in occs if isinstance(o, ActionLabel))
-        bases = frozenset(o.base for o in occs if isinstance(o, Shadow))
-        # a shadow fuses only with an action of its base name
-        needs = [(None, frozenset((b,)), frozenset()) for b in bases]
-        for n in names:
-            if not (strict and n in prepared.shadow_bases or n in blocked):
-                continue
-            # unfused, it is discarded or blocked: it needs its shadow or a
-            # gamma rescue (its whole component, or any binary partner)
-            if prepared.config.comm_policy == "chained":
-                rescue = (frozenset(),
-                          prepared.gamma_components.get(n, frozenset()))
-            else:
-                rescue = (frozenset(x for pair in prepared.comm if n in pair
-                                    for x in pair if x != n), frozenset())
-            needs.append((n,) + rescue)
-        moves.append((occs, succ, names, bases, tuple(needs)))
-    moves = tuple(moves)
-    prepared._moves_cache[term] = moves
+    if moves is None:
+        moves = prepared._moves_cache[term] = tuple(
+            (occs, succ,
+             frozenset(o.name for o in occs if isinstance(o, ActionLabel)),
+             frozenset(o.base for o in occs if isinstance(o, Shadow)))
+            for occs, succ in _raw(term, prepared))
     return moves
 
 
 def _combinations(comps, positions, prepared):
-    """Combinations of the moves of the components ``comps[i]``, for ``i``
-    in ``positions``, whose steps can survive fusion and block.
+    """Every combination of the moves of the components ``comps[i]``, for
+    ``i`` in ``positions``: each component skipped or given one move.
 
     A combination is a pair ``(picks, occs)``: ``picks`` holds ``(i,
     move)`` pairs with ``move`` from ``_moves(comps[i])``, at most one per
-    component, and ``occs`` the occurrences of those moves, in order.
-    Components are walked in the order of ``positions``, each skipped or
-    given one move, and a prefix is abandoned once one of its needs can be
-    met neither by the prefix nor by any later component.  The
-    combinations come in walk order: at each position, the moves from the
-    last to the first, then the skip.  So the last combination, ``((),
-    ())``, skips every component.
+    component, and ``occs`` the occurrences of those moves, in order.  The
+    combinations come in the lexicographic order of the components'
+    choices, taken in the order of ``positions``: at each position, the
+    moves from the last to the first, then the skip.  So the last
+    combination, ``((), ())``, skips every component.
     """
-    local = [_moves(comps[i], prepared) for i in positions]
-    m = len(local)
-    s_names = [frozenset()] * (m + 1)   # offered by components p and later
-    s_bases = [frozenset()] * (m + 1)
-    for p in range(m - 1, -1, -1):
-        s_names[p] = s_names[p + 1].union(*(move[2] for move in local[p]))
-        s_bases[p] = s_bases[p + 1].union(*(move[3] for move in local[p]))
-
-    def unmet(pending, names, bases, p):
-        """In one pass, the pending needs the prefix does not meet, or None
-        when one of them is met neither by it nor by components p on."""
-        later_names, later_bases = s_names[p], s_bases[p]
-        kept = []
-        for need in pending:
-            base, any_of, all_of = need
-            if (base in bases or not any_of.isdisjoint(names)
-                    or all_of and all_of <= names):
-                continue
-            if not (base in later_bases or not any_of.isdisjoint(later_names)
-                    or all_of and all_of <= names | later_names):
-                return None
-            kept.append(need)
-        return tuple(kept)
-
+    choices = [[(i, move) for move in reversed(_moves(comps[i], prepared))]
+               + [None] for i in positions]
     combos = []
-    stack = [(0, (), frozenset(), frozenset(), ())]
-    while stack:
-        p, picks, names, bases, pending = stack.pop()
-        if pending:
-            pending = unmet(pending, names, bases, p)
-            if pending is None:
-                continue
-        if p == m:
-            combos.append((picks, tuple(
-                o for _, move in picks for o in move[0])))
-            continue
-        stack.append((p + 1, picks, names, bases, pending))
-        i = positions[p]
-        for move in local[p]:
-            stack.append((p + 1, picks + ((i, move),), names | move[2],
-                          bases | move[3], pending + move[4]))
+    for choice in itertools.product(*choices):
+        picks = tuple(pick for pick in choice if pick is not None)
+        combos.append((picks, tuple(o for _, move in picks for o in move[0])))
     return combos
 
 
@@ -862,9 +774,8 @@ def _step_product(steps, more_steps, events_read, merged):
 
 
 def _merge_labels(pair) -> tuple:
-    """A pair of step labels as the label of their union: its labels
-    sorted by text."""
-    return tuple(sorted(pair[0] + pair[1], key=lambda l: l.pretty()))
+    """A pair of step labels as the label of their union."""
+    return sorted_label(pair[0] + pair[1])
 
 
 def _group_steps(state, prepared):
@@ -872,7 +783,7 @@ def _group_steps(state, prepared):
     of its fusion groups' parts (``_group_part``), less the entry that
     skips every group.
 
-    No fusion, shadow match or need crosses a group (``_fusion_groups``),
+    No fusion or shadow match crosses a group (``_fusion_groups``),
     and hide and block act per event, so a state's resolved steps are the
     products of its groups' resolved steps.  Each group's part comes from
     ``PreparedSystem._group_cache``, keyed by the group's movable

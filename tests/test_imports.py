@@ -1,5 +1,6 @@
-"""Every name a stepcheck module imports is used in that module, and
-every private module-level name is read by some stepcheck module.
+"""Every name a stepcheck module imports is used in that module, every
+private module-level name is read by some stepcheck module, and every
+parameter of a private function or method is read in its body.
 
 ``__init__.py`` is left out of the first check: its imports are the
 package's public API.
@@ -100,3 +101,45 @@ def test_an_unread_private_name_is_reported():
         "b.py": "from .a import _helper\nprint(_helper())\n",
     }
     assert unread_private_names(sources) == ["a.py:2 _walk", "a.py:4 _Unused"]
+
+
+def unread_parameters(source: str) -> list:
+    """The parameters that the private functions and methods of
+    ``source`` (names starting with ``_``, dunders aside) never read in
+    their bodies, nested functions included."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_")
+                and not node.name.endswith("__")):
+            continue
+        args = node.args
+        params = [a for a in (*args.posonlyargs, *args.args, args.vararg,
+                              *args.kwonlyargs, args.kwarg) if a is not None]
+        read = {_read(n) for statement in node.body
+                for n in ast.walk(statement)}
+        unread += [f"{node.name}({a.arg}) (line {node.lineno})"
+                   for a in params if a.arg not in read]
+    return unread
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unread_parameter_is_reported():
+    source = ("def _walk(term, prepared, *blocked, depth=0):\n"
+              "    def visit(t):\n"
+              "        return t, prepared\n"
+              "    return visit(term)\n"
+              "class _Box:\n"
+              "    def _get(self, key):\n"
+              "        return 1\n"
+              "    def __repr__(self):\n"
+              "        return 'box'\n"
+              "def walk(term):\n"
+              "    return 1\n")
+    assert unread_parameters(source) == [
+        "_walk(blocked) (line 1)", "_walk(depth) (line 1)",
+        "_get(self) (line 6)", "_get(key) (line 6)"]

@@ -609,9 +609,9 @@ class TestGroupMemo:
                          tuple(comps[i] for i in positions)))
             return walk(comps, positions, prepared)
 
-        def resolving(occs, prepared, *blocked):
+        def resolving(occs, prepared):
             runs.append(occs)
-            return resolver(occs, prepared, *blocked)
+            return resolver(occs, prepared)
 
         with mock.patch.multiple(semantics, _combinations=counted,
                                  _resolve_uncached=resolving):
@@ -620,10 +620,11 @@ class TestGroupMemo:
         distinct = len(set(keys))
         assert distinct and len(keys) == distinct, (
             f"{len(keys)} walks for {distinct} keys")
-        # the whole group walks once per state: 126 walks and 75 resolver
-        # runs under overlap, 67 and 67 under barrier
+        # walked whole, the group would walk once per state (126 under
+        # overlap, 67 under barrier); split, its sub-groups' walks meet 27
+        # occurrence tuples under either round mode, each resolved once
         assert len(keys) <= {"overlap": 27, "barrier": 18}[round_mode]
-        assert len(runs) <= 9
+        assert len(runs) == len(set(runs)) <= 27
         assert lts.num_states == {"overlap": 126, "barrier": 67}[round_mode]
 
     @pytest.mark.parametrize("round_mode", ["overlap", "barrier"])
@@ -657,9 +658,9 @@ class TestGroupMemo:
                 met.append(occs)
             return memo(occs, per_step, prepared)
 
-        def resolving(occs, prepared, *blocked):
+        def resolving(occs, prepared):
             runs.append(occs)
-            return resolver(occs, prepared, *blocked)
+            return resolver(occs, prepared)
 
         with mock.patch.multiple(semantics, _combinations=walking,
                                  _raw=raw_nested, _resolved=meeting,

@@ -346,9 +346,9 @@ class TestResolveOnce:
             memos[prepared.config.shadow_policy] = prepared._step_cache
             return memo(occs, per_step, prepared)
 
-        def resolving(occs, prepared, *blocked):
+        def resolving(occs, prepared):
             resolved[prepared.config.shadow_policy].append(occs)
-            return uncached(occs, prepared, *blocked)
+            return uncached(occs, prepared)
 
         monkeypatch.setattr(semantics, "_resolved", meeting)
         monkeypatch.setattr(semantics, "_resolve_uncached", resolving)
