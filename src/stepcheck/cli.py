@@ -172,13 +172,17 @@ def _run_lts(model: Model, args) -> int:
 
 def _run_derive_ab(model: Model, args) -> int:
     config = _config_from_args(args)
-    internal = None
-    if args.internal:
-        if args.internal in model.action_sets:
-            internal = model.action_sets[args.internal]
-        else:
-            internal = frozenset(
-                s.strip() for s in args.internal.split(",") if s.strip())
+    internal = model.action_sets.get(args.internal)
+    if internal is None and args.internal:
+        internal = frozenset(
+            s.strip() for s in args.internal.split(",") if s.strip())
+        unused = sorted(internal - model.action_names())
+        if unused:
+            # an unknown --wso is the error to report first
+            composition.process_spec(model, args.wso)
+            raise SemanticsError(
+                f"--internal {args.internal} is no declared set, and the "
+                f"model uses no action {', '.join(unused)}")
     ab = composition.derive_ab(model, args.wso, internal, config)
     if args.json:
         out = {

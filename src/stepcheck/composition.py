@@ -83,7 +83,7 @@ def ab_name(wso_name: str) -> str:
 # Activity-base derivation
 
 
-def _process(model: Model, name: str) -> RecursiveSpec:
+def process_spec(model: Model, name: str) -> RecursiveSpec:
     spec = {p.name: p for p in model.processes}.get(name)
     if spec is None:
         raise CompositionError(f"no process named {name}")
@@ -101,7 +101,7 @@ def derive_ab(model: Model, wso_name: str,
               internal: Optional[frozenset] = None,
               config: Config = Config()) -> AbDef:
     """Hide an orchestration's internal actions and minimize the result."""
-    wso = _process(model, wso_name)
+    wso = process_spec(model, wso_name)
     if internal is None:
         internal = default_internal(model, wso)
     notes = []
@@ -199,7 +199,7 @@ def correspondence_check(model: Model, ab: AbDef, ws_name: str,
     onto the service's alphabet, then the two are compared up to strong
     step bisimulation.
     """
-    ws = _process(model, ws_name)
+    ws = process_spec(model, ws_name)
     if rename is None:
         rename = {}
         ws_info = alphabet(ws, model.domain_map())

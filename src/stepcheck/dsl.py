@@ -180,51 +180,48 @@ class _Parser:
     # -- declarations -----------------------------------------------------
 
     def model(self):
-        decls = {"domains": [], "processes": [], "comms": [],
+        """The declarations, each read past its keyword by the keyword's
+        ``<keyword>_decl`` method."""
+        decls = {"domains": {}, "processes": {}, "comms": [],
                  "conflicts": [], "sets": {}, "systems": {}, "checks": []}
-        if self.peek().kind == "eof":
-            self.error("expected top-level declaration")
-        while self.peek().kind != "eof":
+        while True:
             tok = self.peek()
-            if tok.kind != "name":
+            read = (tok.kind == "name" and tok.text in KEYWORDS
+                    and getattr(self, f"{tok.text}_decl", None))
+            if not read:
                 self.error("expected top-level declaration")
-            if tok.text == "domain":
-                self.domain_decl(decls)
-            elif tok.text == "process":
-                self.process_decl(decls)
-            elif tok.text == "comm":
-                self.comm_decl(decls)
-            elif tok.text == "conflict":
-                self.conflict_decl(decls)
-            elif tok.text == "set":
-                self.set_decl(decls)
-            elif tok.text == "system":
-                self.system_decl(decls)
-            elif tok.text == "check":
-                self.check_decl(decls)
-            else:
-                self.error("expected top-level declaration")
-        return decls
+            self.next()
+            read(decls)
+            if self.peek().kind == "eof":
+                return decls
 
-    def name_list_in_braces(self):
-        self.expect_symbol("{")
-        names = [self.expect_name().text]
+    def name_list(self, close, what="identifier"):
+        """The comma-separated ``what`` names after an opening bracket, up
+        to the symbol ``close``, which is consumed."""
+        names = [self.expect_name(what).text]
         while self.peek().text == ",":
             self.next()
-            names.append(self.expect_name().text)
-        self.expect_symbol("}")
+            names.append(self.expect_name(what).text)
+        self.expect_symbol(close)
         return names
 
+    def declared_name(self, what, taken):
+        """The name of a ``what`` declaration, rejected when ``taken``
+        holds it already."""
+        tok = self.expect_name(f"{what} name")
+        if tok.text in taken:
+            raise ParseError(f"{what} {tok.text} declared twice",
+                             tok.line, tok.col)
+        return tok.text
+
     def domain_decl(self, decls):
-        self.next()
-        name = self.expect_name("domain name").text
+        name = self.declared_name("domain", decls["domains"])
         self.expect_symbol("=")
-        values = self.name_list_in_braces()
-        decls["domains"].append(DataDomain(name, tuple(values)))
+        self.expect_symbol("{")
+        decls["domains"][name] = DataDomain(name, tuple(self.name_list("}")))
 
     def process_decl(self, decls):
-        self.next()
-        name = self.expect_name("process name").text
+        name = self.declared_name("process", decls["processes"])
         self.expect_symbol("{")
         equations = {}
         entry = None
@@ -240,10 +237,9 @@ class _Parser:
         self.expect_symbol("}")
         if entry is None:
             self.error(f"process {name} has no equations")
-        decls["processes"].append(RecursiveSpec(name, equations, entry))
+        decls["processes"][name] = RecursiveSpec(name, equations, entry)
 
     def comm_decl(self, decls):
-        self.next()
         a = self.expect_name("action name").text
         self.expect_symbol(",")
         b = self.expect_name("action name").text
@@ -254,32 +250,23 @@ class _Parser:
         decls["comms"].append(CommEntry(a, b, result))
 
     def conflict_decl(self, decls):
-        self.next()
         a = self.expect_name("action name").text
         self.expect_symbol("#")
         b = self.expect_name("action name").text
         decls["conflicts"].append(frozenset((a, b)))
 
     def set_decl(self, decls):
-        self.next()
-        tok = self.expect_name("set name")
-        if tok.text in decls["sets"]:
-            raise ParseError(f"set {tok.text} declared twice",
-                             tok.line, tok.col)
+        name = self.declared_name("set", decls["sets"])
         self.expect_symbol("=")
-        decls["sets"][tok.text] = frozenset(self.name_list_in_braces())
+        self.expect_symbol("{")
+        decls["sets"][name] = frozenset(self.name_list("}"))
 
     def system_decl(self, decls):
-        self.next()
-        tok = self.expect_name("system name")
-        if tok.text in decls["systems"]:
-            raise ParseError(f"system {tok.text} declared twice",
-                             tok.line, tok.col)
+        name = self.declared_name("system", decls["systems"])
         self.expect_symbol("=")
-        decls["systems"][tok.text] = self.term()
+        decls["systems"][name] = self.term()
 
     def check_decl(self, decls):
-        self.next()
         first = self.expect_name("process or system name")
         name = None   # named after parsing, once every explicit name is known
         if self.peek().text == ":":
@@ -301,6 +288,8 @@ class _Parser:
         while (self.peek().kind == "name"
                and self.pos + 1 < len(self.tokens)
                and self.tokens[self.pos + 1].text == "="):
+            if self.peek().text in overrides:
+                self.error(f"option {self.peek().text} given twice")
             key = self.next().text
             self.next()  # '='
             if self.peek().kind == "name" and self.peek().text.isdigit():
@@ -374,17 +363,13 @@ class _Parser:
         args = ()
         if self.peek().text == "(":
             self.next()
-            parts = [self.expect_name("data constant").text]
-            while self.peek().text == ",":
-                self.next()
-                parts.append(self.expect_name("data constant").text)
-            self.expect_symbol(")")
-            args = tuple(parts)
+            args = tuple(self.name_list(")", "data constant"))
         return _Name(name, args)
 
     def name_set_ref(self):
         if self.peek().text == "{":
-            return frozenset(self.name_list_in_braces())
+            self.next()
+            return frozenset(self.name_list("}"))
         tok = self.expect_name("set name")
         return _SetRef(tok.text, tok.line, tok.col)
 
@@ -442,7 +427,7 @@ def _name_checks(goals) -> tuple:
 def parse_model(source: str) -> Model:
     decls = _Parser(tokenize(source)).model()
     equation_names = set()
-    for spec in decls["processes"]:
+    for spec in decls["processes"].values():
         equation_names.update(spec.equations)
     system_names = set(decls["systems"])
     clash = sorted(system_names & equation_names)
@@ -451,7 +436,7 @@ def parse_model(source: str) -> Model:
             f"system {clash[0]} is named like an equation", clash[0])
     sets = decls["sets"]
     processes = []
-    for spec in decls["processes"]:
+    for spec in decls["processes"].values():
         equations = {name: _resolve_term(rhs, equation_names, system_names,
                                          sets)
                      for name, rhs in spec.equations.items()}
@@ -460,7 +445,7 @@ def parse_model(source: str) -> Model:
     systems = {name: _resolve_term(t, equation_names, system_names, sets)
                for name, t in decls["systems"].items()}
     model = Model(
-        domains=tuple(decls["domains"]),
+        domains=tuple(decls["domains"].values()),
         processes=tuple(processes),
         comms=comms,
         conflicts=ConflictRelation(frozenset(decls["conflicts"])),

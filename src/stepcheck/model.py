@@ -7,6 +7,7 @@ from .terms import (
     CommTable,
     ConflictRelation,
     Violation,
+    names_written,
     validate_comms,
     validate_spec,
     validate_terms,
@@ -46,6 +47,16 @@ class Model:
 
     def domain_map(self) -> dict:
         return {d.name: d for d in self.domains}
+
+    def action_names(self) -> frozenset:
+        """Every action name that a process, a system or a comm
+        declaration uses, shadow bases and comm results included."""
+        names = set(self.comms.action_names())
+        names.update(e.result for e in self.comms.entries if e.result)
+        for spec in self.processes:
+            names.update(*map(names_written, spec.equations.values()))
+        names.update(*map(names_written, self.systems.values()))
+        return frozenset(names)
 
     def equations(self) -> dict:
         """All process equations in one namespace; names must be unique."""

@@ -409,54 +409,33 @@ def _raw(term: ProcessTerm, prepared: PreparedSystem, stack=frozenset()):
         return tuple(move for b in term.branches
                      for move in _raw(b, prepared, stack))
     if isinstance(term, Par):
-        lmoves = _raw(term.left, prepared, stack)
-        rmoves = _raw(term.right, prepared, stack)
-        out = []
-        for occs, left2 in lmoves:
-            out.append((occs, _par(left2, term.right)))
-        for occs, right2 in rmoves:
-            out.append((occs, _par(term.left, right2)))
-        for (o1, left2), (o2, right2) in itertools.product(lmoves, rmoves):
-            out.append((o1 + o2, _par(left2, right2)))
-        return tuple(out)
+        # each side moves or stays, and not both stay: the last entry
+        sides = [_raw(side, prepared, stack) + (((), side),)
+                 for side in (term.left, term.right)]
+        both = itertools.product(*sides)
+        return tuple((o1 + o2, _par(left2, right2))
+                     for (o1, left2), (o2, right2) in both)[:-1]
     if isinstance(term, (Hide, Encaps, ConflictElim)):
-        steps = _steps(_raw(term.body, prepared, stack),
-                       _split_wrappers((term,), prepared.conflicts), prepared)
+        # resolved and wrapped as at the top level, so an operator means
+        # the same wherever it is
+        per_step, per_state = _split_wrappers((term,), prepared.conflicts)
+        pairs = _apply_wrappers(
+            [(events, succ) for occs, succ in _raw(term.body, prepared, stack)
+             for events, _ in _resolved(occs, per_step, prepared)],
+            per_state, prepared.conflicts)
         return tuple(dict.fromkeys(
-            (events, _wrap(term, succ)) for events, _, succ in steps))
+            (events, _wrap(term, succ)) for events, succ in pairs))
     if isinstance(term, Sum):
         raise SemanticsError("sum must be elaborated before generation")
     raise TypeError(f"not a term: {term!r}")
 
 
-def _steps(moves, split, prepared):
-    """Resolve each (occurrences, successor) move into its steps, then
-    apply the wrappers of ``split`` (``_split_wrappers``) from the
-    innermost out: the per-step ones through ``_resolved``'s memo, then
-    the per-state ones (``_per_state``).  Returns (events, label,
-    successor) triples.
-
-    A nested wrapper (``_raw``) comes through here and the top-level ones
-    through ``enabled_steps``, which resolves per fusion group and then
-    applies ``_per_state`` too, so an operator means the same wherever it
-    is.
-    """
-    per_step, per_state = split
-    steps = [(events, label, succ) for occs, succ in moves
-             for events, label in _resolved(occs, per_step, prepared)]
-    if per_state:
-        steps = _per_state([(events, succ) for events, _, succ in steps],
-                           per_state, prepared.conflicts)
-    return steps
-
-
-def _per_state(pairs, per_state, conflicts):
-    """The per-state wrappers ``per_state`` applied from the innermost out
-    to a state's (events, successor) pairs.  Returns (events, label,
-    successor) triples."""
-    for wrapper in reversed(per_state):
+def _apply_wrappers(pairs, wrappers, conflicts):
+    """``wrappers`` (outermost first) applied from the innermost out to a
+    list of (events, successor) pairs."""
+    for wrapper in reversed(wrappers):
         pairs = _apply_wrapper(wrapper, pairs, conflicts)
-    return [(events, step_label(events), succ) for events, succ in pairs]
+    return pairs
 
 
 def _resolved(occs, per_step, prepared) -> tuple:
@@ -469,10 +448,9 @@ def _resolved(occs, per_step, prepared) -> tuple:
     key = (occs, per_step)
     steps = prepared._step_cache.get(key)
     if steps is None:
-        pairs = [(events, None)
-                 for events in _resolve_uncached(occs, prepared)]
-        for wrapper in reversed(per_step):
-            pairs = _apply_wrapper(wrapper, pairs, prepared.conflicts)
+        pairs = _apply_wrappers(
+            [(events, None) for events in _resolve_uncached(occs, prepared)],
+            per_step, prepared.conflicts)
         steps = prepared._step_cache[key] = tuple(
             (events, step_label(events)) for events, _ in pairs)
     return steps
@@ -660,20 +638,19 @@ def _step_names(events) -> frozenset:
 
 
 def _moves(term, prepared):
-    """The local moves of a top-level component, with what each offers.
+    """The local moves of a top-level component, with what they offer.
 
-    One ``(occs, succ, names, bases)`` entry per move of ``_raw(term)``:
-    the action names and the shadow bases that the move offers to fusion.
-    Memoized per term.
+    A pair ``(moves, offers)``: ``moves`` is ``_raw(term)``, its
+    ``(occs, succ)`` moves, and ``offers`` the action names and the shadow
+    bases that those moves offer to fusion.  Memoized per term.
     """
-    moves = prepared._moves_cache.get(term)
-    if moves is None:
-        moves = prepared._moves_cache[term] = tuple(
-            (occs, succ,
-             frozenset(o.name for o in occs if isinstance(o, ActionLabel)),
-             frozenset(o.base for o in occs if isinstance(o, Shadow)))
-            for occs, succ in _raw(term, prepared))
-    return moves
+    entry = prepared._moves_cache.get(term)
+    if entry is None:
+        moves = _raw(term, prepared)
+        entry = prepared._moves_cache[term] = (moves, frozenset(
+            o.name if isinstance(o, ActionLabel) else o.base
+            for occs, _ in moves for o in occs if not isinstance(o, Event)))
+    return entry
 
 
 def _combinations(comps, positions, prepared):
@@ -688,7 +665,8 @@ def _combinations(comps, positions, prepared):
     moves from the last to the first, then the skip.  So the last
     combination, ``((), ())``, skips every component.
     """
-    choices = [[(i, move) for move in reversed(_moves(comps[i], prepared))]
+    choices = [[(i, move)
+                for move in reversed(_moves(comps[i], prepared)[0])]
                + [None] for i in positions]
     combos = []
     for choice in itertools.product(*choices):
@@ -716,9 +694,7 @@ def _group_part(comps, positions, prepared):
     walk's last combination, the skip, is replaced by ``_SKIP`` rather
     than resolved: under interleave no occurrences resolve to no step.
     """
-    offers = [set().union(*(move[2] | move[3]
-                            for move in _moves(comps[i], prepared)))
-              for i in positions]
+    offers = [_moves(comps[i], prepared)[1] for i in positions]
     subgroups = _fusion_groups(offers, prepared.gamma_components)
     if len(subgroups) > 1:
         part = None
@@ -818,8 +794,8 @@ def enabled_steps(state: SystemState, prepared: PreparedSystem):
     sorted by label key and successor name.
 
     The resolved steps come from ``_group_steps``, the per-state wrappers
-    then apply as in ``_steps``, and the sort keys come from
-    ``prepared``'s render memos.
+    then apply through ``_apply_wrappers`` as in ``_raw``, and the sort
+    keys come from ``prepared``'s render memos.
     """
     comps = state.components
     n = len(comps)
@@ -853,8 +829,8 @@ def enabled_steps(state: SystemState, prepared: PreparedSystem):
         else:
             out += [(label, succ) for _, label in steps]
     if per_state:
-        out = [(label, succ) for _, label, succ in _per_state(
-            out, per_state, prepared.conflicts)]
+        out = [(step_label(events), succ) for events, succ in
+               _apply_wrappers(out, per_state, prepared.conflicts)]
     out = list(dict.fromkeys(out))
     names, label_keys = prepared._names, prepared._label_keys
     out.sort(key=lambda ls: (label_keys[ls[0]], names[ls[1]]))

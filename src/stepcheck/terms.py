@@ -408,6 +408,12 @@ def alphabet(spec: RecursiveSpec, domains: Mapping[str, DataDomain]) -> Alphabet
     return AlphabetInfo(frozenset(actions), frozenset(bases))
 
 
+def names_written(term) -> frozenset:
+    """The action names and the shadow bases written in ``term``."""
+    return frozenset(t.label.name if isinstance(t, Act) else t.base
+                     for t in _walk(term) if isinstance(t, (Act, Shadow)))
+
+
 def _collect_alphabet(term, actions, bases):
     for t in _walk(term):
         if isinstance(t, Act) and t.label.name not in RESERVED_NAMES:

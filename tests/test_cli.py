@@ -216,6 +216,18 @@ class TestDeriveAb:
         data = json.loads(capsys.readouterr().out)
         assert data["states"] == 2
 
+    @pytest.mark.parametrize("internal, unused", [
+        ("IAA", "IAA"),              # a mistyped set name
+        ("B1,B44, B4", "B44"),       # a list with one mistyped member
+    ])
+    def test_internal_name_the_model_never_uses_exits_2(
+            self, capsys, internal, unused):
+        assert main(["derive-ab", MODEL_PATH, "--wso", "WSOB",
+                     "--internal", internal]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --internal {internal} is no declared set, and the "
+            f"model uses no action {unused}\n")
+
 
 class TestErrors:
     def test_missing_file_exits_2(self, capsys):
@@ -251,15 +263,19 @@ class TestErrors:
             "error: system S is named inside a term; a term may name only "
             "processes and actions\n")
 
-    def test_unknown_wso_exits_2(self, capsys):
-        assert main(["derive-ab", MODEL_PATH, "--wso", "Nope"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("error:") == 1 and err.count("\n") == 1
-        assert "Traceback" not in err
+    # an unknown --wso is named before an --internal name nothing uses
+    @pytest.mark.parametrize("internal", [[], ["--internal", "IAA"]],
+                             ids=["alone", "with-internal"])
+    def test_unknown_wso_exits_2(self, capsys, internal):
+        assert main(["derive-ab", MODEL_PATH, "--wso", "Nope",
+                     *internal]) == 2
+        assert capsys.readouterr().err == "error: no process named Nope\n"
 
     @pytest.mark.parametrize("option, message", [
         ("max_states=abc", "error: bad max_states abc\n"),
         ("round=nope", "error: bad round_mode nope\n"),
+        ("round=barrier round=overlap",
+         "error: 2:32: option round given twice\n"),
     ])
     def test_bad_check_option_value_is_named(self, tmp_path, capsys,
                                              option, message):
@@ -272,6 +288,8 @@ class TestErrors:
         ("set I = { a }", "error: 3:5: set I declared twice\n"),
         ("system I = P", "error: 3:8: system I declared twice\n"),
         ("check I: P ~bb P", "error: 3:7: check I declared twice\n"),
+        ("domain D = { d }", "error: 3:8: domain D declared twice\n"),
+        ("process Q { Q = b . Q }", "error: 3:9: process Q declared twice\n"),
     ])
     def test_declared_twice_exits_2(self, tmp_path, capsys, twice, message):
         path = tmp_path / "twice.aptc"

@@ -1,11 +1,14 @@
 """Every name a stepcheck module imports is used in that module, every
 private module-level name is read by some stepcheck module, and every
-parameter of a private function or method is read in its body.
+parameter of a private function or method is read in its body.  Every
+private name and every stepcheck class member that README.md names in
+backticks is defined.
 
 ``__init__.py`` is left out of the first check: its imports are the
 package's public API.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -143,3 +146,74 @@ def test_an_unread_parameter_is_reported():
     assert unread_parameters(source) == [
         "_walk(blocked) (line 1)", "_walk(depth) (line 1)",
         "_get(self) (line 6)", "_get(key) (line 6)"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _defined(sources: dict) -> tuple:
+    """The names that ``sources`` (file name -> source) define at module
+    level or in a class body, and each class's members by class name, a
+    class's bases within ``sources`` included."""
+    names, members, bases = set(), {}, {}
+    for source in sources.values():
+        for statement in ast.parse(source).body:
+            names.update(_bound(statement))
+            if isinstance(statement, ast.ClassDef):
+                members[statement.name] = {
+                    name for node in statement.body for name in _bound(node)}
+                names |= members[statement.name]
+                bases[statement.name] = [
+                    b.id for b in statement.bases if isinstance(b, ast.Name)]
+    for cls in members:
+        stack = list(bases[cls])
+        while stack:
+            base = stack.pop()
+            if base in members:
+                members[cls] |= members[base]
+                stack += bases[base]
+    return names, members
+
+
+def undefined_readme_names(readme: str, sources: dict) -> list:
+    """The backticked names in ``readme`` that ``sources`` do not define:
+    each ``_private`` name, called or not, and each ``Class.member`` whose
+    class ``sources`` define.  File names, test paths and other modules'
+    names are no such names."""
+    names, members = _defined(sources)
+    missing = []
+    for span in re.findall(r"`([^`\n]+)`", readme):
+        private = re.fullmatch(r"(_\w+)(\(.*\))?", span)
+        if private and private[1] not in names:
+            missing.append(span)
+        qualified = re.fullmatch(r"([A-Za-z]\w*)\.(\w+)(\(.*\))?", span)
+        if (qualified and qualified[1] in members
+                and qualified[2] not in members[qualified[1]]):
+            missing.append(span)
+    return sorted(set(missing))
+
+
+def test_readme_names_only_defined_code():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert undefined_readme_names(
+        README.read_text(encoding="utf-8"), sources) == []
+
+
+def test_an_undefined_readme_name_is_reported():
+    sources = {"a.py": ("class Box:\n"
+                        "    size: int\n"
+                        "    _lid: int\n"
+                        "    def get(self):\n"
+                        "        return 1\n"
+                        "class Crate(Box):\n"
+                        "    pass\n"
+                        "def _walk(n):\n"
+                        "    return n\n")}
+    readme = ("`_walk`, `_walk(term)` and `_lid` exist, `_gone` and "
+              "`_gone(t)` do "
+              "not; `Box.size`, `Box.get()` and `Crate.get` exist, "
+              "`Box.put` and `Crate.lid` do not.  `semantics.py`, "
+              "`tests/test_a.py::TestX`, `dataclasses.replace` and "
+              "`Other.thing` are skipped.")
+    assert undefined_readme_names(readme, sources) == [
+        "Box.put", "Crate.lid", "_gone", "_gone(t)"]

@@ -8,6 +8,7 @@ import io
 import itertools
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -890,6 +891,53 @@ def rand_pairwise_system(rng):
     if rng.random() < 0.3:
         system = Hide(frozenset(rng.sample(all_names, 2)), system)
     return model, system
+
+
+class TestMoveRules:
+    """``_raw`` and the ``_moves`` memo against the rules they implement."""
+
+    def test_par_moves_one_side_or_both(self):
+        """A parallel pair's moves: the left side's alone, the right
+        side's alone, and each left move joined with each right move."""
+        rng = random.Random(131)
+        for _ in range(CASES):
+            model, system = rand_system(rng)
+            prepared = prepare_system(system, model,
+                                      Config(*rng.choice(POLICY_COMBINATIONS)))
+            x, y = rand_prefix(rng), rand_prefix(rng)
+            xs, ys = _raw(x, prepared), _raw(y, prepared)
+            expected = Counter(
+                [(occs, _par(x2, y)) for occs, x2 in xs]
+                + [(occs, _par(x, y2)) for occs, y2 in ys]
+                + [(o1 + o2, _par(x2, y2)) for o1, x2 in xs for o2, y2 in ys])
+            assert Counter(_raw(Par(x, y), prepared)) == expected, (x, y)
+
+    def test_offers_are_the_moves_names_and_bases(self):
+        """Each memo entry holds the term's ``_raw`` moves and, as its
+        offers, the action names and shadow bases in their occurrences:
+        an event resolved below a nested wrapper offers nothing."""
+        rng = random.Random(137)
+        entries = with_events = 0
+        for _ in range(CASES):
+            model, system = rand_system(rng)
+            prepared = prepare_system(system, model,
+                                      Config(*rng.choice(POLICY_COMBINATIONS)))
+            frontier = [prepared.initial_state()]
+            seen = set(frontier)
+            while frontier and len(seen) < 40:
+                for _, succ in enabled_steps(frontier.pop(), prepared):
+                    if succ not in seen:
+                        seen.add(succ)
+                        frontier.append(succ)
+            for term, (moves, offers) in prepared._moves_cache.items():
+                occs = [o for move_occs, _ in moves for o in move_occs]
+                assert moves == _raw(term, prepared)
+                assert offers == (
+                    {o.name for o in occs if isinstance(o, ActionLabel)}
+                    | {o.base for o in occs if isinstance(o, Shadow)})
+                entries += 1
+                with_events += any(isinstance(o, Event) for o in occs)
+        assert entries >= 3 * CASES and with_events >= CASES // 2
 
 
 class TestSplitEnumeration:
