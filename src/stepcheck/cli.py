@@ -65,7 +65,7 @@ def _load_model(path: str) -> Model:
     violations = model.validate()
     if violations:
         raise SemanticsError("model is not well-formed: " + "; ".join(
-            f"{v.kind}: {v.message}" for v in violations))
+            map(str, violations)))
     return model
 
 
@@ -77,10 +77,11 @@ def _run_checks(model: Model, args) -> int:
             raise SemanticsError(f"no check named {args.name}")
     if not goals:
         raise SemanticsError("the model declares no checks")
+    # every check's options are read before any check generates
+    configs = [_config_from_args(args, goal.overrides) for goal in goals]
     reports = []
     worst = 0
-    for goal in goals:
-        config = _config_from_args(args, goal.overrides)
+    for goal, config in zip(goals, configs):
         start = time.monotonic()
         left = composition.side_lts(model, goal.left, config)
         right = composition.side_lts(model, goal.right, config)

@@ -183,7 +183,8 @@ class _Parser:
         """The declarations, each read past its keyword by the keyword's
         ``<keyword>_decl`` method."""
         decls = {"domains": {}, "processes": {}, "comms": [],
-                 "conflicts": [], "sets": {}, "systems": {}, "checks": []}
+                 "conflicts": ConflictRelation(), "sets": {}, "systems": {},
+                 "checks": []}
         while True:
             tok = self.peek()
             read = (tok.kind == "name" and tok.text in KEYWORDS
@@ -214,11 +215,21 @@ class _Parser:
                              tok.line, tok.col)
         return tok.text
 
+    def built(self, tok, make, *args):
+        """``make(*args)``; a ``ValueError`` it raises is a parse error at
+        ``tok``."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise ParseError(str(exc), tok.line, tok.col) from None
+
     def domain_decl(self, decls):
+        tok = self.peek()
         name = self.declared_name("domain", decls["domains"])
         self.expect_symbol("=")
         self.expect_symbol("{")
-        decls["domains"][name] = DataDomain(name, tuple(self.name_list("}")))
+        decls["domains"][name] = self.built(
+            tok, DataDomain, name, tuple(self.name_list("}")))
 
     def process_decl(self, decls):
         name = self.declared_name("process", decls["processes"])
@@ -250,10 +261,11 @@ class _Parser:
         decls["comms"].append(CommEntry(a, b, result))
 
     def conflict_decl(self, decls):
-        a = self.expect_name("action name").text
+        tok = self.expect_name("action name")
         self.expect_symbol("#")
-        b = self.expect_name("action name").text
-        decls["conflicts"].append(frozenset((a, b)))
+        pair = frozenset((tok.text, self.expect_name("action name").text))
+        decls["conflicts"] = self.built(
+            tok, ConflictRelation, decls["conflicts"].pairs | {pair})
 
     def set_decl(self, decls):
         name = self.declared_name("set", decls["sets"])
@@ -448,7 +460,7 @@ def parse_model(source: str) -> Model:
         domains=tuple(decls["domains"].values()),
         processes=tuple(processes),
         comms=comms,
-        conflicts=ConflictRelation(frozenset(decls["conflicts"])),
+        conflicts=decls["conflicts"],
         action_sets=dict(sets),
         systems=systems,
         checks=_name_checks(decls["checks"]),

@@ -9,7 +9,6 @@ from .terms import (
     Violation,
     names_written,
     validate_comms,
-    validate_spec,
     validate_terms,
 )
 
@@ -53,9 +52,10 @@ class Model:
         declaration uses, shadow bases and comm results included."""
         names = set(self.comms.action_names())
         names.update(e.result for e in self.comms.entries if e.result)
-        for spec in self.processes:
-            names.update(*map(names_written, spec.equations.values()))
-        names.update(*map(names_written, self.systems.values()))
+        terms = [rhs for spec in self.processes
+                 for rhs in spec.equations.values()]
+        for term in terms + list(self.systems.values()):
+            names.update(*names_written(term))
         return frozenset(names)
 
     def equations(self) -> dict:
@@ -69,13 +69,19 @@ class Model:
         return out
 
     def validate(self) -> list[Violation]:
-        violations: list[Violation] = []
+        """Every well-formedness violation, process by process (its entry,
+        then its equations), then the systems and the comm table; an
+        empty list means valid."""
         try:
             names = frozenset(self.equations())
         except ValueError as exc:
             return [Violation("duplicate-equation", "", str(exc))]
+        violations: list[Violation] = []
         for spec in self.processes:
-            # the comm table belongs to the model: it is checked once below
-            violations += validate_spec(spec, self.domains, CommTable(), names)
+            if spec.entry not in spec.equations:
+                violations.append(Violation(
+                    "missing-entry", spec.entry,
+                    f"entry variable {spec.entry} has no equation"))
+            violations += validate_terms(spec.equations, self.domains, names)
         violations += validate_terms(self.systems, self.domains, names)
         return violations + validate_comms(self.comms)

@@ -29,6 +29,7 @@ from .terms import (
     Var,
     WholePar,
     elaborate_sums,
+    names_written,
     term_to_str,
 )
 
@@ -265,7 +266,7 @@ def prepare_system(system: ProcessTerm, model: Model, config: Config) -> Prepare
         term = term.body
     components = tuple(_flatten_par(term))
     gamma_components = _gamma_components(comm)
-    alphabets = [_alphabet(c, equations) for c in components]
+    alphabets = [names_written(c, equations) for c in components]
     groups = _fusion_groups([names | bases for names, bases in alphabets],
                             gamma_components)
     return PreparedSystem(
@@ -338,28 +339,6 @@ def _gamma_components(comm: dict) -> dict:
         names = frozenset().union(*(pairs[i] for i in part))
         comp.update(dict.fromkeys(names, names))
     return comp
-
-
-def _alphabet(term, equations) -> tuple:
-    """The action names and the shadow bases of ``term`` and of the
-    equations it reaches, names under a nested wrapper included."""
-    names: set = set()
-    bases: set = set()
-    seen: set = set()
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Act):
-            names.add(t.label.name)
-        elif isinstance(t, Shadow):
-            bases.add(t.base)
-        elif isinstance(t, Var):
-            if t.name not in seen and t.name in equations:
-                seen.add(t.name)
-                stack.append(equations[t.name])
-        else:
-            stack.extend(t.children())
-    return frozenset(names), frozenset(bases)
 
 
 def _fusion_groups(alphabets, gamma_components) -> tuple:

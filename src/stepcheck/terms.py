@@ -239,13 +239,23 @@ class ConflictElim(_Unary):
     body: ProcessTerm
 
 
-def _walk(term):
-    """Every subterm of `term`, itself first, in left-to-right preorder."""
+def _walk(term, equations=None):
+    """Every subterm of `term`, itself first, in left-to-right preorder.
+
+    Given an equation map (name -> term), the walk also enters, right
+    after each variable, the equation of that variable, once per name.
+    """
     stack = [term]
+    entered = set()
     while stack:
         t = stack.pop()
         yield t
-        stack.extend(reversed(t.children()))
+        if (equations is not None and isinstance(t, Var)
+                and t.name in equations and t.name not in entered):
+            entered.add(t.name)
+            stack.append(equations[t.name])
+        else:
+            stack.extend(reversed(t.children()))
 
 
 @dataclass
@@ -401,25 +411,21 @@ class AlphabetInfo:
 
 def alphabet(spec: RecursiveSpec, domains: Mapping[str, DataDomain]) -> AlphabetInfo:
     """All ground action labels of the elaborated equations, plus shadow bases."""
-    actions: set = set()
-    bases: set = set()
-    for rhs in spec.equations.values():
-        _collect_alphabet(elaborate_sums(rhs, domains), actions, bases)
-    return AlphabetInfo(frozenset(actions), frozenset(bases))
+    subterms = [t for rhs in spec.equations.values()
+                for t in _walk(elaborate_sums(rhs, domains))]
+    return AlphabetInfo(
+        frozenset(t.label for t in subterms if isinstance(t, Act)
+                  and t.label.name not in RESERVED_NAMES),
+        frozenset(t.base for t in subterms if isinstance(t, Shadow)))
 
 
-def names_written(term) -> frozenset:
-    """The action names and the shadow bases written in ``term``."""
-    return frozenset(t.label.name if isinstance(t, Act) else t.base
-                     for t in _walk(term) if isinstance(t, (Act, Shadow)))
-
-
-def _collect_alphabet(term, actions, bases):
-    for t in _walk(term):
-        if isinstance(t, Act) and t.label.name not in RESERVED_NAMES:
-            actions.add(t.label)
-        elif isinstance(t, Shadow):
-            bases.add(t.base)
+def names_written(term, equations=None) -> tuple:
+    """The action names and the shadow bases written in ``term`` and,
+    given an equation map, in the equations it reaches, as two
+    frozensets; names under a nested wrapper are included."""
+    subterms = list(_walk(term, equations))
+    return (frozenset(t.label.name for t in subterms if isinstance(t, Act)),
+            frozenset(t.base for t in subterms if isinstance(t, Shadow)))
 
 
 # ---------------------------------------------------------------------------
@@ -468,21 +474,6 @@ class Violation:
 
     def __str__(self):
         return f"{self.kind}({self.subject}): {self.message}"
-
-
-def validate_spec(spec: RecursiveSpec,
-                  domains,
-                  comms: CommTable,
-                  extra_names=frozenset()) -> list[Violation]:
-    """Collect all well-formedness violations; an empty list means valid."""
-    violations: list[Violation] = []
-    if spec.entry not in spec.equations:
-        violations.append(Violation(
-            "missing-entry", spec.entry,
-            f"entry variable {spec.entry} has no equation"))
-    known = set(spec.equations) | set(extra_names)
-    violations += validate_terms(spec.equations, domains, known)
-    return violations + validate_comms(comms)
 
 
 def validate_terms(terms: dict, domains, known) -> list[Violation]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stepcheck as sc
-from stepcheck import equivalence
+from stepcheck import composition, equivalence
 from stepcheck.cli import main
 from stepcheck.dsl import (
     ParseError,
@@ -242,16 +242,24 @@ class TestErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_system_over_unknown_domain_exits_2(self, tmp_path, capsys):
+    # each violation is named with its subject, as ``Violation`` prints it
+    @pytest.mark.parametrize("decl, violation", [
+        ("system S = sum d in Z . b(d)",
+         "unknown-domain(Z): sum in S ranges over undeclared domain"),
+        ("process Q { Q = sum v in Nope . b(v) . Q }",
+         "unknown-domain(Nope): sum in Q ranges over undeclared domain"),
+        ("comm a, b\ncomm b, a",
+         "duplicate-pair({a,b}): gamma declares the same unordered pair "
+         "twice"),
+    ], ids=["system", "process", "comm"])
+    def test_system_over_unknown_domain_exits_2(self, tmp_path, capsys,
+                                                decl, violation):
         path = tmp_path / "domain.aptc"
-        path.write_text("process P { P = a . P }\n"
-                        "system S = sum d in Z . b(d)\n"
-                        "check c: S ~sb P\n")
+        path.write_text(f"process P {{ P = a . P }}\n{decl}\n"
+                        "check c: P ~sb P\n")
         assert main(["check", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "unknown-domain" in err
-        assert err.count("\n") == 1
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == (
+            f"error: model is not well-formed: {violation}\n")
 
     def test_system_named_in_a_term_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nested.aptc"
@@ -283,6 +291,24 @@ class TestErrors:
         path.write_text(f"process P {{ P = a . P }}\ncheck c: P ~sb P {option}\n")
         assert main(["check", str(path)]) == 2
         assert capsys.readouterr().err == message
+
+    def test_check_options_are_read_before_any_check_runs(
+            self, tmp_path, monkeypatch, capsys):
+        calls = []
+        side_lts = composition.side_lts
+
+        def spy(model, name, config):
+            calls.append(name)
+            return side_lts(model, name, config)
+
+        monkeypatch.setattr(composition, "side_lts", spy)
+        path = tmp_path / "later.aptc"
+        path.write_text("process P { P = a . P }\nprocess Q { Q = a . Q }\n"
+                        "check first: P ~bb Q\n"
+                        "check second: P ~bb Q comm=bogus\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "error: bad comm_policy bogus\n"
+        assert calls == []
 
     @pytest.mark.parametrize("twice, message", [
         ("set I = { a }", "error: 3:5: set I declared twice\n"),

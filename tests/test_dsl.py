@@ -2,7 +2,19 @@ import pytest
 
 import stepcheck as sc
 from stepcheck.dsl import ParseError, ResolutionError, parse_model, render_model
-from stepcheck.terms import Act, ActionLabel, Alt, Hide, Par, Seq, Sum, Var, WholePar
+from stepcheck.terms import (
+    Act,
+    ActionLabel,
+    Alt,
+    ConflictRelation,
+    DataDomain,
+    Hide,
+    Par,
+    Seq,
+    Sum,
+    Var,
+    WholePar,
+)
 
 MINI = """
 domain D = { d1, d2 }
@@ -119,6 +131,25 @@ class TestParseErrors:
     def test_missing_relation(self):
         with pytest.raises(ParseError):
             parse_model("process P { P = a . P }\ncheck P = P")
+
+    @pytest.mark.parametrize("source, line, col, message", [
+        ("process P { P = a . P }\nconflict a # a", 2, 10,
+         "conflict pairs must relate two distinct actions"),
+        ("process P { P = a . P }\ndomain D = { x, x }", 2, 8,
+         "domain D repeats a value"),
+    ], ids=["conflict", "domain"])
+    def test_a_bad_declaration_names_its_position(self, source, line, col,
+                                                  message):
+        with pytest.raises(ParseError) as exc:
+            parse_model(source)
+        assert (exc.value.line, exc.value.col) == (line, col)
+        assert exc.value.message == message
+
+    def test_the_dataclasses_still_check_library_callers(self):
+        with pytest.raises(ValueError):
+            ConflictRelation(frozenset({frozenset({"a"})}))
+        with pytest.raises(ValueError):
+            DataDomain("D", ("x", "x"))
 
 
 class TestResolutionErrors:

@@ -2,18 +2,22 @@
 private module-level name is read by some stepcheck module, and every
 parameter of a private function or method is read in its body.  Every
 private name and every stepcheck class member that README.md names in
-backticks is defined.
+backticks is defined, and the README's model and library examples run.
 
 ``__init__.py`` is left out of the first check: its imports are the
 package's public API.
 """
 import ast
+import contextlib
+import io
 import re
 from pathlib import Path
 
 import pytest
 
 import stepcheck
+from stepcheck import cli
+from stepcheck.dsl import parse_model
 
 SOURCES = sorted(Path(stepcheck.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -217,3 +221,27 @@ def test_an_undefined_readme_name_is_reported():
               "`Other.thing` are skipped.")
     assert undefined_readme_names(readme, sources) == [
         "Box.put", "Crate.lid", "_gone", "_gone(t)"]
+
+
+def readme_block(section: str, language: str) -> str:
+    """The first ``language`` code block under the README heading
+    ``## section``."""
+    text = README.read_text(encoding="utf-8")
+    rest = text[text.index(f"\n## {section}\n"):]
+    return re.search(rf"```{language}\n(.*?)```", rest, re.S)[1]
+
+
+def test_readme_model_is_whole(tmp_path):
+    source = readme_block("The model language", "text")
+    assert parse_model(source).validate() == []
+    path = tmp_path / "readme.aptc"
+    path.write_text(source)
+    for flags, code in (([], 0), (["--round-mode", "overlap"], 1)):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["check", str(path), *flags]) == code
+
+
+def test_readme_library_example_runs():
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(readme_block("Library API", "python"), {})
+    assert "ABA = A2 . ABA1" in out.getvalue()

@@ -67,6 +67,7 @@ from stepcheck.terms import (
     Var,
     WholePar,
     guardedness_check,
+    names_written,
     term_to_str,
 )
 
@@ -938,6 +939,95 @@ class TestMoveRules:
                 entries += 1
                 with_events += any(isinstance(o, Event) for o in occs)
         assert entries >= 3 * CASES and with_events >= CASES // 2
+
+
+def closure_names(term, equations):
+    """The action names and shadow bases of ``term`` and of the equations
+    it reaches: each term read by recursion over ``children``, the
+    reached equations by a closure loop over the variables met."""
+    names, bases, met = set(), set(), set()
+
+    def read(t):
+        if isinstance(t, Act):
+            names.add(t.label.name)
+        elif isinstance(t, Shadow):
+            bases.add(t.base)
+        elif isinstance(t, Var) and t.name in equations:
+            met.add(t.name)
+        for kid in t.children():
+            read(kid)
+
+    read(term)
+    done = set()
+    while met - done:
+        for name in met - done:
+            done.add(name)
+            read(equations[name])
+    return frozenset(names), frozenset(bases)
+
+
+# the fusion groups and shadow bases of every system of the models whose
+# LTSs tests/test_fingerprints.py pins; no policy changes them
+PINNED_GROUPS = {
+    ("ws_pair(1)", "Sys"): (((0, 1, 2, 3),), ["A1x0", "A6x0", "B1x0", "B4x0"]),
+    ("ws_pair(1)", "Spec"): (((0,),), []),
+    ("ws_pair(2)", "Sys"): (
+        ((0, 1, 2, 3), (4, 5, 6, 7)),
+        ["A1x0", "A1x1", "A6x0", "A6x1", "B1x0", "B1x1", "B4x0", "B4x1"]),
+    ("ws_pair(2)", "Spec"): (((0,), (1,)), []),
+    ("ring(7)", "S"): (((0, 1, 2, 3, 4, 5, 6),), []),
+    ("ring(7)", "SR"): (((0, 1, 2, 3, 4, 5, 6),), []),
+    ("tau_chain(12, 2)", "SPEC"): (((0,), (1,)), []),
+    ("tau_chain(12, 2)", "SR"): (((0,), (1,)), []),
+    ("tau_chain(12, 2)", "S"): (((0,), (1,)), []),
+    ("bundled", "Sys"): (((0, 1, 2, 3),), ["A1", "A6", "B1", "B4"]),
+    ("bundled", "AbstractA"): (((0,),), []),
+    ("bundled", "AbstractB"): (((0,),), []),
+}
+
+
+class TestNamesWritten:
+    """``names_written``, the one walk behind a component's alphabet."""
+
+    @pytest.mark.parametrize("make, seed", [(rand_system, 211),
+                                            (rand_pairwise_system, 223)])
+    def test_against_a_closure_loop(self, make, seed):
+        rng = random.Random(seed)
+        for _ in range(CASES):
+            model, system = make(rng)
+            prepared = prepare_system(system, model, Config())
+            for equations in (model.equations(), prepared.equations):
+                for component in prepared.components:
+                    assert (names_written(component, equations)
+                            == closure_names(component, equations))
+            assert prepared.shadow_bases == frozenset().union(*(
+                closure_names(c, prepared.equations)[1]
+                for c in prepared.components))
+
+    def test_without_equations_a_variable_is_a_leaf(self):
+        term = Seq(Act(ActionLabel("a")), Par(Shadow("b"), Var("P")))
+        equations = {"P": Seq(Act(ActionLabel("c")), Var("P"))}
+        assert names_written(term) == ({"a"}, {"b"})
+        assert names_written(term, equations) == ({"a", "c"}, {"b"})
+
+    def test_pinned_groups_and_shadow_bases(self):
+        models = {
+            "ws_pair(1)": families.ws_pair(1),
+            "ws_pair(2)": families.ws_pair(2),
+            "ring(7)": families.ring(7),
+            "tau_chain(12, 2)": families.tau_chain(12, 2),
+        }
+        models = {name: parse_model(families.render(decls, seed=1))
+                  for name, decls in models.items()}
+        models["bundled"] = sc.load_bundled_model()
+        for policies in POLICY_COMBINATIONS:
+            found = {}
+            for name, model in models.items():
+                for system_name, system in model.systems.items():
+                    prepared = prepare_system(system, model, Config(*policies))
+                    found[name, system_name] = (
+                        prepared.groups, sorted(prepared.shadow_bases))
+            assert found == PINNED_GROUPS, policies
 
 
 class TestSplitEnumeration:

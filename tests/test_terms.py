@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from stepcheck.dsl import _Name, parse_model
+from stepcheck.model import Model
 from stepcheck.semantics import TERM, _alt, _par, _seq, _wrap, canon
 from stepcheck.terms import (
     Act,
@@ -32,7 +33,6 @@ from stepcheck.terms import (
     substitute,
     term_to_str,
     unguarded_vars,
-    validate_spec,
 )
 from stepcheck.terms import _INTERNED, _PREC_SEQ, _RENDERED
 
@@ -168,14 +168,27 @@ class TestGuardedness:
 class TestValidation:
     def test_unbound_variable_reported(self):
         spec = RecursiveSpec("P", {"P": Seq(act("a"), Var("Q"))}, "P")
-        kinds = {v.kind for v in validate_spec(spec, (), CommTable())}
+        kinds = {v.kind for v in Model(processes=(spec,)).validate()}
         assert "unbound-variable" in kinds
 
     def test_self_communication_rejected(self):
         comms = CommTable((CommEntry("a", "a"),))
         spec = RecursiveSpec("P", {"P": act("a")}, "P")
-        kinds = {v.kind for v in validate_spec(spec, (), comms)}
+        model = Model(processes=(spec,), comms=comms)
+        kinds = {v.kind for v in model.validate()}
         assert "self-communication" in kinds
+
+    def test_violations_come_process_by_process(self):
+        # a process's entry, then its equations; then systems, then comms
+        model = Model(
+            processes=(RecursiveSpec("P", {"P1": Var("Q")}, "P"),
+                       RecursiveSpec("R", {"R": act("tau")}, "Z")),
+            systems={"S": Sum("d", "D", act("a", "d"))},
+            comms=CommTable((CommEntry("a", "a"),)))
+        assert [(v.kind, v.subject) for v in model.validate()] == [
+            ("missing-entry", "P"), ("unbound-variable", "Q"),
+            ("missing-entry", "Z"), ("reserved-name", "tau"),
+            ("unknown-domain", "D"), ("self-communication", "a")]
 
     def test_clean_spec_has_no_violations(self, ws_model):
         assert ws_model.validate() == []
