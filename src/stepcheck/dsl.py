@@ -263,7 +263,11 @@ class _Parser:
     def conflict_decl(self, decls):
         tok = self.expect_name("action name")
         self.expect_symbol("#")
-        pair = frozenset((tok.text, self.expect_name("action name").text))
+        other = self.expect_name("action name").text
+        pair = frozenset((tok.text, other))
+        if pair in decls["conflicts"].pairs:
+            raise ParseError(f"conflict {tok.text} # {other} declared twice",
+                             tok.line, tok.col)
         decls["conflicts"] = self.built(
             tok, ConflictRelation, decls["conflicts"].pairs | {pair})
 

@@ -60,18 +60,34 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Disjoint union helper: both LTSs in one arena
+# Disjoint union helper: LTSs in one arena, as integer rows
 
 
-def _union(left: StepLTS, right: StepLTS):
-    n = left.num_states
-    out = left.outgoing() + [[(a, n + t) for a, t in row]
-                             for row in right.outgoing()]
-    return out, left.initial, n + right.initial, len(out)
+def _union(*ltss):
+    """The states of ``ltss`` in one arena, those of each LTS after those
+    of the ones before it.
+
+    Each state's row lists its moves as (label id, target) pairs.  The
+    labels are numbered in order of first appearance, tau as 0.  Returns
+    the rows, the labels by id, and each LTS's initial state in the arena.
+    """
+    ids = {TAU: 0}
+    out, initials = [], []
+    for lts in ltss:
+        base = len(out)
+        rows = [[] for _ in range(lts.num_states)]
+        for s, a, t in lts.transitions:
+            rows[s].append((ids.setdefault(a, len(ids)), base + t))
+        out += rows
+        initials.append(base + lts.initial)
+    return (out, tuple(ids), *initials)
 
 
 # ---------------------------------------------------------------------------
 # Partition refinement
+#
+# Block ids are below the number of states, so a (label id, block) move of
+# a signature is the one integer ``label id * len(out) + block``.
 
 
 def _sccs(succ):
@@ -117,15 +133,16 @@ def _branching_signatures(out, block):
     Inert tau steps stay in their block.  Their SCCs come sinks first, so
     each SCC unions its own moves with the signatures of the SCCs it reaches.
     """
-    inert = [[t for a, t in row if a == TAU and block[t] == block[s]]
+    n = len(out)
+    inert = [[t for a, t in row if not a and block[t] == block[s]]
              for s, row in enumerate(out)]
-    sig = [None] * len(out)
+    sig = [None] * n
     for comp in _sccs(inert):
         acc = set()
         for u in comp:
             b = block[u]
-            acc.update((a, block[t]) for a, t in out[u]
-                       if a != TAU or block[t] != b)
+            acc.update([a * n + block[t] for a, t in out[u]
+                        if a or block[t] != b])
             for t in inert[u]:
                 if sig[t] is not None:      # None: t is in this SCC
                     acc |= sig[t]
@@ -139,7 +156,8 @@ def _signatures(out, block, inert):
     """Each state's (label, block) moves; with ``inert``, branching ones."""
     if inert:
         return _branching_signatures(out, block)
-    return [frozenset((a, block[t]) for a, t in row) for row in out]
+    n = len(out)
+    return [frozenset([a * n + block[t] for a, t in row]) for row in out]
 
 
 def _first_appearance(block):
@@ -148,49 +166,46 @@ def _first_appearance(block):
     return [first.setdefault(b, len(first)) for b in block]
 
 
-def _splits(out, block, members, dirty, inert):
+def _splits(out, block, size, dirty, inert):
     """Re-sign the ``dirty`` states; the parts that leave their blocks.
 
     After round 0 a strong round re-signs the predecessors of the states
     that moved in the round before.  Each of them has a move into a block
     that is new since then, and no other state has one, so the untouched
-    members of a block form a part of their own.  The largest part keeps
-    the block, so that the fewest states move.  Returns the leaving parts
-    and the blocks they leave.
+    rest of a block, ``size`` less its dirty states, is a part of its own
+    and keeps the block.  A block with no rest keeps it for its largest
+    part.  Every other part leaves.
     """
+    n = len(out)
     sigs = _branching_signatures(out, block) if inert else None
     touched = {}
     for s in dirty:
-        key = sigs[s] if inert else frozenset((a, block[t]) for a, t in out[s])
+        key = (sigs[s] if inert
+               else frozenset([a * n + block[t] for a, t in out[s]]))
         touched.setdefault(block[s], {}).setdefault(key, []).append(s)
-    parts, shrunk = [], []
+    parts = []
     for b, groups in touched.items():
-        mem = members[b]
         groups = list(groups.values())
-        rest = len(mem) - sum(map(len, groups))
-        if not rest and len(groups) == 1:
-            continue
-        keep = max(groups, key=len)
-        if rest >= len(keep):
+        if size[b] > sum(map(len, groups)):
             parts += groups
-        else:
+        elif len(groups) > 1:
+            keep = max(groups, key=len)
             parts += (g for g in groups if g is not keep)
-            if rest:
-                parts.append([s for s in mem if s not in dirty])
-        shrunk.append(b)
-    return parts, shrunk
+    return parts
 
 
 def _refine(out, total, inert):
     """Signature refinement to strong bisimilarity, or with ``inert`` branching.
 
-    Block ids are stable: a block that splits keeps its id for one part.
-    A strong signature can then change only if a successor moved, so each
-    strong round re-signs only the predecessors of the states that moved
-    in the round before.  Branching signatures follow inert closures,
-    which any split can change, so every branching round re-signs every
-    state.  A round computes all its splits against the ids of the round
-    before and applies them at its end.
+    Block ids are stable: a block that splits keeps its id for one part,
+    and each other part takes the next free id, so every id names a
+    nonempty block and is below ``total``.  A strong signature can then
+    change only if a successor moved, so each strong round re-signs only
+    the predecessors of the states that moved in the round before.
+    Branching signatures follow inert closures, which any split can
+    change, so every branching round re-signs every state.  A round
+    computes all its splits against the ids of the round before and
+    applies them at its end.
 
     Returns the final block of every state and the blocks after each
     round, from which ``_explain`` reads why two states differ.  The
@@ -198,7 +213,7 @@ def _refine(out, total, inert):
     their ids are not numbered by first appearance.
     """
     block = [0] * total
-    members = [list(range(total))]
+    size = [total]      # states per block id
     if not inert:
         pred = [[] for _ in range(total)]
         for s, row in enumerate(out):
@@ -207,13 +222,13 @@ def _refine(out, total, inert):
     dirty = range(total)
     history = []
     while True:
-        parts, shrunk = _splits(out, block, members, dirty, inert)
+        parts = _splits(out, block, size, dirty, inert)
         for part in parts:
+            size[block[part[0]]] -= len(part)
+            new = len(size)
+            size.append(len(part))
             for s in part:
-                block[s] = len(members)
-            members.append(part)
-        for b in shrunk:
-            members[b] = [s for s in members[b] if block[s] == b]
+                block[s] = new
         history.append(block[:])
         if not parts:
             return block, history
@@ -221,20 +236,22 @@ def _refine(out, total, inert):
             dirty = {p for part in parts for s in part for p in pred[s]}
 
 
-def _unmatched(left_sig, right_sig):
-    """The least (label, block) move of one signature only, and its side."""
-    move = min(left_sig ^ right_sig, key=lambda m: (label_str(m[0]), m[1]))
-    return move, "left" if move in left_sig else "right"
+def _unmatched(left_sig, right_sig, labels, total):
+    """The label of the least (label, block) move of one signature only,
+    and its side."""
+    move = min(left_sig ^ right_sig,
+               key=lambda m: (label_str(labels[m // total]), m % total))
+    return labels[move // total], "left" if move in left_sig else "right"
 
 
-def _explain(out, p, q, history, inert):
+def _explain(out, labels, p, q, history, inert):
     """Why states p (left) and q (right) differ: a move one side has and
     the other cannot match at the round that split them (Cleaveland 1990).
     """
     k = next(k for k, blocks in enumerate(history) if blocks[p] != blocks[q])
     prev = _first_appearance(history[k - 1]) if k else [0] * len(out)
     sigs = _signatures(out, prev, inert)
-    (a, _), side = _unmatched(sigs[p], sigs[q])
+    a, side = _unmatched(sigs[p], sigs[q], labels, len(out))
     if not k:
         return StepCounterexample(
             (), f"step {label_str(a)} is enabled on the {side} side only")
@@ -248,13 +265,14 @@ def _explain(out, p, q, history, inert):
 
 
 def strong_step_bisim(left: StepLTS, right: StepLTS) -> Verdict:
-    out, init_l, init_r, total = _union(left, right)
-    block, history = _refine(out, total, False)
+    out, labels, init_l, init_r = _union(left, right)
+    block, history = _refine(out, len(out), False)
     holds = block[init_l] == block[init_r]
     verdict = Verdict(holds, "strong step bisimulation",
                       details={"blocks": len(set(block))})
     if not holds:
-        verdict.counterexample = _explain(out, init_l, init_r, history, False)
+        verdict.counterexample = _explain(
+            out, labels, init_l, init_r, history, False)
     return verdict
 
 
@@ -264,15 +282,16 @@ def strong_step_bisim(left: StepLTS, right: StepLTS) -> Verdict:
 
 def branching_bisim(left: StepLTS, right: StepLTS,
                     rooted: bool = False) -> Verdict:
-    out, init_l, init_r, total = _union(left, right)
-    block, history = _refine(out, total, True)
+    out, labels, init_l, init_r = _union(left, right)
+    block, history = _refine(out, len(out), True)
     name = ("rooted " if rooted else "") + "branching bisimulation"
     if block[init_l] == block[init_r]:
         if rooted:
             # root condition: every initial move must be matched immediately
             sigs = _signatures(out, _first_appearance(block), False)
             if sigs[init_l] != sigs[init_r]:
-                (a, _), side = _unmatched(sigs[init_l], sigs[init_r])
+                a, side = _unmatched(sigs[init_l], sigs[init_r], labels,
+                                     len(out))
                 return Verdict(False, name, StepCounterexample(
                     (), f"root condition: initial step {label_str(a)} "
                         f"on the {side} side has no immediate match"))
@@ -280,7 +299,7 @@ def branching_bisim(left: StepLTS, right: StepLTS,
     # prefer a weak-trace counterexample: concrete and easy to read
     traces = weak_traces_equal(left, right)
     return Verdict(False, name, traces.counterexample
-                   or _explain(out, init_l, init_r, history, True))
+                   or _explain(out, labels, init_l, init_r, history, True))
 
 
 def rooted_branching_bisim(left: StepLTS, right: StepLTS) -> Verdict:
@@ -297,9 +316,9 @@ def minimize(lts: StepLTS, relation: str = "branching") -> StepLTS:
     The branching quotient drops inert tau steps; the strong quotient
     keeps every step.
     """
-    out = lts.outgoing()
     if relation not in ("strong", "branching"):
         raise ValueError(f"unknown relation {relation}")
+    out, _, _ = _union(lts)
     drop_inert = relation == "branching"
     block, _ = _refine(out, lts.num_states, drop_inert)
 

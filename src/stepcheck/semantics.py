@@ -169,6 +169,11 @@ class SystemState(NamedTuple):
         return parts
 
 
+# ``SystemState(components, rounds)`` without the named tuple's
+# Python-level ``__new__``: ``_new_tuple(SystemState, (components, rounds))``
+_new_tuple = tuple.__new__
+
+
 # ---------------------------------------------------------------------------
 # Events
 
@@ -750,14 +755,16 @@ def _group_steps(state, prepared):
     alone read them.  Under interleave no entry takes a moving part from
     two groups.
     """
-    comps, rounds = state.components, state.rounds
+    comps, rounds = state
+    # barrier rounds are normalized to 0 over the live entried components
+    # and are 0 for the others, so a component at round 0 may move; with
+    # no round set and no component terminated, every position may
+    free = TERM not in comps and not (rounds and any(rounds))
     product = None
     for group in prepared.groups:
-        # barrier rounds are normalized to 0 over the live entried
-        # components and are 0 for the others, so a component at round 0
-        # may move
-        positions = tuple(i for i in group if comps[i] is not TERM
-                          and not (rounds and rounds[i]))
+        positions = group if free else tuple(
+            i for i in group if comps[i] is not TERM
+            and not (rounds and rounds[i]))
         key = (positions, tuple(map(comps.__getitem__, positions)))
         part = prepared._group_cache.get(key)
         if part is None:
@@ -776,8 +783,7 @@ def enabled_steps(state: SystemState, prepared: PreparedSystem):
     then apply through ``_apply_wrappers`` as in ``_raw``, and the sort
     keys come from ``prepared``'s render memos.
     """
-    comps = state.components
-    n = len(comps)
+    comps, rounds = state
     entries = prepared.entries
     per_state = prepared.split[1]
     out = []
@@ -785,34 +791,38 @@ def enabled_steps(state: SystemState, prepared: PreparedSystem):
         new_comps = list(comps)
         for i, move in picks:
             new_comps[i] = move[1]
-        rounds2 = state.rounds
+        rounds2 = rounds
         # a state's rounds are normalized already: only a mover that
         # re-enters its entry equation or terminates changes them
-        if rounds2 is not None and any(
+        if rounds is not None and any(
                 move[1] is TERM or isinstance(move[1], Var)
                 and move[1].name == entries[i] for i, move in picks):
-            rl = list(rounds2)
+            rl = list(rounds)
             for i, move in picks:
                 succ = move[1]
                 if isinstance(succ, Var) and succ.name == entries[i]:
                     rl[i] += 1
             # rounds only mean anything for live, entried components;
             # normalize over those and zero the rest
+            n = len(comps)
             live = [i for i in range(n)
                     if new_comps[i] is not TERM and entries[i] is not None]
             lo = min((rl[i] for i in live), default=0)
             rounds2 = tuple(rl[i] - lo if i in live else 0 for i in range(n))
-        succ = SystemState(tuple(new_comps), rounds2)
+        succ = _new_tuple(SystemState, (tuple(new_comps), rounds2))
         if per_state:
             out += [(events, succ) for events, _ in steps]
+        elif len(steps) == 1:
+            out.append((steps[0][1], succ))
         else:
             out += [(label, succ) for _, label in steps]
     if per_state:
         out = [(step_label(events), succ) for events, succ in
                _apply_wrappers(out, per_state, prepared.conflicts)]
-    out = list(dict.fromkeys(out))
-    names, label_keys = prepared._names, prepared._label_keys
-    out.sort(key=lambda ls: (label_keys[ls[0]], names[ls[1]]))
+    if len(out) > 1:
+        out = list(dict.fromkeys(out))
+        names, label_keys = prepared._names, prepared._label_keys
+        out.sort(key=lambda ls: (label_keys[ls[0]], names[ls[1]]))
     return out
 
 
@@ -846,6 +856,9 @@ def generate_lts(system: ProcessTerm, model: Model,
 
     Each distinct state's name and each label's sort key is rendered once
     per call, in the prepared system's memos, and every sort reads them.
+    A state's transitions are sorted by (label key, destination index)
+    when it is expanded; states are expanded in index order, so all the
+    transitions come sorted by (source, label key, destination).
     """
     prepared = prepare_system(system, model, config)
     names, label_keys = prepared._names, prepared._label_keys
@@ -858,6 +871,7 @@ def generate_lts(system: ProcessTerm, model: Model,
     for src, state in enumerate(order):   # order grows during the walk
         if src == level_end:
             depth, level_end = depth + 1, len(order)
+        row = []
         for label, succ in enabled_steps(state, prepared):
             dst = index.get(succ)
             if dst is None:
@@ -866,8 +880,10 @@ def generate_lts(system: ProcessTerm, model: Model,
                         config.max_states, len(order) - src - 1, depth + 1)
                 dst = index[succ] = len(order)
                 order.append(succ)
-            transitions.append((src, label, dst))
-    transitions.sort(key=lambda t: (t[0], label_keys[t[1]], t[2]))
+            row.append((src, label, dst))
+        if len(row) > 1:
+            row.sort(key=lambda t: (label_keys[t[1]], t[2]))
+        transitions += row
     return StepLTS(
         initial=0,
         num_states=len(order),
@@ -879,7 +895,23 @@ def generate_lts(system: ProcessTerm, model: Model,
 def prune_dead(lts: StepLTS) -> StepLTS:
     """Least-fixpoint removal of states from which deadlock is inevitable,
     then of the states no longer reachable; ``lts`` itself when nothing
-    is removed."""
+    is removed.
+
+    One pass first finds the common case: initial state 0, every state
+    with a step, and every other state with a predecessor of smaller
+    index, as breadth-first numbering gives.  Then no state is dead, and
+    each is reachable through ever smaller predecessors, so ``lts`` is
+    returned as it is.
+    """
+    if lts.initial == 0:
+        has_step = [False] * lts.num_states
+        has_earlier = has_step[:]
+        for s, _, t in lts.transitions:
+            has_step[s] = True
+            if s < t:
+                has_earlier[t] = True
+        if all(has_step) and all(has_earlier[1:]):
+            return lts
     out = lts.outgoing()
     # live[s]: transitions of s not known to lead to a dead state; 0 = dead
     live = [len(row) for row in out]

@@ -316,6 +316,7 @@ class TestErrors:
         ("check I: P ~bb P", "error: 3:7: check I declared twice\n"),
         ("domain D = { d }", "error: 3:8: domain D declared twice\n"),
         ("process Q { Q = b . Q }", "error: 3:9: process Q declared twice\n"),
+        ("conflict a # b", "error: 3:10: conflict a # b declared twice\n"),
     ])
     def test_declared_twice_exits_2(self, tmp_path, capsys, twice, message):
         path = tmp_path / "twice.aptc"

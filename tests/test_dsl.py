@@ -137,7 +137,12 @@ class TestParseErrors:
          "conflict pairs must relate two distinct actions"),
         ("process P { P = a . P }\ndomain D = { x, x }", 2, 8,
          "domain D repeats a value"),
-    ], ids=["conflict", "domain"])
+        # either order declares the same pair; the error is at the repeat
+        ("process P { P = a . b . P }\nconflict a # b\nconflict a # b", 3, 10,
+         "conflict a # b declared twice"),
+        ("process P { P = a . b . P }\nconflict a # b\nconflict b # a", 3, 10,
+         "conflict b # a declared twice"),
+    ], ids=["conflict", "domain", "conflict-twice", "conflict-reversed"])
     def test_a_bad_declaration_names_its_position(self, source, line, col,
                                                   message):
         with pytest.raises(ParseError) as exc:

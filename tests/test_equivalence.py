@@ -1,7 +1,7 @@
 from dataclasses import replace
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import stepcheck as sc
 from stepcheck import equivalence
@@ -218,7 +218,10 @@ class TestCounterMonitor:
 
 
 def reference_blocks(out, total, inert):
-    """Signature refinement that rebuilds each state's inert-tau closure."""
+    """Signature refinement that rebuilds each state's inert-tau closure.
+
+    ``out`` holds integer rows, as ``equivalence._union`` builds them:
+    (label id, target) moves, tau as 0."""
     block = [0] * total
     history = []
     while True:
@@ -229,10 +232,10 @@ def reference_blocks(out, total, inert):
             if inert:
                 for u in closure:
                     for a, t in out[u]:
-                        if a == TAU and block[t] == block[s] and t not in closure:
+                        if a == 0 and block[t] == block[s] and t not in closure:
                             closure.append(t)
             sig = frozenset((a, block[t]) for u in closure for a, t in out[u]
-                            if not (inert and a == TAU and block[t] == block[s]))
+                            if not (inert and a == 0 and block[t] == block[s]))
             new_block[s] = sigs.setdefault((block[s], sig), len(sigs))
         history.append(new_block)
         if len(set(new_block)) == len(set(block)):
@@ -298,6 +301,12 @@ _A, _B = ActionLabel("a"), ActionLabel("b")
 _LABELS = (TAU, TAU, TAU, (_A,), (_B,), (_A, _B))
 
 
+def lts_from(initial, num_states, edges):
+    return StepLTS(initial=initial, num_states=num_states,
+                   transitions=tuple(sorted(edges)),
+                   state_names=tuple(f"s{i}" for i in range(num_states)))
+
+
 @st.composite
 def random_lts(draw):
     """A small LTS with tau cycles, multi-event labels and unreachable states."""
@@ -335,7 +344,8 @@ class TestRefinementDifferential:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(random_lts(), random_lts(), st.booleans())
     def test_partition_matches_reference(self, left, right, inert):
-        out, _, _, total = equivalence._union(left, right)
+        out, _, _, _ = equivalence._union(left, right)
+        total = len(out)
         block, history = equivalence._refine(out, total, inert)
         ref_block, ref_history = reference_blocks(out, total, inert)
         assert renamed(block) == renamed(ref_block)
@@ -346,7 +356,8 @@ class TestRefinementDifferential:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(long_lts(), long_lts(), st.booleans())
     def test_long_refinement_matches_reference(self, left, right, inert):
-        out, _, _, total = equivalence._union(left, right)
+        out, _, _, _ = equivalence._union(left, right)
+        total = len(out)
         block, history = equivalence._refine(out, total, inert)
         ref_block, ref_history = reference_blocks(out, total, inert)
         assert renamed(block) == ref_block
@@ -354,13 +365,9 @@ class TestRefinementDifferential:
 
     def test_chain_splits_one_state_per_round(self):
         # s0 -tau-> ... -tau-> s39 -a-> s40: round 0 splits off s39 and
-        # s40, each later round the next state back, and round 39 is stable
-        lts = StepLTS(
-            initial=0, num_states=41,
-            transitions=tuple((s, TAU, s + 1) for s in range(39))
-            + ((39, (_A,), 40),),
-            state_names=tuple(f"s{i}" for i in range(41)))
-        out = lts.outgoing()
+        # s40, each later round the next state back, and round 39 is stable;
+        # as integer rows, tau is label 0 and {a} label 1
+        out = [[(0, s + 1)] for s in range(39)] + [[(1, 40)], []]
         block, history = equivalence._refine(out, 41, False)
         assert len(set(block)) == 41 and len(history) == 40
         assert ([renamed(b) for b in history]
@@ -385,6 +392,15 @@ class TestRefinementDifferential:
     def test_divergences_match_reference(self, lts):
         assert divergences(lts) == reference_divergences(lts)
 
+    # LTSs that the one-pass check of ``prune_dead`` must pass on to the
+    # full algorithm: every state has a step, but the 2 <-> 3 cycle is
+    # unreachable; numbered breadth first from state 0, but the initial
+    # state is 1, from which state 0 cannot be reached; one deadlock
+    @example(lts_from(0, 4, {(0, TAU, 1), (1, TAU, 0), (2, TAU, 3),
+                             (3, TAU, 2)}))
+    @example(lts_from(1, 4, {(0, TAU, 1), (1, TAU, 2), (2, TAU, 3),
+                             (3, TAU, 2)}))
+    @example(lts_from(0, 3, {(0, TAU, 1), (0, (_A,), 2), (1, TAU, 0)}))
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(random_lts())
     def test_prune_dead_matches_reference(self, lts):
@@ -431,9 +447,10 @@ class TestExplanation:
         verdict = strong_step_bisim(left, right)
         if verdict.holds:
             return
-        out, p, q, total = equivalence._union(left, right)
-        block, _ = reference_blocks(out, total, False)
-        moves = {"left": out[p], "right": out[q]}
+        out, labels, p, q = equivalence._union(left, right)
+        block, _ = reference_blocks(out, len(out), False)
+        moves = {side: [(labels[a], t) for a, t in out[s]]
+                 for side, s in (("left", p), ("right", q))}
         a, side, other = claimed_move(verdict.counterexample, moves)
         targets = [t for b, t in moves[other] if b == a]
         if not verdict.counterexample.trace:

@@ -1,6 +1,7 @@
 """Two benchmark workloads generate exactly the LTSs the benchmark records,
 and the bundled model, systems of several fusion groups and systems of
-one fusion group the LTSs and CLI output recorded below.
+one fusion group the LTSs and CLI output recorded below.  Generation
+keeps the order of a plain breadth-first loop over ``enabled_steps``.
 
 The models come from ``bench.families`` and the expected fingerprints
 (SHA-256 of the sorted name-level transition triples) from
@@ -13,6 +14,7 @@ import itertools
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -21,14 +23,18 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from bench import families, spans, workloads  # noqa: E402
-from stepcheck import bundled_model_path, cli  # noqa: E402
+from stepcheck import bundled_model_path, cli, load_bundled_model  # noqa: E402
 from stepcheck.dsl import parse_model  # noqa: E402
 from stepcheck.semantics import (  # noqa: E402
     POLICIES,
     Config,
+    StepLTS,
+    enabled_steps,
     generate_lts,
+    label_key,
     label_str,
     prepare_system,
+    prune_dead,
 )
 from stepcheck.terms import Var  # noqa: E402
 
@@ -258,9 +264,71 @@ def test_one_group_fingerprints(policies):
             == ONE_GROUP[policies])
 
 
-# SHA-256 of the CLI's standard output on the bundled model.  Unlike the
-# name-level fingerprints above, these also pin the BFS state numbering
-# and the order of every list in the JSON.
+def reference_generation(system, model, config) -> StepLTS:
+    """Breadth-first closure by ``enabled_steps``: each new successor is
+    numbered in the order the steps come, and every transition is sorted
+    at the end by (source, label key, destination)."""
+    prepared = prepare_system(system, model, config)
+    order = [prepared.initial_state()]
+    index = {order[0]: 0}
+    transitions = []
+    for src, state in enumerate(order):
+        for label, succ in enabled_steps(state, prepared):
+            if succ not in index:
+                index[succ] = len(order)
+                order.append(succ)
+            transitions.append((src, label, index[succ]))
+    transitions.sort(key=lambda t: (t[0], label_key(t[1]), t[2]))
+    return StepLTS(initial=0, num_states=len(order),
+                   transitions=tuple(transitions),
+                   state_names=tuple(state.pretty() for state in order))
+
+
+@pytest.fixture(scope="module")
+def ordered_terms():
+    """Every system of ws_pair(1), ring(5) and tau_chain(12, 2), and every
+    system and equation of the bundled model, each with its model."""
+    models = [parse_model(families.render(decls, seed=1)) for decls in (
+        families.ws_pair(1), families.ring(5), families.tau_chain(12, 2))]
+    terms = [(m, term) for m in models for term in m.systems.values()]
+    bundled = load_bundled_model()
+    return terms + [(bundled, term) for term in (
+        *bundled.systems.values(), *map(Var, bundled.equations()))]
+
+
+@pytest.mark.parametrize("policies", list(itertools.product(
+    *(allowed for _, allowed in POLICIES.values()))), ids="-".join)
+def test_generation_order_matches_reference_bfs(ordered_terms, policies):
+    # the initial state, the state names in order and the transitions in
+    # order, which the name-level fingerprints above leave open
+    config = Config(*policies)
+    for model, term in ordered_terms:
+        assert (generate_lts(term, model, config)
+                == reference_generation(term, model, config))
+
+
+@pytest.mark.parametrize("policies", list(itertools.product(
+    *(allowed for _, allowed in POLICIES.values()))), ids="-".join)
+def test_generated_lts_with_no_deadlock_is_its_own_pruning(ordered_terms,
+                                                           policies):
+    # a generated LTS is numbered breadth first from state 0, so with a
+    # step in every state the one-pass check keeps it whole, and the full
+    # algorithm, which starts from ``outgoing``, never runs
+    config = Config(*policies)
+    live = [lts for lts in (generate_lts(term, model, config)
+                            for model, term in ordered_terms)
+            if not lts.deadlock_states()]
+    assert len(live) >= 20
+    with mock.patch.object(StepLTS, "outgoing",
+                           side_effect=AssertionError("full algorithm ran")):
+        assert all(prune_dead(lts) is lts for lts in live)
+
+
+# SHA-256 of the CLI's standard output on the bundled model and, for a key
+# that starts with a name in CLI_FAMILIES, on that family's model.  Unlike
+# the name-level fingerprints above, these also pin the BFS state numbering
+# and the order of every list in the JSON; on the families, the verdicts,
+# block counts and counterexamples of their checks.
 CLI_OUTPUTS = {
     ("lts", "--format", "json", "--system", "Sys"):
         "17019ca2870b430ccf83e78d705302dd462a6fb5969647d9c342dae705b5ce87",
@@ -272,14 +340,39 @@ CLI_OUTPUTS = {
         "5470fd3acfc8487473a7bbac3f64f67a09b7546b48aa09f90e4ae7033d7e4746",
     ("derive-ab", "--wso", "WSOB", "--json"):
         "31fdd5666ceb14abd196b64bee874a7df9fb44f2bec0f7c52680fe2b35648b0f",
+    ("ws_pair(1)", "check", "--json"):
+        "1bfd1cb227adaf4f4890f45f05c441a95c5956d9beeb9e04abc13a846f1b0f8d",
+    ("tau_chain(12, 2)", "check", "--json"):
+        "3f70cd9d97fcb09c1d8c413f5b63caa0833c1949cbb25d41b7732c831d9de10c",
+}
+
+# family model -> (its declarations, rendered with seed 1; the exit code of
+# its commands: ws_pair's overlap check fails, so ``check`` exits 1)
+CLI_FAMILIES = {
+    "ws_pair(1)": (families.ws_pair(1), 1),
+    "tau_chain(12, 2)": (families.tau_chain(12, 2), 0),
 }
 
 
-@pytest.mark.parametrize("args", list(CLI_OUTPUTS), ids=" ".join)
+@pytest.mark.parametrize("args", [a for a in CLI_OUTPUTS
+                                  if a[0] not in CLI_FAMILIES], ids=" ".join)
 def test_bundled_model_cli_output(args):
     argv = [args[0], str(bundled_model_path()), *args[1:]]
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(argv)
     assert code == 0
+    assert (hashlib.sha256(out.getvalue().encode()).hexdigest()
+            == CLI_OUTPUTS[args])
+
+
+@pytest.mark.parametrize("args", [a for a in CLI_OUTPUTS
+                                  if a[0] in CLI_FAMILIES], ids=" ".join)
+def test_family_model_cli_output(args, tmp_path):
+    decls, exit_code = CLI_FAMILIES[args[0]]
+    path = tmp_path / "family.aptc"
+    path.write_text(families.render(decls, seed=1))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main([args[1], str(path), *args[2:]])
+    assert code == exit_code
     assert (hashlib.sha256(out.getvalue().encode()).hexdigest()
             == CLI_OUTPUTS[args])
