@@ -166,12 +166,13 @@ def strip_shadows(term: ProcessTerm) -> Optional[ProcessTerm]:
 
     Returns None for a term consisting of shadows only.
     """
-    if isinstance(term, Shadow):
-        return None
-    kids = term.children()
+    return term.fold(_strip)
+
+
+def _strip(term, kids):
     if not kids:
-        return term
-    kept = tuple(k for k in map(strip_shadows, kids) if k is not None)
+        return None if isinstance(term, Shadow) else term
+    kept = tuple(k for k in kids if k is not None)
     if not kept:
         return None
     # a sequence or parallel pair keeps its one remaining side, and an

@@ -17,6 +17,7 @@ Line comments start with `//`.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .model import CheckGoal, Model, RELATIONS
@@ -338,11 +339,12 @@ class _Parser:
         return left
 
     def seq_term(self):
-        left = self.atom()
-        if self.peek().text == ".":
+        parts = [self.atom()]
+        while self.peek().text == ".":
             self.next()
-            return Seq(left, self.seq_term())
-        return left
+            parts.append(self.atom())
+        return functools.reduce(lambda right, left: Seq(left, right),
+                                reversed(parts))
 
     def atom(self):
         tok = self.peek()
@@ -401,7 +403,9 @@ class _SetRef:
 # Resolution: _Name -> Var | Act, _SetRef -> frozenset
 
 
-def _resolve_term(term, equation_names, system_names, sets):
+def _resolve_term(equation_names, system_names, sets, term, kids):
+    """``term`` over its resolved children ``kids``, with a name resolved
+    to a process variable or an action and a set name to its set."""
     if isinstance(term, _Name):
         if term.name in system_names:
             raise ResolutionError(
@@ -414,17 +418,13 @@ def _resolve_term(term, equation_names, system_names, sets):
                     term.name)
             return Var(term.name)
         return Act(ActionLabel(term.name, term.args))
-    if isinstance(term, (Hide, Encaps)):
-        names = term.names
-        if isinstance(names, _SetRef):
-            if names.name not in sets:
-                raise ResolutionError(
-                    f"unknown action set {names.name}", names.name)
-            names = sets[names.name]
-        term = type(term)(frozenset(names), term.body)
-    return term.rebuild(tuple(
-        _resolve_term(k, equation_names, system_names, sets)
-        for k in term.children()))
+    if isinstance(term, (Hide, Encaps)) and isinstance(term.names, _SetRef):
+        ref = term.names
+        if ref.name not in sets:
+            raise ResolutionError(
+                f"unknown action set {ref.name}", ref.name)
+        return type(term)(sets[ref.name], kids[0])
+    return term.rebuild(kids)
 
 
 def _name_checks(goals) -> tuple:
@@ -451,15 +451,14 @@ def parse_model(source: str) -> Model:
         raise ResolutionError(
             f"system {clash[0]} is named like an equation", clash[0])
     sets = decls["sets"]
+    resolve = functools.partial(_resolve_term, equation_names, system_names, sets)
     processes = []
     for spec in decls["processes"].values():
-        equations = {name: _resolve_term(rhs, equation_names, system_names,
-                                         sets)
+        equations = {name: rhs.fold(resolve)
                      for name, rhs in spec.equations.items()}
         processes.append(RecursiveSpec(spec.name, equations, spec.entry))
     comms = CommTable(tuple(decls["comms"]))
-    systems = {name: _resolve_term(t, equation_names, system_names, sets)
-               for name, t in decls["systems"].items()}
+    systems = {name: t.fold(resolve) for name, t in decls["systems"].items()}
     model = Model(
         domains=tuple(decls["domains"].values()),
         processes=tuple(processes),

@@ -5,6 +5,7 @@ empty multiset (all contributions hidden) is the silent step tau.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -92,10 +93,19 @@ class _Terminated(ProcessTerm):
 TERM = _Terminated()
 
 
+# term -> its canonical form; like the intern table, it lives for the
+# process, so the equations that every prepared system canonicalizes
+# again are folded once
+_CANONICAL: dict = {}
+
+
 def canon(term: ProcessTerm) -> ProcessTerm:
     """Behavioral canonical form used for state memoization: the children
     made canonical, then the node rebuilt through the constructors below."""
-    kids = tuple(map(canon, term.children()))
+    return term.fold(_canon, _CANONICAL)
+
+
+def _canon(term, kids):
     if isinstance(term, Seq):
         return _seq(*kids)
     if isinstance(term, Alt):
@@ -116,9 +126,11 @@ def _seq(left, right):
     right-associates along its spine."""
     if left is TERM:
         return right
-    if isinstance(left, Seq):
-        return Seq(left.left, _seq(left.right, right))
-    return Seq(left, right)
+    parts = [left]
+    while isinstance(parts[-1], Seq):
+        parts[-1:] = parts[-1].children()
+    return functools.reduce(lambda rest, part: Seq(part, rest),
+                            reversed(parts), right)
 
 
 def _alt(branches):

@@ -120,22 +120,48 @@ class ProcessTerm(metaclass=_Interning):
     interned: ``==`` and ``hash`` are identity.
 
     ``children()`` gives the direct subterms, left to right, and
-    ``rebuild(kids)`` the same node over new subterms; the traversals
-    below go through this pair.  A leaf has no children.
+    ``rebuild(kids)`` the same node over new subterms; ``fold`` and
+    ``_walk`` go through this pair.  A leaf has no children.
     """
 
     __slots__ = ()
 
-    # copies, deep copies and unpickled terms are rebuilt through the
-    # constructor, so they come back as the interned instance
+    # copies and unpickled terms are rebuilt through the constructor, so
+    # they come back as the interned instance
     def __reduce__(self):
         return type(self), _field_values(self)
+
+    # a term is immutable, so a deep copy is the term itself, at any depth
+    def __deepcopy__(self, memo):
+        return self
 
     def children(self) -> tuple:
         return ()
 
     def rebuild(self, kids) -> "ProcessTerm":
         return self
+
+    def fold(self, node, memo=None):
+        """``node(t, kids)`` of this term, where ``kids`` lists the
+        results for ``t.children()``, computed the same way.
+
+        Every distinct subterm is folded once, bottom-up and left to right
+        in post-order, with an explicit stack, so a term's depth is no
+        limit.  Results are kept in ``memo`` (a fresh dict unless one is
+        given), and a subterm already in it is not entered.
+        """
+        if memo is None:
+            memo = {}
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            kids = t.children()
+            pending = [k for k in kids if k not in memo]
+            if pending:
+                stack += (t, *reversed(pending))
+            elif t not in memo:
+                memo[t] = node(t, [memo[k] for k in kids])
+        return memo[self]
 
 
 class _Binary(ProcessTerm):
@@ -240,22 +266,25 @@ class ConflictElim(_Unary):
 
 
 def _walk(term, equations=None):
-    """Every subterm of `term`, itself first, in left-to-right preorder.
+    """Every subterm of `term`, itself first, in left-to-right preorder,
+    each with the tuple of the sum binders in scope there.
 
     Given an equation map (name -> term), the walk also enters, right
     after each variable, the equation of that variable, once per name.
     """
-    stack = [term]
+    stack = [(term, ())]
     entered = set()
     while stack:
-        t = stack.pop()
-        yield t
+        t, binders = stack.pop()
+        yield t, binders
+        if isinstance(t, Sum):
+            binders += (t.binder,)
         if (equations is not None and isinstance(t, Var)
                 and t.name in equations and t.name not in entered):
             entered.add(t.name)
-            stack.append(equations[t.name])
+            stack.append((equations[t.name], ()))
         else:
-            stack.extend(reversed(t.children()))
+            stack += [(k, binders) for k in reversed(t.children())]
 
 
 @dataclass
@@ -323,16 +352,21 @@ _RENDERED: dict = {}
 
 
 def term_to_str(term: ProcessTerm, prec: int = _PREC_ALT) -> str:
-    rendered = _RENDERED.get(term)
-    if rendered is None:
-        rendered = _RENDERED[term] = _render(term)
+    # ``_text`` written out: most calls find the text, and this keeps
+    # their path to one lookup
+    s, p = _RENDERED.get(term) or term.fold(_render, _RENDERED)
+    return "(" + s + ")" if p < prec else s
+
+
+def _text(rendered, prec) -> str:
+    """A (text, precedence) pair as text in a context of precedence
+    ``prec``, bracketed as ``term_to_str`` brackets it."""
     s, p = rendered
-    if p < prec:
-        return "(" + s + ")"
-    return s
+    return "(" + s + ")" if p < prec else s
 
 
-def _render(term):
+def _render(term, kids):
+    """The (text, precedence) of ``term``, given those of its children."""
     if isinstance(term, Deadlock):
         return "delta", _PREC_ATOM
     if isinstance(term, Act):
@@ -342,27 +376,27 @@ def _render(term):
     if isinstance(term, Var):
         return term.name, _PREC_ATOM
     if isinstance(term, Seq):
-        lhs = term_to_str(term.left, _PREC_ATOM)
-        rhs = term_to_str(term.right, _PREC_SEQ)
+        lhs = _text(kids[0], _PREC_ATOM)
+        rhs = _text(kids[1], _PREC_SEQ)
         return lhs + " . " + rhs, _PREC_SEQ
     if isinstance(term, Alt):
-        return " + ".join(term_to_str(b, _PREC_PAR) for b in term.branches), _PREC_ALT
+        return " + ".join(_text(k, _PREC_PAR) for k in kids), _PREC_ALT
     if isinstance(term, (Par, WholePar)):
         op = " || " if isinstance(term, Par) else " <> "
-        lhs = term_to_str(term.left, _PREC_SEQ)
-        rhs = term_to_str(term.right, _PREC_SEQ)
+        lhs = _text(kids[0], _PREC_SEQ)
+        rhs = _text(kids[1], _PREC_SEQ)
         return lhs + op + rhs, _PREC_PAR
     if isinstance(term, Sum):
         return (f"sum {term.binder} in {term.domain} . "
-                + term_to_str(term.body, _PREC_SEQ)), _PREC_ALT
+                + _text(kids[0], _PREC_SEQ)), _PREC_ALT
     if isinstance(term, Hide):
         return ("hide " + _names_to_str(term.names) + " in "
-                + term_to_str(term.body, _PREC_ALT)), _PREC_ALT
+                + _text(kids[0], _PREC_ALT)), _PREC_ALT
     if isinstance(term, Encaps):
         return ("block " + _names_to_str(term.names) + " in "
-                + term_to_str(term.body, _PREC_ALT)), _PREC_ALT
+                + _text(kids[0], _PREC_ALT)), _PREC_ALT
     if isinstance(term, ConflictElim):
-        return "theta " + term_to_str(term.body, _PREC_ATOM), _PREC_ALT
+        return "theta " + _text(kids[0], _PREC_ATOM), _PREC_ALT
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -376,27 +410,26 @@ def _names_to_str(names) -> str:
 
 def substitute(term: ProcessTerm, binder: str, value: str) -> ProcessTerm:
     """Replace data-variable `binder` with constant `value` in action args."""
-    if isinstance(term, Act):
-        if binder in term.label.args:
-            args = tuple(value if a == binder else a for a in term.label.args)
-            return Act(ActionLabel(term.label.name, args))
-        return term
-    if isinstance(term, Sum) and term.binder == binder:
-        return term
-    return term.rebuild(tuple(substitute(k, binder, value)
-                              for k in term.children()))
+    def node(t, kids):
+        if isinstance(t, Act) and binder in t.label.args:
+            args = tuple(value if a == binder else a for a in t.label.args)
+            return Act(ActionLabel(t.label.name, args))
+        if isinstance(t, Sum) and t.binder == binder:
+            return t
+        return t.rebuild(kids)
+    return term.fold(node)
 
 
 def elaborate_sums(term: ProcessTerm, domains: Mapping[str, DataDomain]) -> ProcessTerm:
     """Expand every data sum into a finite alternative, in domain order."""
-    if isinstance(term, Sum):
-        if term.domain not in domains:
-            raise UnknownDomainError(f"unknown domain {term.domain}")
-        body = elaborate_sums(term.body, domains)
-        return Alt(tuple(substitute(body, term.binder, v)
-                         for v in domains[term.domain].values))
-    return term.rebuild(tuple(elaborate_sums(k, domains)
-                              for k in term.children()))
+    def node(t, kids):
+        if not isinstance(t, Sum):
+            return t.rebuild(kids)
+        if t.domain not in domains:
+            raise UnknownDomainError(f"unknown domain {t.domain}")
+        return Alt(tuple(substitute(kids[0], t.binder, v)
+                         for v in domains[t.domain].values))
+    return term.fold(node)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +445,7 @@ class AlphabetInfo:
 def alphabet(spec: RecursiveSpec, domains: Mapping[str, DataDomain]) -> AlphabetInfo:
     """All ground action labels of the elaborated equations, plus shadow bases."""
     subterms = [t for rhs in spec.equations.values()
-                for t in _walk(elaborate_sums(rhs, domains))]
+                for t, _ in _walk(elaborate_sums(rhs, domains))]
     return AlphabetInfo(
         frozenset(t.label for t in subterms if isinstance(t, Act)
                   and t.label.name not in RESERVED_NAMES),
@@ -423,7 +456,7 @@ def names_written(term, equations=None) -> tuple:
     """The action names and the shadow bases written in ``term`` and,
     given an equation map, in the equations it reaches, as two
     frozensets; names under a nested wrapper are included."""
-    subterms = list(_walk(term, equations))
+    subterms = [t for t, _ in _walk(term, equations)]
     return (frozenset(t.label.name for t in subterms if isinstance(t, Act)),
             frozenset(t.base for t in subterms if isinstance(t, Shadow)))
 
@@ -432,24 +465,24 @@ def names_written(term, equations=None) -> tuple:
 # Guardedness
 
 
-def _guards(term) -> bool:
-    """True when every run of `term` performs at least one action before it ends."""
-    if isinstance(term, Var):
-        return False
-    if isinstance(term, Alt):
-        return all(_guards(b) for b in term.branches)
-    # an action, shadow or deadlock guards; a composite when one part does
-    kids = term.children()
-    return not kids or any(_guards(k) for k in kids)
-
-
 def unguarded_vars(term) -> frozenset:
     """Variables reachable from the root without an intervening action prefix."""
+    return term.fold(_guarding)[1]
+
+
+def _guarding(term, kids) -> tuple:
+    """Whether every run of ``term`` performs at least one action before
+    it ends, and the variables reachable from its root without an
+    intervening action prefix, given those of its children."""
     if isinstance(term, Var):
-        return frozenset((term.name,))
-    if isinstance(term, Seq) and _guards(term.left):
-        return unguarded_vars(term.left)
-    return frozenset().union(*map(unguarded_vars, term.children()))
+        return False, frozenset((term.name,))
+    if isinstance(term, Seq) and kids[0][0]:
+        return kids[0]
+    guards = [g for g, _ in kids]
+    # an action, shadow or deadlock guards; an alternative when every
+    # branch does, and another composite when one part does
+    guarded = all(guards) if isinstance(term, Alt) else not kids or any(guards)
+    return guarded, frozenset().union(*(names for _, names in kids))
 
 
 def guardedness_check(spec: RecursiveSpec) -> tuple[bool, tuple[str, ...]]:
@@ -506,9 +539,7 @@ def validate_comms(comms: CommTable) -> list[Violation]:
 
 def _validate_term(rhs, eq_name, known, domain_map, constants):
     out = []
-    stack = [(rhs, ())]   # (subterm, sum binders in scope), preorder
-    while stack:
-        term, binders = stack.pop()
+    for term, binders in _walk(rhs):
         if isinstance(term, Var):
             if term.name not in known:
                 out.append(Violation("unbound-variable", term.name,
@@ -533,6 +564,4 @@ def _validate_term(rhs, eq_name, known, domain_map, constants):
             if term.binder in binders:
                 out.append(Violation("rebinding", term.binder,
                                      f"sum binder {term.binder} shadows an enclosing binder"))
-            binders += (term.binder,)
-        stack.extend((k, binders) for k in reversed(term.children()))
     return out

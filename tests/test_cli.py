@@ -233,9 +233,24 @@ class TestErrors:
     def test_missing_file_exits_2(self, capsys):
         assert main(["check", "/nonexistent.aptc"]) == 2
 
-    def test_deep_sequence_exits_2_without_traceback(self, tmp_path, capsys):
+    # a term's depth is no limit: every pass over a term folds it with an
+    # explicit stack
+    @pytest.mark.parametrize("body, equations", [
+        (" . ".join(["a"] * 3000), ""),
+        (" . ".join(["Q"] * 3000), "\n    Q = a\n"),
+    ], ids=["actions", "calls"])
+    def test_deep_sequence_holds(self, tmp_path, capsys, body, equations):
         path = tmp_path / "deep.aptc"
-        path.write_text("process P { P = " + " . ".join(["a"] * 1500)
+        path.write_text(f"process P {{ P = {body} . P{equations} }}\n"
+                        "check deep: P ~sb P\n")
+        assert main(["check", str(path)]) == 0
+        assert "deep: P vs P (strong-step-bisim) holds" in (
+            capsys.readouterr().out)
+
+    # the parser still descends into brackets by recursion
+    def test_deep_nesting_exits_2_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "deep.aptc"
+        path.write_text("process P { P = " + "(" * 1500 + "a" + ")" * 1500
                         + " . P }\ncheck deep: P ~sb P\n")
         assert main(["check", str(path)]) == 2
         err = capsys.readouterr().err

@@ -1,8 +1,10 @@
 """Every name a stepcheck module imports is used in that module, every
 private module-level name is read by some stepcheck module, and every
-parameter of a private function or method is read in its body.  Every
-private name and every stepcheck class member that README.md names in
-backticks is defined, and the README's model and library examples run.
+parameter of a private function or method is read in its body.  No
+function recurses over a term: those that refer to their own names are
+listed.  Every private name and every stepcheck class member that
+README.md names in backticks is defined, and the README's model and
+library examples run.
 
 ``__init__.py`` is left out of the first check: its imports are the
 package's public API.
@@ -150,6 +152,57 @@ def test_an_unread_parameter_is_reported():
     assert unread_parameters(source) == [
         "_walk(blocked) (line 1)", "_walk(depth) (line 1)",
         "_get(self) (line 6)", "_get(key) (line 6)"]
+
+
+def self_referring_functions(source: str) -> list:
+    """The functions and methods of ``source`` whose bodies refer to their
+    own names: as a bare name, called or passed on as in ``map(f, …)``,
+    or as ``self.<name>``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if any(isinstance(n, ast.Name) and n.id == node.name
+               or (isinstance(n, ast.Attribute) and n.attr == node.name
+                   and isinstance(n.value, ast.Name) and n.value.id == "self")
+               for statement in node.body for n in ast.walk(statement)):
+            found.append(node.name)
+    return found
+
+
+# The recursions whose depth is not a term's depth.  ``_raw`` enters a
+# sequence only on its left, so a sequence's length, where a parsed term
+# is deep, is no limit to it; ``_flatten_par`` enters the components of
+# one system, the two matchings the occurrences of one step and
+# ``_group_part`` the splits of one group; the parser's ``atom`` enters
+# the brackets and prefixes of the source, and ``cli.main`` reports their
+# depth as an error.  Every pass over a whole term folds it with
+# ``ProcessTerm.fold`` or walks it with ``terms._walk``.
+RECURSIVE = ["dsl.py:atom", "semantics.py:_binary_matchings",
+             "semantics.py:_flatten_par", "semantics.py:_group_part",
+             "semantics.py:_raw", "semantics.py:_shadow_matchings"]
+
+
+def test_only_listed_functions_recurse():
+    assert sorted(f"{p.name}:{name}" for p in SOURCES for name in
+                  self_referring_functions(p.read_text(encoding="utf-8"))
+                  ) == RECURSIVE
+
+
+def test_a_self_referring_function_is_reported():
+    source = ("def canon(term):\n"
+              "    return tuple(map(canon, term.children()))\n"
+              "def _seq(left, right):\n"
+              "    return _seq(right, left) if left else right\n"
+              "class Parser:\n"
+              "    def atom(self):\n"
+              "        return self.atom()\n"
+              "    def term(self, other):\n"
+              "        return other.term\n"
+              "def walk(term):\n"
+              "    return term\n")
+    assert sorted(self_referring_functions(source)) == [
+        "_seq", "atom", "canon"]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

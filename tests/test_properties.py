@@ -4,6 +4,7 @@ Each property runs on at least 150 seeded random cases; across the suites
 well over 1000 cases are exercised per test run.
 """
 import contextlib
+import functools
 import io
 import itertools
 import random
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import stepcheck as sc
 from stepcheck import cli, semantics
+from stepcheck.composition import strip_shadows
 from stepcheck.dsl import parse_model, render_model
 from stepcheck.equivalence import (
     branching_bisim,
@@ -64,11 +66,16 @@ from stepcheck.terms import (
     RecursiveSpec,
     Seq,
     Shadow,
+    Sum,
+    UnknownDomainError,
     Var,
     WholePar,
+    elaborate_sums,
     guardedness_check,
     names_written,
+    substitute,
     term_to_str,
+    unguarded_vars,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -1309,3 +1316,195 @@ class TestCanonDifferential:
             assert (_wrap(wrapper, body)
                     == reference_canon(wrapper.rebuild((body,))))
         assert _alt(branches) == reference_canon(Alt(tuple(branches)))
+
+
+# Recursive references for the passes that fold a term.
+
+
+def reference_substitute(term, binder, value):
+    if isinstance(term, Act):
+        if binder in term.label.args:
+            args = tuple(value if a == binder else a for a in term.label.args)
+            return Act(ActionLabel(term.label.name, args))
+        return term
+    if isinstance(term, Sum) and term.binder == binder:
+        return term
+    return term.rebuild(tuple(reference_substitute(k, binder, value)
+                              for k in term.children()))
+
+
+def reference_elaborate(term, domains):
+    if isinstance(term, Sum):
+        if term.domain not in domains:
+            raise UnknownDomainError(term.domain)
+        body = reference_elaborate(term.body, domains)
+        return Alt(tuple(reference_substitute(body, term.binder, v)
+                         for v in domains[term.domain].values))
+    return term.rebuild(tuple(reference_elaborate(k, domains)
+                              for k in term.children()))
+
+
+def reference_render(term, prec=0):
+    """``term``'s text in a context of precedence ``prec``: 0 alternative,
+    1 parallel, 2 sequence, 3 atom."""
+    kids = term.children()
+    if isinstance(term, Act):
+        text, own = term.label.pretty(), 3
+    elif isinstance(term, Var):
+        text, own = term.name, 3
+    elif isinstance(term, Shadow):
+        text, own = "@" + term.base, 3
+    elif isinstance(term, Deadlock):
+        text, own = "delta", 3
+    elif isinstance(term, Seq):
+        text, own = (reference_render(kids[0], 3) + " . "
+                     + reference_render(kids[1], 2)), 2
+    elif isinstance(term, Alt):
+        text, own = " + ".join(reference_render(k, 1) for k in kids), 0
+    elif isinstance(term, (Par, WholePar)):
+        op = " || " if isinstance(term, Par) else " <> "
+        text, own = (reference_render(kids[0], 2) + op
+                     + reference_render(kids[1], 2)), 1
+    elif isinstance(term, Sum):
+        text, own = (f"sum {term.binder} in {term.domain} . "
+                     + reference_render(kids[0], 2)), 0
+    elif isinstance(term, ConflictElim):
+        text, own = "theta " + reference_render(kids[0], 3), 0
+    else:
+        keyword = "hide" if isinstance(term, Hide) else "block"
+        names = "{" + ", ".join(sorted(term.names)) + "}"
+        text, own = (f"{keyword} {names} in "
+                     + reference_render(kids[0], 0)), 0
+    return f"({text})" if own < prec else text
+
+
+def reference_strip(term):
+    if isinstance(term, Shadow):
+        return None
+    kids = term.children()
+    if not kids:
+        return term
+    kept = tuple(k for k in map(reference_strip, kids) if k is not None)
+    if not kept:
+        return None
+    if len(kept) == 1 and (len(kids) > 1 or isinstance(term, Alt)):
+        return kept[0]
+    return term.rebuild(kept)
+
+
+def reference_guards(term):
+    if isinstance(term, Var):
+        return False
+    if isinstance(term, Alt):
+        return all(map(reference_guards, term.branches))
+    kids = term.children()
+    return not kids or any(map(reference_guards, kids))
+
+
+def reference_unguarded(term):
+    if isinstance(term, Var):
+        return frozenset((term.name,))
+    if isinstance(term, Seq) and reference_guards(term.left):
+        return reference_unguarded(term.left)
+    return frozenset().union(*map(reference_unguarded, term.children()))
+
+
+# RAW_TERMS under data sums over D or the undeclared Z; a binder may be
+# bound twice, and d1 is both a constant and a binder
+SUM_DOMAINS = {"D": DataDomain("D", ("d1", "d2"))}
+SUMMED_TERMS = st.recursive(
+    st.one_of(RAW_TERMS, st.just(Act(ActionLabel("c", ("x", "d1"))))),
+    lambda kids: st.one_of(
+        st.builds(Sum, st.sampled_from(("x", "d1")),
+                  st.sampled_from(("D", "D", "D", "Z")), kids),
+        st.builds(Seq, kids, kids),
+        st.builds(Par, kids, kids)),
+    max_leaves=4)
+
+
+class TestFoldDifferential:
+    """The passes that fold a term against their recursive references."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              database=None)
+    @given(SUMMED_TERMS, st.sampled_from(("x", "d1")))
+    def test_substitute_equals_reference(self, term, binder):
+        assert (substitute(term, binder, "d2")
+                == reference_substitute(term, binder, "d2"))
+
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              database=None)
+    @given(SUMMED_TERMS)
+    def test_elaborate_sums_equals_reference(self, term):
+        try:
+            expected = reference_elaborate(term, SUM_DOMAINS)
+        except UnknownDomainError:
+            with pytest.raises(UnknownDomainError):
+                elaborate_sums(term, SUM_DOMAINS)
+        else:
+            assert elaborate_sums(term, SUM_DOMAINS) == expected
+
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              database=None)
+    @given(SUMMED_TERMS, st.sampled_from(range(4)))
+    def test_term_to_str_equals_reference(self, term, prec):
+        assert term_to_str(term, prec) == reference_render(term, prec)
+
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              database=None)
+    @given(SUMMED_TERMS)
+    def test_strip_shadows_equals_reference(self, term):
+        assert strip_shadows(term) == reference_strip(term)
+
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              database=None)
+    @given(SUMMED_TERMS)
+    def test_unguarded_vars_equals_reference(self, term):
+        assert unguarded_vars(term) == reference_unguarded(term)
+
+
+class TestDeepTerms:
+    """A term's depth is no limit: a 10 000-long sequence, nested to
+    the right as the parser builds it or to the left, passes through
+    ``canon``, ``_seq``, ``elaborate_sums`` and ``term_to_str``."""
+
+    A = Act(ActionLabel("a"))
+    B = Act(ActionLabel("b"))
+
+    @staticmethod
+    def chain(parts, nested):
+        if nested == "right":
+            return functools.reduce(lambda rest, p: Seq(p, rest),
+                                    reversed(parts))
+        return functools.reduce(Seq, parts)
+
+    @pytest.mark.parametrize("nested", ["right", "left"])
+    def test_elaborate_sums(self, nested):
+        body = self.chain([Act(ActionLabel("a", ("x",)))] * 10_000, nested)
+        assert elaborate_sums(Sum("x", "D", body), SUM_DOMAINS) == Alt(tuple(
+            self.chain([Act(ActionLabel("a", (v,)))] * 10_000, nested)
+            for v in ("d1", "d2")))
+
+    # canon of a left-nested chain re-associates the chain at every node,
+    # so it is not run at this length
+    def test_canon(self):
+        term = self.chain([Alt((self.A, self.A))] * 10_000, "right")
+        assert canon(term) is self.chain([self.A] * 10_000, "right")
+
+    def test_seq(self):
+        right = self.chain([self.A] * 10_000, "right")
+        assert _seq(right, self.B) is self.chain(
+            [self.A] * 10_000 + [self.B], "right")
+        left = self.chain([self.A] * 10_000, "left")
+        assert _seq(left, self.B) is Seq(left.left, Seq(self.A, self.B))
+
+    # every suffix's text is kept, so the texts of an n-long chain take
+    # about 2n² bytes: 3 000 is past the interpreter's recursion limit
+    # and keeps them near 20 MB
+    @pytest.mark.parametrize("nested", ["right", "left"])
+    def test_term_to_str(self, nested):
+        text = term_to_str(self.chain([self.A] * 3_000, nested))
+        if nested == "right":
+            assert text == " . ".join(["a"] * 3_000)
+        else:
+            assert text == "(" * 2_998 + "a . a" + ") . a" * 2_998

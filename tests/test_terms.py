@@ -6,7 +6,7 @@ import pytest
 
 from stepcheck.dsl import _Name, parse_model
 from stepcheck.model import Model
-from stepcheck.semantics import TERM, _alt, _par, _seq, _wrap, canon
+from stepcheck.semantics import _CANONICAL, TERM, _alt, _par, _seq, _wrap, canon
 from stepcheck.terms import (
     Act,
     ActionLabel,
@@ -39,6 +39,14 @@ from stepcheck.terms import _INTERNED, _PREC_SEQ, _RENDERED
 
 def act(name, *args):
     return Act(ActionLabel(name, tuple(args)))
+
+
+def chain(n):
+    """``a . a . … . a`` with n + 1 actions, built bottom-up."""
+    t = act("a")
+    for _ in range(n):
+        t = Seq(act("a"), t)
+    return t
 
 
 NODES = [
@@ -79,6 +87,23 @@ class TestChildren:
         leaves = [t for t in NODES if not t.children()]
         assert {type(t) for t in leaves} == {
             Deadlock, Act, Shadow, Var, type(TERM), _Name}
+
+    def test_fold_visits_each_subterm_once_in_post_order(self):
+        a, b = act("a"), act("b")
+        shared = Seq(a, b)
+        twice = Seq(Var("X"), Var("X"))
+        term = Alt((shared, Par(shared, a), twice))
+        seen = []
+
+        def size(t, kids):   # a shared subterm counts at each occurrence
+            seen.append(t)
+            return 1 + sum(kids)
+        assert term.fold(size) == 12
+        assert seen == [a, b, shared, Par(shared, a), Var("X"), twice, term]
+        # a subterm in the memo is not entered
+        seen.clear()
+        assert term.fold(size, {shared: 0}) == 6
+        assert seen == [a, Par(shared, a), Var("X"), twice, term]
 
 
 class TestLabels:
@@ -285,6 +310,12 @@ class TestInterning:
             assert copy.deepcopy({"t": [t]})["t"][0] is t
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
                 assert pickle.loads(pickle.dumps(t, protocol)) is t
+        # a copy does not descend into the term, at any depth; pickle
+        # still recurses
+        deep = chain(5_000)
+        assert copy.copy(deep) is deep
+        assert copy.deepcopy(deep) is deep
+        assert copy.deepcopy({"t": [deep]})["t"][0] is deep
 
     def test_failed_construction_leaves_no_entry(self):
         size = len(_INTERNED)
@@ -303,14 +334,14 @@ class TestInterning:
         assert term_to_str(t) is text
         assert term_to_str(t.left, _PREC_SEQ) == "(r1 || r2)"
 
-    def test_deep_sequence_hashes_without_recursion(self):
-        def chain():
-            t = act("a")
-            for _ in range(10_000):
-                t = Seq(act("a"), t)
-            return t
+    def test_each_term_is_made_canonical_once(self):
+        t = Seq(Seq(act("c1"), act("c2")), Var("C"))
+        assert t not in _CANONICAL
+        assert canon(t) is Seq(act("c1"), Seq(act("c2"), Var("C")))
+        assert _CANONICAL[t] is canon(t) and _CANONICAL[t.left] is t.left
 
-        t = chain()
-        assert chain() is t and chain() == t
-        assert hash(chain()) == hash(t)
-        assert {t: "deep"}[chain()] == "deep"
+    def test_deep_sequence_hashes_without_recursion(self):
+        t = chain(10_000)
+        assert chain(10_000) is t and chain(10_000) == t
+        assert hash(chain(10_000)) == hash(t)
+        assert {t: "deep"}[chain(10_000)] == "deep"
