@@ -129,18 +129,14 @@ def _linear_presentation(name: str, lts: StepLTS) -> Optional[RecursiveSpec]:
     Only possible when every step is a single visible label; silent steps
     or true multi-label steps have no linear rendering here.
     """
-    out = lts.outgoing()
-    actions = {}
-    for s in range(lts.num_states):
-        moves = []
-        for label, t in sorted(out[s],
-                               key=lambda at: (label_key(at[0]), at[1])):
-            if len(label) != 1:
-                return None
-            moves.append((label[0], t))
-        if not moves:
-            return None  # deadlocking presentations are not linear loops
-        actions[s] = moves
+    actions = {s: [] for s in range(lts.num_states)}
+    for s, label, t in sorted(lts.transitions, key=lambda tr: (
+            tr[0], label_key(tr[1]), tr[2])):
+        if len(label) != 1:
+            return None
+        actions[s].append((label[0], t))
+    if not all(actions.values()):
+        return None  # deadlocking presentations are not linear loops
     others = [s for s in range(lts.num_states) if s != lts.initial]
     var = {lts.initial: name}
     for i, s in enumerate(others, start=1):

@@ -194,24 +194,23 @@ def _splits(out, block, size, dirty, inert):
     return parts
 
 
-def _refine(out, total, inert):
+def _refine(out, inert):
     """Signature refinement to strong bisimilarity, or with ``inert`` branching.
 
-    Block ids are stable: a block that splits keeps its id for one part,
-    and each other part takes the next free id, so every id names a
-    nonempty block and is below ``total``.  A strong signature can then
-    change only if a successor moved, so each strong round re-signs only
-    the predecessors of the states that moved in the round before.
-    Branching signatures follow inert closures, which any split can
-    change, so every branching round re-signs every state.  A round
-    computes all its splits against the ids of the round before and
-    applies them at its end.
-
-    Returns the final block of every state and the blocks after each
-    round, from which ``_explain`` reads why two states differ.  The
-    partitions are those of re-signing every state in every round, but
-    their ids are not numbered by first appearance.
+    Yields every state's block after each round, as one list updated in
+    place; the last round is stable.  Block ids are stable: a block that
+    splits keeps its id for one part, and each other part takes the next
+    free id, so every id names a nonempty block and is below ``len(out)``.
+    A strong signature can then change only if a successor moved, so each
+    strong round re-signs only the predecessors of the states that moved
+    in the round before.  Branching signatures follow inert closures,
+    which any split can change, so every branching round re-signs every
+    state.  A round computes all its splits against the ids of the round
+    before and applies them at its end.  The partitions are those of
+    re-signing every state in every round, but their ids are not numbered
+    by first appearance.
     """
+    total = len(out)
     block = [0] * total
     size = [total]      # states per block id
     if not inert:
@@ -220,7 +219,6 @@ def _refine(out, total, inert):
             for _, t in row:
                 pred[t].append(s)
     dirty = range(total)
-    history = []
     while True:
         parts = _splits(out, block, size, dirty, inert)
         for part in parts:
@@ -229,11 +227,16 @@ def _refine(out, total, inert):
             size.append(len(part))
             for s in part:
                 block[s] = new
-        history.append(block[:])
+        yield block
         if not parts:
-            return block, history
+            return
         if not inert:
             dirty = {p for part in parts for s in part for p in pred[s]}
+
+
+def _stable(out, inert):
+    """The blocks of the last, stable round of ``_refine``."""
+    return deque(_refine(out, inert), maxlen=1).pop()
 
 
 def _unmatched(left_sig, right_sig, labels, total):
@@ -244,13 +247,18 @@ def _unmatched(left_sig, right_sig, labels, total):
     return labels[move // total], "left" if move in left_sig else "right"
 
 
-def _explain(out, labels, p, q, history, inert):
+def _explain(out, labels, p, q, inert):
     """Why states p (left) and q (right) differ: a move one side has and
     the other cannot match at the round that split them (Cleaveland 1990).
+
+    The rounds run again up to that one, keeping only the round before.
     """
-    k = next(k for k, blocks in enumerate(history) if blocks[p] != blocks[q])
-    prev = _first_appearance(history[k - 1]) if k else [0] * len(out)
-    sigs = _signatures(out, prev, inert)
+    prev = [0] * len(out)
+    for k, block in enumerate(_refine(out, inert)):
+        if block[p] != block[q]:
+            break
+        prev = block[:]
+    sigs = _signatures(out, _first_appearance(prev), inert)
     a, side = _unmatched(sigs[p], sigs[q], labels, len(out))
     if not k:
         return StepCounterexample(
@@ -266,13 +274,13 @@ def _explain(out, labels, p, q, history, inert):
 
 def strong_step_bisim(left: StepLTS, right: StepLTS) -> Verdict:
     out, labels, init_l, init_r = _union(left, right)
-    block, history = _refine(out, len(out), False)
+    block = _stable(out, False)
     holds = block[init_l] == block[init_r]
     verdict = Verdict(holds, "strong step bisimulation",
                       details={"blocks": len(set(block))})
     if not holds:
         verdict.counterexample = _explain(
-            out, labels, init_l, init_r, history, False)
+            out, labels, init_l, init_r, False)
     return verdict
 
 
@@ -283,7 +291,7 @@ def strong_step_bisim(left: StepLTS, right: StepLTS) -> Verdict:
 def branching_bisim(left: StepLTS, right: StepLTS,
                     rooted: bool = False) -> Verdict:
     out, labels, init_l, init_r = _union(left, right)
-    block, history = _refine(out, len(out), True)
+    block = _stable(out, True)
     name = ("rooted " if rooted else "") + "branching bisimulation"
     if block[init_l] == block[init_r]:
         if rooted:
@@ -299,7 +307,7 @@ def branching_bisim(left: StepLTS, right: StepLTS,
     # prefer a weak-trace counterexample: concrete and easy to read
     traces = weak_traces_equal(left, right)
     return Verdict(False, name, traces.counterexample
-                   or _explain(out, labels, init_l, init_r, history, True))
+                   or _explain(out, labels, init_l, init_r, True))
 
 
 def rooted_branching_bisim(left: StepLTS, right: StepLTS) -> Verdict:
@@ -320,7 +328,7 @@ def minimize(lts: StepLTS, relation: str = "branching") -> StepLTS:
         raise ValueError(f"unknown relation {relation}")
     out, _, _ = _union(lts)
     drop_inert = relation == "branching"
-    block, _ = _refine(out, lts.num_states, drop_inert)
+    block = _stable(out, drop_inert)
 
     # renumber blocks by first reachable representative
     order: dict = {}
@@ -367,7 +375,7 @@ def _tau_closure(states, out):
     while stack:
         s = stack.pop()
         for a, t in out[s]:
-            if a == TAU and t not in closure:
+            if not a and t not in closure:
                 closure.add(t)
                 stack.append(t)
     return frozenset(closure)
@@ -378,32 +386,31 @@ def weak_trace_inclusion(left: StepLTS, right: StepLTS) -> Verdict:
 
     On failure the counterexample is a shortest left-only trace.
     """
-    out_l = left.outgoing()
-    out_r = right.outgoing()
-    start = (_tau_closure({left.initial}, out_l),
-             _tau_closure({right.initial}, out_r))
+    out, labels, init_l, init_r = _union(left, right)
+    start = (_tau_closure({init_l}, out), _tau_closure({init_r}, out))
     seen = {start}
     queue = deque([(start, ())])
     while queue:
         (ls, rs), trace = queue.popleft()
         moves: dict = {}
         for s in ls:
-            for a, t in out_l[s]:
-                if a != TAU:
+            for a, t in out[s]:
+                if a:
                     moves.setdefault(a, set()).add(t)
         # prefer small steps: counterexamples read best with singleton labels
-        for a in sorted(moves, key=lambda a: (len(a), label_str(a))):
-            nl = _tau_closure(moves[a], out_l)
-            nr_core = {t for s in rs for a2, t in out_r[s] if a2 == a}
+        for a in sorted(moves, key=lambda a: (len(labels[a]),
+                                              label_str(labels[a]))):
+            nl = _tau_closure(moves[a], out)
+            nr_core = {t for s in rs for a2, t in out[s] if a2 == a}
             if not nr_core:
                 return Verdict(
                     False, "weak trace inclusion",
-                    TraceCounterexample(trace + (a,), "left"))
-            nr = _tau_closure(nr_core, out_r)
+                    TraceCounterexample(trace + (labels[a],), "left"))
+            nr = _tau_closure(nr_core, out)
             nxt = (nl, nr)
             if nxt not in seen:
                 seen.add(nxt)
-                queue.append((nxt, trace + (a,)))
+                queue.append((nxt, trace + (labels[a],)))
     return Verdict(True, "weak trace inclusion")
 
 
@@ -424,7 +431,7 @@ def weak_traces_equal(left: StepLTS, right: StepLTS) -> Verdict:
 
 def divergences(lts: StepLTS) -> tuple:
     """States lying on a cycle of tau steps."""
-    taus = [[t for a, t in row if a == TAU] for row in lts.outgoing()]
+    taus = [[t for a, t in row if not a] for row in _union(lts)[0]]
     return tuple(sorted(s for comp in _sccs(taus) for s in comp
                         if len(comp) > 1 or s in taus[s]))
 
@@ -432,28 +439,30 @@ def divergences(lts: StepLTS) -> tuple:
 def counter_monitor(lts: StepLTS, inc, dec, lo: int, hi: int) -> Verdict:
     """Check that a counter driven by the step labels stays within [lo, hi].
 
-    `inc` and `dec` are predicates on individual labels; a step's net effect
-    is the number of increment labels minus the number of decrement labels
-    it carries.
+    The counter starts at 0.  `inc` and `dec` are predicates on individual
+    labels; a step's net effect is the number of increment labels minus
+    the number of decrement labels it carries.
     """
-    out = lts.outgoing()
-    seen = {(lts.initial, 0)}
-    queue = deque([((lts.initial, 0), ())])
+    name = f"counter stays in [{lo}, {hi}]"
+    if not lo <= 0 <= hi:
+        return Verdict(False, name, StepCounterexample(
+            (), f"counter starts at 0, outside [{lo}, {hi}]"))
+    out, labels, init = _union(lts)
+    seen = {(init, 0)}
+    queue = deque([((init, 0), ())])
     while queue:
         (s, c), trace = queue.popleft()
-        for a, t in out[s]:
-            delta = sum(1 for l in a if inc(l)) - sum(1 for l in a if dec(l))
-            c2 = c + delta
+        for i, t in out[s]:
+            a = labels[i]
+            c2 = c + sum(1 for l in a if inc(l)) - sum(1 for l in a if dec(l))
             if c2 < lo or c2 > hi:
-                return Verdict(
-                    False, f"counter stays in [{lo}, {hi}]",
-                    StepCounterexample(
-                        trace + (a,),
-                        f"counter reaches {c2}, outside [{lo}, {hi}]"))
+                return Verdict(False, name, StepCounterexample(
+                    trace + (a,),
+                    f"counter reaches {c2}, outside [{lo}, {hi}]"))
             if (t, c2) not in seen:
                 seen.add((t, c2))
                 queue.append(((t, c2), trace + (a,)))
-    return Verdict(True, f"counter stays in [{lo}, {hi}]")
+    return Verdict(True, name)
 
 
 # ---------------------------------------------------------------------------

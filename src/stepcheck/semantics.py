@@ -321,10 +321,16 @@ def _split_wrappers(wrappers, conflicts) -> tuple:
     return tuple(wrappers[cut:]), tuple(wrappers[:cut])
 
 
-def _flatten_par(term):
-    if isinstance(term, Par):
-        return _flatten_par(term.left) + _flatten_par(term.right)
-    return [term]
+def _flatten_par(term) -> list:
+    """The components of a parallel composition, left to right."""
+    components, stack = [], [term]
+    while stack:
+        term = stack.pop()
+        if isinstance(term, Par):
+            stack += (term.right, term.left)
+        else:
+            components.append(term)
+    return components
 
 
 def _connected(keyed) -> tuple:
@@ -849,12 +855,6 @@ class StepLTS:
     transitions: tuple   # of (src, label tuple, dst)
     state_names: tuple
 
-    def outgoing(self):
-        out = [[] for _ in range(self.num_states)]
-        for s, a, t in self.transitions:
-            out[s].append((a, t))
-        return out
-
     def deadlock_states(self) -> tuple:
         has_out = [False] * self.num_states
         for s, _, _ in self.transitions:
@@ -924,30 +924,9 @@ def prune_dead(lts: StepLTS) -> StepLTS:
                 has_earlier[t] = True
         if all(has_step) and all(has_earlier[1:]):
             return lts
-    out = lts.outgoing()
-    # live[s]: transitions of s not known to lead to a dead state; 0 = dead
-    live = [len(row) for row in out]
-    preds = [[] for _ in range(lts.num_states)]
-    for s, _, t in lts.transitions:
-        preds[t].append(s)
-    queue = [s for s, n in enumerate(live) if not n]
-    while queue:
-        for s in preds[queue.pop()]:
-            live[s] -= 1
-            if not live[s]:
-                queue.append(s)
-    # restrict to live states reachable from the initial one, which is kept
-    # even when dead: an initially dead LTS prunes to it, with no steps
-    seen = {lts.initial}
-    queue = [lts.initial]
-    while queue:
-        for _, t in out[queue.pop()]:
-            if live[t] and t not in seen:
-                seen.add(t)
-                queue.append(t)
-    if len(seen) == lts.num_states:
+    keep = _prune(lts)
+    if len(keep) == lts.num_states:
         return lts   # every state is kept: nothing to prune
-    keep = sorted(seen)
     remap = {s: i for i, s in enumerate(keep)}
     transitions = tuple(
         (remap[s], a, remap[t]) for s, a, t in lts.transitions
@@ -958,3 +937,30 @@ def prune_dead(lts: StepLTS) -> StepLTS:
         transitions=transitions,
         state_names=tuple(lts.state_names[s] for s in keep),
     )
+
+
+def _prune(lts: StepLTS) -> list:
+    """The states ``prune_dead`` keeps, in order: the live states reachable
+    from the initial one, which is kept even when dead."""
+    succ = [[] for _ in range(lts.num_states)]
+    pred = [[] for _ in range(lts.num_states)]
+    for s, _, t in lts.transitions:
+        succ[s].append(t)
+        pred[t].append(s)
+    # live[s]: steps of s not known to lead to a dead state; 0 = dead
+    live = [len(row) for row in succ]
+    queue = [s for s, n in enumerate(live) if not n]
+    while queue:
+        for s in pred[queue.pop()]:
+            live[s] -= 1
+            if not live[s]:
+                queue.append(s)
+    # an initially dead LTS prunes to its initial state, with no steps
+    seen = {lts.initial}
+    queue = [lts.initial]
+    while queue:
+        for t in succ[queue.pop()]:
+            if live[t] and t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return sorted(seen)

@@ -247,6 +247,19 @@ class TestErrors:
         assert "deep: P vs P (strong-step-bisim) holds" in (
             capsys.readouterr().out)
 
+    # the components of a system are gathered by a loop, however many
+    def test_wide_system_gives_its_lts(self, tmp_path, capsys):
+        n = 1200
+        path = tmp_path / "wide.aptc"
+        path.write_text(
+            "".join(f"process P{i} {{ P{i} = a{i} . P{i} }}\n"
+                    for i in range(n))
+            + "system S = " + " <> ".join(f"P{i}" for i in range(n)))
+        assert main(["lts", str(path), "--system", "S", "--format", "json",
+                     "--step-mode", "interleave"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert len(data["states"]) == 1 and len(data["transitions"]) == n
+
     # the parser still descends into brackets by recursion
     def test_deep_nesting_exits_2_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "deep.aptc"

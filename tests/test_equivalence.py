@@ -1,6 +1,8 @@
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import stepcheck as sc
@@ -211,19 +213,32 @@ class TestCounterMonitor:
         assert not verdict.holds
         assert "2" in verdict.counterexample.reason
 
+    # the counter starts at 0: a range without 0 fails before any step
+    @pytest.mark.parametrize("source, lo, hi", [
+        ("process P { P = delta }", 1, 3),
+        (LOOP_A, 1, 1),
+        (LOOP_A, -2, -1),
+    ], ids=["no-steps", "loop", "below"])
+    def test_range_without_the_start_fails_at_once(self, source, lo, hi):
+        verdict = counter_monitor(lts_of(source), self._inc, self._dec, lo, hi)
+        assert verdict.pretty() == (
+            f"counter stays in [{lo}, {hi}] fails: after <initial states>: "
+            f"counter starts at 0, outside [{lo}, {hi}]")
+
 
 # ---------------------------------------------------------------------------
 # Differential tests: the refinement engine, divergences and prune_dead
 # against the straightforward loops they replaced.
 
 
-def reference_blocks(out, total, inert):
-    """Signature refinement that rebuilds each state's inert-tau closure.
+def reference_blocks(out, inert):
+    """Signature refinement that rebuilds each state's inert-tau closure;
+    yields the blocks after each round.
 
     ``out`` holds integer rows, as ``equivalence._union`` builds them:
     (label id, target) moves, tau as 0."""
+    total = len(out)
     block = [0] * total
-    history = []
     while True:
         sigs = {}
         new_block = [0] * total
@@ -237,15 +252,23 @@ def reference_blocks(out, total, inert):
             sig = frozenset((a, block[t]) for u in closure for a, t in out[u]
                             if not (inert and a == 0 and block[t] == block[s]))
             new_block[s] = sigs.setdefault((block[s], sig), len(sigs))
-        history.append(new_block)
+        yield new_block
         if len(set(new_block)) == len(set(block)):
-            return new_block, history
+            return
         block = new_block
+
+
+def outgoing(lts):
+    """Each state's (label, target) moves."""
+    out = [[] for _ in range(lts.num_states)]
+    for s, a, t in lts.transitions:
+        out[s].append((a, t))
+    return out
 
 
 def reference_divergences(lts):
     """States that reach themselves by one or more tau steps, by DFS each."""
-    out = lts.outgoing()
+    out = outgoing(lts)
     result = []
     for s in range(lts.num_states):
         stack = [t for a, t in out[s] if a == TAU]
@@ -263,7 +286,7 @@ def reference_divergences(lts):
 
 def reference_prune_dead(lts):
     """The fixpoint loop: mark states whose successors are all dead until stable."""
-    out = lts.outgoing()
+    out = outgoing(lts)
     dead = [False] * lts.num_states
     changed = True
     while changed:
@@ -345,9 +368,9 @@ class TestRefinementDifferential:
     @given(random_lts(), random_lts(), st.booleans())
     def test_partition_matches_reference(self, left, right, inert):
         out, _, _, _ = equivalence._union(left, right)
-        total = len(out)
-        block, history = equivalence._refine(out, total, inert)
-        ref_block, ref_history = reference_blocks(out, total, inert)
+        history = [b[:] for b in equivalence._refine(out, inert)]
+        ref_history = list(reference_blocks(out, inert))
+        block, ref_block = history[-1], ref_history[-1]
         assert renamed(block) == renamed(ref_block)
         assert len(history) == len(ref_history)
         assert ([renamed(b) for b in history]
@@ -357,9 +380,9 @@ class TestRefinementDifferential:
     @given(long_lts(), long_lts(), st.booleans())
     def test_long_refinement_matches_reference(self, left, right, inert):
         out, _, _, _ = equivalence._union(left, right)
-        total = len(out)
-        block, history = equivalence._refine(out, total, inert)
-        ref_block, ref_history = reference_blocks(out, total, inert)
+        history = [b[:] for b in equivalence._refine(out, inert)]
+        ref_history = list(reference_blocks(out, inert))
+        block, ref_block = history[-1], ref_history[-1]
         assert renamed(block) == ref_block
         assert [renamed(b) for b in history] == ref_history
 
@@ -368,10 +391,11 @@ class TestRefinementDifferential:
         # s40, each later round the next state back, and round 39 is stable;
         # as integer rows, tau is label 0 and {a} label 1
         out = [[(0, s + 1)] for s in range(39)] + [[(1, 40)], []]
-        block, history = equivalence._refine(out, 41, False)
+        history = [b[:] for b in equivalence._refine(out, False)]
+        block = history[-1]
         assert len(set(block)) == 41 and len(history) == 40
         assert ([renamed(b) for b in history]
-                == reference_blocks(out, 41, False)[1])
+                == list(reference_blocks(out, False)))
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(long_lts(), st.sampled_from(("strong", "branching")))
@@ -405,6 +429,32 @@ class TestRefinementDifferential:
     @given(random_lts())
     def test_prune_dead_matches_reference(self, lts):
         assert prune_dead(lts) == reference_prune_dead(lts)
+
+
+def tau_chain(end, n=2000):
+    """s0 -tau-> ... -tau-> s(n-1), which loops on {end}."""
+    return lts_from(0, n, {(s, TAU, s + 1) for s in range(n - 1)}
+                    | {(n - 1, (ActionLabel(end),), n - 1)})
+
+
+class TestRefinementMemory:
+    # two chains split one state per round, about 2 000 rounds over 4 000
+    # states: memory is linear in the states only if no round is kept
+    @pytest.mark.parametrize("end, text", [
+        ("a", "strong step bisimulation holds"),
+        ("b", "strong step bisimulation fails: after tau: the right side "
+              "cannot match step tau"),
+    ], ids=["holds", "fails"])
+    def test_chain_check_peaks_under_8_mb(self, end, text):
+        left, right = tau_chain("a"), tau_chain(end)
+        tracemalloc.start()
+        try:
+            verdict = strong_step_bisim(left, right)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.pretty() == text
+        assert peak < 8_000_000
 
 
 UNEXPLAINED = ("states are distinguishable",
@@ -448,7 +498,7 @@ class TestExplanation:
         if verdict.holds:
             return
         out, labels, p, q = equivalence._union(left, right)
-        block, _ = reference_blocks(out, len(out), False)
+        *_, block = reference_blocks(out, False)
         moves = {side: [(labels[a], t) for a, t in out[s]]
                  for side, s in (("left", p), ("right", q))}
         a, side, other = claimed_move(verdict.counterexample, moves)

@@ -23,7 +23,8 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from bench import families, spans, workloads  # noqa: E402
-from stepcheck import bundled_model_path, cli, load_bundled_model  # noqa: E402
+from stepcheck import (  # noqa: E402
+    bundled_model_path, cli, load_bundled_model, semantics)
 from stepcheck.dsl import parse_model  # noqa: E402
 from stepcheck.semantics import (  # noqa: E402
     POLICIES,
@@ -313,13 +314,13 @@ def test_generated_lts_with_no_deadlock_is_its_own_pruning(ordered_terms,
                                                            policies):
     # a generated LTS is numbered breadth first from state 0, so with a
     # step in every state the one-pass check keeps it whole, and the full
-    # algorithm, which starts from ``outgoing``, never runs
+    # algorithm, ``semantics._prune``, never runs
     config = Config(*policies)
     live = [lts for lts in (generate_lts(term, model, config)
                             for model, term in ordered_terms)
             if not lts.deadlock_states()]
     assert len(live) >= 20
-    with mock.patch.object(StepLTS, "outgoing",
+    with mock.patch.object(semantics, "_prune",
                            side_effect=AssertionError("full algorithm ran")):
         assert all(prune_dead(lts) is lts for lts in live)
 
