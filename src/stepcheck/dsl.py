@@ -18,6 +18,7 @@ Line comments start with `//`.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 from .model import CheckGoal, Model, RELATIONS
@@ -82,42 +83,28 @@ _SYMBOLS = (*RELATION_SYMBOLS, "->", "||", "<>",
             "{", "}", "(", ")", "=", ".", "+", ",", "#", "@", ":")
 
 
+# Tried at each position in this order, so a name wins over a symbol and
+# the symbols keep their order; a comment advances no column.
+_TOKEN = re.compile("|".join((
+    r"(?P<newline>\n)", r"(?P<blank>[ \t\r]+)", r"(?P<comment>//[^\n]*)",
+    r"(?P<name>\w+)", f"(?P<symbol>{'|'.join(map(re.escape, _SYMBOLS))})")))
+
+
 def tokenize(source: str):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, col, pos = 1, 1, 0
+    while pos < len(source):
+        match = _TOKEN.match(source, pos)
+        if match is None:
+            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
+        kind, text, pos = match.lastgroup, match.group(), match.end()
+        if kind == "newline":
+            line, col = line + 1, 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(Token("name", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token("symbol", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+        if kind in ("name", "symbol"):
+            tokens.append(Token(kind, text, line, col))
+        if kind != "comment":
+            col += len(text)
     tokens.append(Token("eof", "", line, col))
     return tokens
 
@@ -169,12 +156,8 @@ class _Parser:
             self.error(f"{what} cannot start with a digit")
         return self.next()
 
-    def at_keyword(self, kw) -> bool:
-        tok = self.peek()
-        return tok.kind == "name" and tok.text == kw
-
     def expect_keyword(self, kw):
-        if not self.at_keyword(kw):
+        if self.peek().kind != "name" or self.peek().text != kw:
             self.error(f"expected {kw!r}")
         return self.next()
 
@@ -303,7 +286,6 @@ class _Parser:
         overrides = {}
         # option keys may shadow keywords: `key =` never starts a declaration
         while (self.peek().kind == "name"
-               and self.pos + 1 < len(self.tokens)
                and self.tokens[self.pos + 1].text == "="):
             if self.peek().text in overrides:
                 self.error(f"option {self.peek().text} given twice")
@@ -319,9 +301,6 @@ class _Parser:
     # alt > par > seq > atom (loosest to tightest)
 
     def term(self):
-        return self.alt_term()
-
-    def alt_term(self):
         branches = [self.par_term()]
         while self.peek().text == "+":
             self.next()
@@ -372,7 +351,7 @@ class _Parser:
             self.next()
             names = self.name_set_ref()
             self.expect_keyword("in")
-            body = self.alt_term()
+            body = self.term()
             return (Hide if tok.text == "hide" else Encaps)(names, body)
         if tok.text == "theta":
             self.next()
@@ -483,39 +462,25 @@ def parse_model(source: str) -> Model:
 
 
 def render_model(model: Model) -> str:
-    lines = []
-    for d in model.domains:
-        lines.append(f"domain {d.name} = {{ {', '.join(d.values)} }}")
-    if model.domains:
-        lines.append("")
-    for spec in model.processes:
-        lines.append(f"process {spec.name} {{")
-        for name, rhs in spec.equations.items():
-            lines.append(f"    {name} = {term_to_str(rhs)}")
-        lines.append("}")
-        lines.append("")
-    for e in model.comms.entries:
-        arrow = f" -> {e.result}" if e.result is not None else ""
-        lines.append(f"comm {e.a}, {e.b}{arrow}")
-    if model.comms.entries:
-        lines.append("")
-    for pair in sorted(model.conflicts.pairs, key=sorted):
-        a, b = sorted(pair)
-        lines.append(f"conflict {a} # {b}")
-    if model.conflicts.pairs:
-        lines.append("")
-    for name, values in model.action_sets.items():
-        lines.append(f"set {name} = {{ {', '.join(sorted(values))} }}")
-    if model.action_sets:
-        lines.append("")
-    for name, term in model.systems.items():
-        lines.append(f"system {name} = {term_to_str(term)}")
-    if model.systems:
-        lines.append("")
-    for goal in model.checks:
-        opts = "".join(f" {k}={v}" for k, v in goal.overrides.items())
-        lines.append(f"check {goal.name}: {goal.left} "
-                     f"{RELATIONS[goal.relation]} {goal.right}{opts}")
-    while lines and not lines[-1]:
-        lines.pop()
-    return "\n".join(lines) + "\n"
+    """One block of lines per declaration kind, and one per process, in
+    declaration order; the nonempty blocks are separated by a blank line."""
+    blocks = [
+        [f"domain {d.name} = {{ {', '.join(d.values)} }}"
+         for d in model.domains],
+        *([f"process {spec.name} {{",
+           *(f"    {name} = {term_to_str(rhs)}"
+             for name, rhs in spec.equations.items()),
+           "}"] for spec in model.processes),
+        [f"comm {e.a}, {e.b}" + (f" -> {e.result}" if e.result is not None
+                                 else "") for e in model.comms.entries],
+        [f"conflict {a} # {b}"
+         for a, b in sorted(map(sorted, model.conflicts.pairs))],
+        [f"set {name} = {{ {', '.join(sorted(values))} }}"
+         for name, values in model.action_sets.items()],
+        [f"system {name} = {term_to_str(term)}"
+         for name, term in model.systems.items()],
+        [f"check {goal.name}: {goal.left} {RELATIONS[goal.relation]} "
+         f"{goal.right}" + "".join(f" {k}={v}" for k, v in goal.overrides.items())
+         for goal in model.checks],
+    ]
+    return "\n\n".join("\n".join(block) for block in blocks if block) + "\n"

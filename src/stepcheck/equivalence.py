@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import count, islice
 from typing import Optional
 
 from .semantics import StepLTS, label_str
@@ -251,13 +251,13 @@ def _explain(out, labels, p, q, inert):
     """Why states p (left) and q (right) differ: a move one side has and
     the other cannot match at the round that split them (Cleaveland 1990).
 
-    The rounds run again up to that one, keeping only the round before.
+    One run of the rounds finds that round k; a second stops at round
+    k-1, whose list ``_refine`` leaves as is while it is not resumed.
     """
-    prev = [0] * len(out)
-    for k, block in enumerate(_refine(out, inert)):
-        if block[p] != block[q]:
-            break
-        prev = block[:]
+    k = next(k for k, block in enumerate(_refine(out, inert))
+             if block[p] != block[q])
+    prev = (next(islice(_refine(out, inert), k - 1, None)) if k
+            else [0] * len(out))
     sigs = _signatures(out, _first_appearance(prev), inert)
     a, side = _unmatched(sigs[p], sigs[q], labels, len(out))
     if not k:

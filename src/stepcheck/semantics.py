@@ -534,17 +534,11 @@ def _resolve_uncached(occs, prepared):
 
 def _shadow_matchings(shadows, acts):
     """Assignments of every shadow to a distinct matching action occurrence."""
-    if not shadows:
-        yield frozenset()
-        return
-    first, rest = shadows[0], shadows[1:]
-    for i, a in enumerate(acts):
-        if a.name != first.base:
-            continue
-        for sub in _shadow_matchings(rest, acts):
-            if i in sub:
-                continue
-            yield sub | {i}
+    for picks in itertools.product(*(
+            [i for i, a in enumerate(acts) if a.name == shadow.base]
+            for shadow in shadows)):
+        if len(set(picks)) == len(picks):
+            yield frozenset(picks)
 
 
 def _binary_matchings(idxs, acts, comm):
@@ -688,8 +682,8 @@ def _group_part(comps, positions, prepared):
 
     The positions are first split by ``_fusion_groups`` over the names
     that their components' moves offer now.  When that gives two or more
-    sub-groups, the part is the ``_part_product`` of theirs, each read
-    from or stored in ``PreparedSystem._group_cache`` under its own key.
+    sub-groups, the part is their ``_parts``, each sub-group's read from
+    or stored in ``PreparedSystem._group_cache`` under its own key.
     Otherwise the part is every combination of ``_combinations`` that has
     steps, in walk order, with ``picks`` its ``(i, move)`` pairs and
     ``steps`` its ``_resolved`` steps after the per-step wrappers.  The
@@ -699,17 +693,8 @@ def _group_part(comps, positions, prepared):
     offers = [_moves(comps[i], prepared)[1] for i in positions]
     subgroups = _fusion_groups(offers, prepared.gamma_components)
     if len(subgroups) > 1:
-        part = None
-        for sub in subgroups:
-            sub = tuple(positions[j] for j in sub)
-            key = (sub, tuple(map(comps.__getitem__, sub)))
-            sub_part = prepared._group_cache.get(key)
-            if sub_part is None:
-                sub_part = prepared._group_cache[key] = _group_part(
-                    comps, sub, prepared)
-            part = (sub_part if part is None
-                    else _part_product(part, sub_part, prepared))
-        return tuple(part)
+        return tuple(_parts(comps, [tuple(positions[j] for j in sub)
+                                    for sub in subgroups], prepared))
     per_step = prepared.split[0]
     part = []
     for picks, occs in _combinations(comps, positions, prepared)[:-1]:
@@ -718,6 +703,23 @@ def _group_part(comps, positions, prepared):
             part.append((picks, steps))
     part.append(_SKIP)
     return tuple(part)
+
+
+def _parts(comps, groups, prepared):
+    """The ``_part_product`` of the parts of ``groups``, tuples of
+    positions in ``comps`` that no fusion joins.  Each part is read from
+    ``PreparedSystem._group_cache``, keyed by the group's positions and
+    their terms, or made by ``_group_part`` and stored there."""
+    product = None
+    for positions in groups:
+        key = (positions, tuple(map(comps.__getitem__, positions)))
+        part = prepared._group_cache.get(key)
+        if part is None:
+            part = prepared._group_cache[key] = _group_part(
+                comps, positions, prepared)
+        product = (part if product is None
+                   else _part_product(product, part, prepared))
+    return product
 
 
 def _part_product(part, more_part, prepared):
@@ -763,8 +765,8 @@ def _group_steps(state, prepared):
 
     No fusion or shadow match crosses a group (``_fusion_groups``),
     and hide and block act per event, so a state's resolved steps are the
-    products of its groups' resolved steps.  Each group's part comes from
-    ``PreparedSystem._group_cache``, keyed by the group's movable
+    products of its groups' resolved steps.  ``_parts`` reads each group's
+    part from ``PreparedSystem._group_cache``, keyed by the group's movable
     positions and their terms; on a miss, ``_group_part`` splits the
     group by what its components offer in this state, and the part is
     stored under the whole group's key too.  A product step's label is
@@ -778,19 +780,10 @@ def _group_steps(state, prepared):
     # and are 0 for the others, so a component at round 0 may move; with
     # no round set and no component terminated, every position may
     free = TERM not in comps and not (rounds and any(rounds))
-    product = None
-    for group in prepared.groups:
-        positions = group if free else tuple(
-            i for i in group if comps[i] is not TERM
-            and not (rounds and rounds[i]))
-        key = (positions, tuple(map(comps.__getitem__, positions)))
-        part = prepared._group_cache.get(key)
-        if part is None:
-            part = prepared._group_cache[key] = _group_part(
-                comps, positions, prepared)
-        product = (part if product is None
-                   else _part_product(product, part, prepared))
-    return product[:-1]
+    return _parts(comps, prepared.groups if free else [
+        tuple(i for i in group if comps[i] is not TERM
+              and not (rounds and rounds[i])) for group in prepared.groups],
+        prepared)[:-1]
 
 
 def enabled_steps(state: SystemState, prepared: PreparedSystem):

@@ -1,7 +1,19 @@
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
 import stepcheck as sc
-from stepcheck.dsl import ParseError, ResolutionError, parse_model, render_model
+from stepcheck.dsl import (
+    _SYMBOLS,
+    ParseError,
+    ResolutionError,
+    Token,
+    parse_model,
+    render_model,
+    tokenize,
+)
 from stepcheck.terms import (
     Act,
     ActionLabel,
@@ -32,6 +44,89 @@ system S = hide I in (P || P)
 
 check main: S ~bb P comm=binary
 """
+
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from bench import workloads  # noqa: E402
+
+
+def reference_tokenize(source: str):
+    """The lexer as a loop over characters: the reference ``tokenize``
+    must agree with on tokens, error texts and positions."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if source.startswith("//", i):
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if ch.isalnum() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            tokens.append(Token("name", source[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for sym in _SYMBOLS:
+            if source.startswith(sym, i):
+                tokens.append(Token("symbol", sym, line, col))
+                col += len(sym)
+                i += len(sym)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+def lexed(lexer, source):
+    """The tokens of ``source``, or its parse error's text and position."""
+    try:
+        return lexer(source)
+    except ParseError as exc:
+        return str(exc), exc.message, exc.line, exc.col
+
+
+# Every symbol, blanks, comment starts, digits, non-ASCII letters and
+# digits, and characters the language does not know.
+PIECES = [*_SYMBOLS, " ", "\t", "\r", "\n", "//", "/", "a", "b", "_", "x1",
+          "0", "9", "\u00e9", "\u00df", "\u00b2", "\u0663", "~", "-", ">",
+          "<", "|", "?", "$", "\x0b", "\u00a0"]
+
+
+class TestTokenizeDifferential:
+    def test_model_texts_and_sources(self):
+        texts = [sc.bundled_model_path().read_text(encoding="utf-8"),
+                 (ROOT / "README.md").read_text(encoding="utf-8")]
+        texts += [p.read_text(encoding="utf-8")
+                  for p in sorted((ROOT / "tests").glob("*.py"))]
+        texts += ["\n\n".join(w.decls) + "\n"
+                  for w in workloads.WORKLOADS.values()]
+        for text in texts:
+            assert lexed(tokenize, text) == lexed(reference_tokenize, text)
+
+    def test_random_strings(self):
+        rng = random.Random(124)
+        for _ in range(10_000):
+            text = "".join(rng.choice(PIECES)
+                           for _ in range(rng.randint(0, 25)))
+            assert lexed(tokenize, text) == lexed(reference_tokenize, text)
 
 
 class TestParsing:
@@ -203,6 +298,45 @@ class TestRoundTrip:
     def test_mini_model_round_trips(self):
         m = parse_model(MINI)
         assert parse_model(render_model(m)).equations() == m.equations()
+
+
+    def test_rendered_text(self):
+        m = parse_model("""
+            // declarations of every kind, out of their rendered order
+            check c1: S ~bb P max_states=500 comm=binary
+            system S = hide { b, a } in (P || Q)
+            set I = { b, a }
+            conflict b # a
+            comm b, c
+            comm a, c -> ac
+            process Q { Q = c . Q }
+            process P { P = (sum d in D . a(d) . P) + b . X  X = delta }
+            domain E = { e1 }
+            domain D = { d1, d2 }
+        """)
+        assert render_model(m) == (
+            "domain E = { e1 }\n"
+            "domain D = { d1, d2 }\n"
+            "\n"
+            "process Q {\n"
+            "    Q = c . Q\n"
+            "}\n"
+            "\n"
+            "process P {\n"
+            "    P = (sum d in D . a(d) . P) + b . X\n"
+            "    X = delta\n"
+            "}\n"
+            "\n"
+            "comm b, c\n"
+            "comm a, c -> ac\n"
+            "\n"
+            "conflict a # b\n"
+            "\n"
+            "set I = { a, b }\n"
+            "\n"
+            "system S = hide {a, b} in P || Q\n"
+            "\n"
+            "check c1: S ~bb P max_states=500 comm=binary\n")
 
 
 class TestBundledModel:

@@ -172,15 +172,13 @@ def self_referring_functions(source: str) -> list:
 
 # The recursions whose depth is not a term's depth.  ``_raw`` enters a
 # sequence only on its left, so a sequence's length, where a parsed term
-# is deep, is no limit to it; the two matchings enter the occurrences of
-# one step and ``_group_part`` the splits of one group; the parser's
-# ``atom`` enters the brackets and prefixes of the source, and
-# ``cli.main`` reports their depth as an error.  Every pass over a whole
-# term folds it with ``ProcessTerm.fold`` or walks it with
-# ``terms._walk``.
+# is deep, is no limit to it; ``_binary_matchings`` enters the
+# occurrences of one step; the parser's ``atom`` enters the brackets and
+# prefixes of the source, and ``cli.main`` reports their depth as an
+# error.  Every pass over a whole term folds it with ``ProcessTerm.fold``
+# or walks it with ``terms._walk``.
 RECURSIVE = ["dsl.py:atom", "semantics.py:_binary_matchings",
-             "semantics.py:_group_part", "semantics.py:_raw",
-             "semantics.py:_shadow_matchings"]
+             "semantics.py:_raw"]
 
 
 def test_only_listed_functions_recurse():
