@@ -30,21 +30,28 @@ from .semantics import (
 from .terms import term_to_str
 
 _OVERRIDE_KEYS = {key: name for name, (key, _) in POLICIES.items()}
+# each check option -> the values it takes, as an error names them
+_TAKES = {key: " or ".join(allowed) for key, allowed in POLICIES.values()}
+_TAKES["max_states"] = "a positive integer"
 
 
-def _config_from_args(args, overrides=None) -> Config:
+def _config_from_args(args, goal=None) -> Config:
     # precedence: explicit command-line flag > check option > default
     values = {}
-    for key, value in (overrides or {}).items():
-        if key in _OVERRIDE_KEYS:
-            values[_OVERRIDE_KEYS[key]] = value
-        elif key == "max_states":
-            try:
-                values["max_states"] = int(value)
-            except ValueError:
-                raise SemanticsError(f"bad max_states {value}") from None
+    for key, value in (goal.overrides if goal else {}).items():
+        name = _OVERRIDE_KEYS.get(key)
+        if key == "max_states" and value.isdecimal() and int(value) > 0:
+            values[key] = int(value)
+        elif name and value in POLICIES[name][1]:
+            values[name] = value
+        elif key in _TAKES:
+            raise SemanticsError(
+                f"check {goal.name}: bad option {key}={value} "
+                f"({key} takes {_TAKES[key]})")
         else:
-            raise SemanticsError(f"unknown check option {key}")
+            raise SemanticsError(
+                f"check {goal.name}: unknown option {key}={value} "
+                f"(the options are {', '.join(_TAKES)})")
     for field in fields(Config):
         flag = getattr(args, field.name)
         if flag is not None:
@@ -78,7 +85,7 @@ def _run_checks(model: Model, args) -> int:
     if not goals:
         raise SemanticsError("the model declares no checks")
     # every check's options are read before any check generates
-    configs = [_config_from_args(args, goal.overrides) for goal in goals]
+    configs = [_config_from_args(args, goal) for goal in goals]
     reports = []
     worst = 0
     for goal, config in zip(goals, configs):

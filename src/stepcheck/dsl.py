@@ -166,9 +166,9 @@ class _Parser:
     def model(self):
         """The declarations, each read past its keyword by the keyword's
         ``<keyword>_decl`` method."""
-        decls = {"domains": {}, "processes": {}, "comms": [],
-                 "conflicts": ConflictRelation(), "sets": {}, "systems": {},
-                 "checks": []}
+        decls = {"domains": {}, "processes": {}, "equations": set(),
+                 "comms": {}, "conflicts": ConflictRelation(),
+                 "sets": {}, "systems": {}, "checks": []}
         while True:
             tok = self.peek()
             read = (tok.kind == "name" and tok.text in KEYWORDS
@@ -219,30 +219,31 @@ class _Parser:
         name = self.declared_name("process", decls["processes"])
         self.expect_symbol("{")
         equations = {}
-        entry = None
         while not (self.peek().kind == "symbol" and self.peek().text == "}"):
-            var_tok = self.expect_name("equation name")
-            if var_tok.text in equations:
-                raise ParseError(f"equation {var_tok.text} repeated",
-                                 var_tok.line, var_tok.col)
+            var = self.declared_name("equation", decls["equations"])
+            decls["equations"].add(var)
             self.expect_symbol("=")
-            equations[var_tok.text] = self.term()
-            if entry is None:
-                entry = var_tok.text
+            equations[var] = self.term()
         self.expect_symbol("}")
-        if entry is None:
+        if not equations:
             self.error(f"process {name} has no equations")
-        decls["processes"][name] = RecursiveSpec(name, equations, entry)
+        decls["processes"][name] = RecursiveSpec(name, equations,
+                                                 next(iter(equations)))
 
     def comm_decl(self, decls):
-        a = self.expect_name("action name").text
+        tok = self.expect_name("action name")
         self.expect_symbol(",")
         b = self.expect_name("action name").text
         result = None
         if self.peek().text == "->":
             self.next()
             result = self.expect_name("result name").text
-        decls["comms"].append(CommEntry(a, b, result))
+        entry = CommEntry(tok.text, b, result)
+        # the table's rule, checked against the one entry this one could
+        # repeat, so that a model's comms are checked in linear time
+        earlier = decls["comms"].get(entry.pair())
+        self.built(tok, CommTable, (earlier, entry) if earlier else (entry,))
+        decls["comms"][entry.pair()] = entry
 
     def conflict_decl(self, decls):
         tok = self.expect_name("action name")
@@ -421,9 +422,7 @@ def _name_checks(goals) -> tuple:
 
 def parse_model(source: str) -> Model:
     decls = _Parser(tokenize(source)).model()
-    equation_names = set()
-    for spec in decls["processes"].values():
-        equation_names.update(spec.equations)
+    equation_names = decls["equations"]
     system_names = set(decls["systems"])
     clash = sorted(system_names & equation_names)
     if clash:
@@ -436,12 +435,11 @@ def parse_model(source: str) -> Model:
         equations = {name: rhs.fold(resolve)
                      for name, rhs in spec.equations.items()}
         processes.append(RecursiveSpec(spec.name, equations, spec.entry))
-    comms = CommTable(tuple(decls["comms"]))
     systems = {name: t.fold(resolve) for name, t in decls["systems"].items()}
     model = Model(
         domains=tuple(decls["domains"].values()),
         processes=tuple(processes),
-        comms=comms,
+        comms=CommTable(tuple(decls["comms"].values())),
         conflicts=decls["conflicts"],
         action_sets=dict(sets),
         systems=systems,

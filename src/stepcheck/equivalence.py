@@ -305,8 +305,8 @@ def branching_bisim(left: StepLTS, right: StepLTS,
                         f"on the {side} side has no immediate match"))
         return Verdict(True, name, details={"blocks": len(set(block))})
     # prefer a weak-trace counterexample: concrete and easy to read
-    traces = weak_traces_equal(left, right)
-    return Verdict(False, name, traces.counterexample
+    return Verdict(False, name,
+                   _trace_counterexample(out, labels, init_l, init_r)
                    or _explain(out, labels, init_l, init_r, True))
 
 
@@ -381,13 +381,10 @@ def _tau_closure(states, out):
     return frozenset(closure)
 
 
-def weak_trace_inclusion(left: StepLTS, right: StepLTS) -> Verdict:
-    """Every weak (tau-abstracted) trace of `left` is a trace of `right`.
-
-    On failure the counterexample is a shortest left-only trace.
-    """
-    out, labels, init_l, init_r = _union(left, right)
-    start = (_tau_closure({init_l}, out), _tau_closure({init_r}, out))
+def _weak_trace(out, labels, p, q):
+    """A shortest weak (tau-abstracted) trace of state ``p`` that state
+    ``q`` lacks, both states of the union ``out``, or None."""
+    start = (_tau_closure({p}, out), _tau_closure({q}, out))
     seen = {start}
     queue = deque([(start, ())])
     while queue:
@@ -403,26 +400,40 @@ def weak_trace_inclusion(left: StepLTS, right: StepLTS) -> Verdict:
             nl = _tau_closure(moves[a], out)
             nr_core = {t for s in rs for a2, t in out[s] if a2 == a}
             if not nr_core:
-                return Verdict(
-                    False, "weak trace inclusion",
-                    TraceCounterexample(trace + (labels[a],), "left"))
+                return trace + (labels[a],)
             nr = _tau_closure(nr_core, out)
             nxt = (nl, nr)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, trace + (labels[a],)))
-    return Verdict(True, "weak trace inclusion")
+    return None
+
+
+def _trace_counterexample(out, labels, p, q):
+    """A shortest weak trace that only one of the states ``p`` (the left
+    side) and ``q`` (the right) has, p's first, or None."""
+    trace = _weak_trace(out, labels, p, q)
+    if trace is not None:
+        return TraceCounterexample(trace, "left")
+    trace = _weak_trace(out, labels, q, p)
+    return None if trace is None else TraceCounterexample(trace, "right")
+
+
+def weak_trace_inclusion(left: StepLTS, right: StepLTS) -> Verdict:
+    """Every weak (tau-abstracted) trace of `left` is a trace of `right`.
+
+    On failure the counterexample is a shortest left-only trace.
+    """
+    trace = _weak_trace(*_union(left, right))
+    return Verdict(trace is None, "weak trace inclusion", None
+                   if trace is None else TraceCounterexample(trace, "left"))
 
 
 def weak_traces_equal(left: StepLTS, right: StepLTS) -> Verdict:
-    a = weak_trace_inclusion(left, right)
-    if not a.holds:
-        return a
-    b = weak_trace_inclusion(right, left)
-    if not b.holds:
-        return Verdict(False, "weak trace inclusion",
-                       TraceCounterexample(b.counterexample.trace, "right"))
-    return Verdict(True, "weak trace inclusion")
+    """`left` and `right` have the same weak traces; on failure the
+    counterexample is a shortest trace of one side only, left's first."""
+    cx = _trace_counterexample(*_union(left, right))
+    return Verdict(cx is None, "weak trace inclusion", cx)
 
 
 # ---------------------------------------------------------------------------

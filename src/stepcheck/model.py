@@ -1,6 +1,7 @@
 """The in-memory model: everything a single `.aptc` file declares."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .terms import (
@@ -8,7 +9,6 @@ from .terms import (
     ConflictRelation,
     Violation,
     names_written,
-    validate_comms,
     validate_terms,
 )
 
@@ -69,19 +69,18 @@ class Model:
         return out
 
     def validate(self) -> list[Violation]:
-        """Every well-formedness violation, process by process (its entry,
-        then its equations), then the systems and the comm table; an
-        empty list means valid."""
-        try:
-            names = frozenset(self.equations())
-        except ValueError as exc:
-            return [Violation("duplicate-equation", "", str(exc))]
-        violations: list[Violation] = []
+        """Every well-formedness violation: equation names declared twice,
+        then process by process (its entry, then its equations), then the
+        systems; an empty list means valid."""
+        names = Counter(name for spec in self.processes
+                        for name in spec.equations)
+        violations = [Violation("duplicate-equation", name,
+                                f"equation name {name} declared twice")
+                      for name, n in names.items() if n > 1]
         for spec in self.processes:
             if spec.entry not in spec.equations:
                 violations.append(Violation(
                     "missing-entry", spec.entry,
                     f"entry variable {spec.entry} has no equation"))
             violations += validate_terms(spec.equations, self.domains, names)
-        violations += validate_terms(self.systems, self.domains, names)
-        return violations + validate_comms(self.comms)
+        return violations + validate_terms(self.systems, self.domains, names)

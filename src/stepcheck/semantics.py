@@ -305,20 +305,16 @@ def prepare_system(system: ProcessTerm, model: Model, config: Config) -> Prepare
 def _split_wrappers(wrappers, conflicts) -> tuple:
     """``wrappers`` (outermost first) as (per step, per state).
 
-    Walking out from the components, each hide and block up to the first
-    theta over declared conflicts changes or drops a step on its own, so it
-    is applied per step.  That theta compares the steps a state has, so it
-    and every wrapper outside it are applied per state.  A theta with no
-    conflicts is the identity and is left out.
+    A theta over declared conflicts compares the steps a state has, so
+    when one is present every wrapper is applied per state.  Otherwise
+    each hide and block changes or drops a step on its own and is applied
+    per step, and a theta, with no conflicts the identity, is left out.
+    Hide and block act on each event alone, so applying them per state
+    instead gives the same steps.
     """
-    if not conflicts:
-        return tuple(w for w in wrappers
-                     if not isinstance(w, ConflictElim)), ()
-    cut = 0
-    for i, wrapper in enumerate(wrappers):
-        if isinstance(wrapper, ConflictElim):
-            cut = i + 1
-    return tuple(wrappers[cut:]), tuple(wrappers[:cut])
+    if conflicts and any(isinstance(w, ConflictElim) for w in wrappers):
+        return (), tuple(wrappers)
+    return tuple(w for w in wrappers if not isinstance(w, ConflictElim)), ()
 
 
 def _flatten_par(term) -> list:

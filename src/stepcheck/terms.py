@@ -308,16 +308,24 @@ class CommEntry:
 
 @dataclass(frozen=True)
 class CommTable:
-    """The communication function: unordered action-name pairs -> result."""
+    """The communication function: unordered action-name pairs -> result.
+    Each pair relates two distinct actions and is declared once."""
 
     entries: tuple[CommEntry, ...] = ()
 
-    def mapping(self) -> dict:
-        out = {}
+    def __post_init__(self):
+        pairs = set()
         for e in self.entries:
-            out.setdefault(e.pair(), CommResultLabel(
-                tuple(sorted((e.a, e.b))), e.result))
-        return out
+            if e.a == e.b:
+                raise ValueError(
+                    f"comm {e.a}, {e.b} pairs an action with itself")
+            if e.pair() in pairs:
+                raise ValueError(f"comm {e.a}, {e.b} declared twice")
+            pairs.add(e.pair())
+
+    def mapping(self) -> dict:
+        return {e.pair(): CommResultLabel(tuple(sorted((e.a, e.b))), e.result)
+                for e in self.entries}
 
     def action_names(self) -> frozenset:
         names = set()
@@ -516,25 +524,6 @@ def validate_terms(terms: dict, domains, known) -> list[Violation]:
     constants = {v for d in domain_map.values() for v in d.values}
     return [v for name, term in terms.items()
             for v in _validate_term(term, name, known, domain_map, constants)]
-
-
-def validate_comms(comms: CommTable) -> list[Violation]:
-    """Gamma pairs of an action with itself, and pairs declared twice."""
-    violations = []
-    seen_pairs = set()
-    for e in comms.entries:
-        if e.a == e.b:
-            violations.append(Violation(
-                "self-communication", e.a,
-                f"gamma pairs {e.a} with itself"))
-            continue
-        p = e.pair()
-        if p in seen_pairs:
-            violations.append(Violation(
-                "duplicate-pair", "{" + ",".join(sorted(p)) + "}",
-                "gamma declares the same unordered pair twice"))
-        seen_pairs.add(p)
-    return violations
 
 
 def _validate_term(rhs, eq_name, known, domain_map, constants):

@@ -276,10 +276,10 @@ class TestErrors:
          "unknown-domain(Z): sum in S ranges over undeclared domain"),
         ("process Q { Q = sum v in Nope . b(v) . Q }",
          "unknown-domain(Nope): sum in Q ranges over undeclared domain"),
-        ("comm a, b\ncomm b, a",
-         "duplicate-pair({a,b}): gamma declares the same unordered pair "
-         "twice"),
-    ], ids=["system", "process", "comm"])
+        ("system S = P <> b(y)",
+         "unknown-constant(y): argument y of b(y) in S is neither a domain "
+         "constant nor a bound sum variable"),
+    ], ids=["system", "process", "constant"])
     def test_system_over_unknown_domain_exits_2(self, tmp_path, capsys,
                                                 decl, violation):
         path = tmp_path / "domain.aptc"
@@ -308,8 +308,14 @@ class TestErrors:
         assert capsys.readouterr().err == "error: no process named Nope\n"
 
     @pytest.mark.parametrize("option, message", [
-        ("max_states=abc", "error: bad max_states abc\n"),
-        ("round=nope", "error: bad round_mode nope\n"),
+        ("max_states=abc", "error: check c: bad option max_states=abc "
+         "(max_states takes a positive integer)\n"),
+        ("round=nope", "error: check c: bad option round=nope "
+         "(round takes overlap or barrier)\n"),
+        ("step=foo", "error: check c: bad option step=foo "
+         "(step takes interleave or step)\n"),
+        ("steps=step", "error: check c: unknown option steps=step (the "
+         "options are comm, step, round, shadow, max_states)\n"),
         ("round=barrier round=overlap",
          "error: 2:32: option round given twice\n"),
     ])
@@ -335,7 +341,9 @@ class TestErrors:
                         "check first: P ~bb Q\n"
                         "check second: P ~bb Q comm=bogus\n")
         assert main(["check", str(path)]) == 2
-        assert capsys.readouterr().err == "error: bad comm_policy bogus\n"
+        assert capsys.readouterr().err == (
+            "error: check second: bad option comm=bogus "
+            "(comm takes binary or chained)\n")
         assert calls == []
 
     @pytest.mark.parametrize("twice, message", [
@@ -345,6 +353,10 @@ class TestErrors:
         ("domain D = { d }", "error: 3:8: domain D declared twice\n"),
         ("process Q { Q = b . Q }", "error: 3:9: process Q declared twice\n"),
         ("conflict a # b", "error: 3:10: conflict a # b declared twice\n"),
+        ("comm a, b\ncomm b, a", "error: 3:6: comm b, a declared twice\n"),
+        ("comm a, a", "error: 2:6: comm a, a pairs an action with itself\n"),
+        ("process Q { P = b . P }",
+         "error: 2:13: equation P declared twice\n"),
     ])
     def test_declared_twice_exits_2(self, tmp_path, capsys, twice, message):
         path = tmp_path / "twice.aptc"

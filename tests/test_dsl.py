@@ -18,6 +18,8 @@ from stepcheck.terms import (
     Act,
     ActionLabel,
     Alt,
+    CommEntry,
+    CommTable,
     ConflictRelation,
     DataDomain,
     Hide,
@@ -237,7 +239,21 @@ class TestParseErrors:
          "conflict a # b declared twice"),
         ("process P { P = a . b . P }\nconflict a # b\nconflict b # a", 3, 10,
          "conflict b # a declared twice"),
-    ], ids=["conflict", "domain", "conflict-twice", "conflict-reversed"])
+        # comm pairs follow the same rule
+        ("process P { P = a . P }\ncomm a, a", 2, 6,
+         "comm a, a pairs an action with itself"),
+        ("process P { P = a . b . P }\ncomm a, b\ncomm a, b -> c", 3, 6,
+         "comm a, b declared twice"),
+        ("process P { P = a . b . P }\ncomm a, b -> c\ncomm b, a", 3, 6,
+         "comm b, a declared twice"),
+        # an equation name is declared once, in its process or another
+        ("process P { P = a . P\n  P = b . P }", 2, 3,
+         "equation P declared twice"),
+        ("process P { P = a . Q }\nprocess Q { Q = b . P  P = c . Q }", 2, 24,
+         "equation P declared twice"),
+    ], ids=["conflict", "domain", "conflict-twice", "conflict-reversed",
+            "comm-self", "comm-twice", "comm-reversed", "equation-twice",
+            "equation-elsewhere"])
     def test_a_bad_declaration_names_its_position(self, source, line, col,
                                                   message):
         with pytest.raises(ParseError) as exc:
@@ -250,6 +266,29 @@ class TestParseErrors:
             ConflictRelation(frozenset({frozenset({"a"})}))
         with pytest.raises(ValueError):
             DataDomain("D", ("x", "x"))
+
+    @pytest.mark.parametrize("entries, message", [
+        ((("a", "a"),), "comm a, a pairs an action with itself"),
+        ((("a", "b"), ("a", "b", "c")), "comm a, b declared twice"),
+        ((("a", "b", "c"), ("b", "a")), "comm b, a declared twice"),
+    ], ids=["self", "twice", "reversed"])
+    def test_the_comm_table_checks_library_callers(self, entries, message):
+        with pytest.raises(ValueError) as exc:
+            CommTable(tuple(CommEntry(*e) for e in entries))
+        assert str(exc.value) == message
+
+    def test_comm_pairs_are_checked_in_linear_time(self, monkeypatch):
+        # each comm is checked against the one entry it could repeat, not
+        # against every comm before it
+        checked = []
+        post_init = CommTable.__post_init__
+        monkeypatch.setattr(CommTable, "__post_init__", lambda table: (
+            checked.append(len(table.entries)), post_init(table)))
+        n = 300
+        model = parse_model("process P { P = a0 . P }\n" + "".join(
+            f"comm a{i}, b{i}\n" for i in range(n)))
+        assert len(model.comms.entries) == n
+        assert sum(checked) <= 3 * n
 
 
 class TestResolutionErrors:

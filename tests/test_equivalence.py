@@ -112,6 +112,22 @@ class TestBranching:
         assert not verdict.holds
         assert isinstance(verdict.counterexample, TraceCounterexample)
 
+    # the trace counterexample is searched on the check's own union
+    @pytest.mark.parametrize("left, right, side", [
+        (LOOP_A, LOOP_B, "left"),
+        ("process P { P = a . delta }",
+         "process P { P = a . delta + b . delta }", "right"),
+        ("process P { P = a . b . delta + a . c . delta }",
+         "process P { P = a . (b . delta + c . delta) }", None),
+    ], ids=["left", "right", "equal-traces"])
+    def test_failure_builds_one_union(self, left, right, side):
+        left, right = lts_of(left), lts_of(right)
+        with mock.patch.object(equivalence, "_union",
+                               wraps=equivalence._union) as union:
+            verdict = branching_bisim(left, right)
+        assert not verdict.holds and union.call_count == 1
+        assert getattr(verdict.counterexample, "side", None) == side
+
     def test_equal_weak_traces_explained_by_the_split_round(self):
         left = lts_of("process P { P = a . b . delta + a . c . delta }")
         right = lts_of("process P { P = a . (b . delta + c . delta) }")

@@ -377,3 +377,33 @@ def test_family_model_cli_output(args, tmp_path):
     assert code == exit_code
     assert (hashlib.sha256(out.getvalue().encode()).hexdigest()
             == CLI_OUTPUTS[args])
+
+
+def test_spans_see_every_traced_call(tmp_path):
+    """Every call the benchmark traces goes through its module-level
+    name, so ``spans.instrument`` sees it: a reference captured elsewhere,
+    such as a dispatch table, would make that layer's metrics read 0."""
+    called = set()
+
+    def wrap(name, fn):
+        def recorded(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return recorded
+
+    path = tmp_path / "traced.aptc"
+    path.write_text("process P { P = a . b . P }\n"
+                    "process Q { Q = a . Q }\n"
+                    "system S = hide {b} in (P <> Q)\n"
+                    "check S ~sb S\ncheck S ~bb P\n"
+                    "check P ~rbb Q\ncheck S ~tr Q\n")
+    restore = spans.instrument(spans.TRACED, wrap)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["check", str(path)])
+            cli.main(["derive-ab", str(bundled_model_path()),
+                      "--wso", "WSOA"])
+    finally:
+        restore()
+    assert called == {spans._span_name(module, attr)
+                      for module, attr in spans.TRACED}

@@ -174,6 +174,28 @@ class TestWrapperOrder:
         assert visible_labels(top) == labels
         assert strong_step_bisim(top, nested).holds
 
+    # a theta over declared conflicts puts every top-level wrapper per
+    # state; otherwise each hide and block is per step and theta is dropped
+    @pytest.mark.parametrize("system, conflicts, per_step, per_state", [
+        ("theta (hide {a} in (P <> Q))", True, "", "01"),
+        ("hide {a} in theta (P <> Q)", True, "", "01"),
+        ("hide {b} in theta (block {a} in (P <> Q))", True, "", "012"),
+        ("theta (block {a} in theta (P <> Q))", True, "", "012"),
+        ("block {a} in hide {b} in (P <> Q)", True, "01", ""),
+        ("theta (hide {a} in (P <> Q))", False, "1", ""),
+        ("hide {b} in theta (block {a} in (P <> Q))", False, "02", ""),
+    ])
+    def test_top_level_split(self, system, conflicts, per_step, per_state):
+        source = WRAPPER_ORDER_MODEL + f"system S = {system}\n"
+        if not conflicts:
+            source = source.replace("conflict a # b\n", "")
+        model = parse_model(source)
+        prepared = semantics.prepare_system(model.systems["S"], model,
+                                            Config())
+        assert prepared.split == tuple(
+            tuple(prepared.wrappers[int(i)] for i in positions)
+            for positions in (per_step, per_state))
+
     def test_interleave_also_restricts_what_theta_sees(self):
         # {c, g} has two events: under interleave no theta may let it
         # eliminate {g}, whether the theta is at top level or nested

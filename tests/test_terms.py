@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from stepcheck.dsl import _Name, parse_model
+from stepcheck.dsl import ParseError, _Name, parse_model
 from stepcheck.model import Model
 from stepcheck.semantics import _CANONICAL, TERM, _alt, _par, _seq, _wrap, canon
 from stepcheck.terms import (
@@ -197,36 +197,48 @@ class TestValidation:
         assert "unbound-variable" in kinds
 
     def test_self_communication_rejected(self):
-        comms = CommTable((CommEntry("a", "a"),))
-        spec = RecursiveSpec("P", {"P": act("a")}, "P")
-        model = Model(processes=(spec,), comms=comms)
-        kinds = {v.kind for v in model.validate()}
-        assert "self-communication" in kinds
+        # the table refuses it, for a library caller and the parser alike
+        with pytest.raises(ValueError) as library:
+            CommTable((CommEntry("a", "a"),))
+        with pytest.raises(ParseError) as text:
+            parse_model("process P { P = a . P }\ncomm a, a")
+        assert text.value.message == str(library.value) == (
+            "comm a, a pairs an action with itself")
 
     def test_violations_come_process_by_process(self):
-        # a process's entry, then its equations; then systems, then comms
+        # a process's entry, then its equations; then systems
         model = Model(
             processes=(RecursiveSpec("P", {"P1": Var("Q")}, "P"),
                        RecursiveSpec("R", {"R": act("tau")}, "Z")),
-            systems={"S": Sum("d", "D", act("a", "d"))},
-            comms=CommTable((CommEntry("a", "a"),)))
+            systems={"S": Sum("d", "D", act("a", "d"))})
         assert [(v.kind, v.subject) for v in model.validate()] == [
             ("missing-entry", "P"), ("unbound-variable", "Q"),
             ("missing-entry", "Z"), ("reserved-name", "tau"),
-            ("unknown-domain", "D"), ("self-communication", "a")]
+            ("unknown-domain", "D")]
+
+    def test_repeated_equation_is_named(self):
+        # only a library caller can build it: the parser refuses it
+        model = Model(processes=(
+            RecursiveSpec("P", {"P": Seq(act("a"), Var("Q"))}, "P"),
+            RecursiveSpec("Q", {"Q": Seq(act("b"), Var("Q")),
+                                "P": act("c")}, "Q")))
+        assert list(map(str, model.validate())) == [
+            "duplicate-equation(P): equation name P declared twice"]
 
     def test_clean_spec_has_no_violations(self, ws_model):
         assert ws_model.validate() == []
 
-    def test_gamma_violation_reported_once_per_model(self):
-        model = parse_model("""
-            process P { P = a . P }
-            process Q { Q = b . Q }
-            process R { R = c . R }
-            comm a, a
-        """)
-        kinds = [v.kind for v in model.validate()]
-        assert kinds == ["self-communication"]
+    def test_gamma_fault_is_one_parse_error(self):
+        # the first fault ends the parse: the self pair, not the repeat
+        with pytest.raises(ParseError) as exc:
+            parse_model("""
+                process P { P = a . P }
+                process Q { Q = b . Q }
+                comm a, b
+                comm a, a
+                comm b, a
+            """)
+        assert (exc.value.line, exc.value.col) == (5, 22)
 
     def test_system_terms_are_validated(self):
         model = parse_model("""
