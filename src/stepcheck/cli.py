@@ -96,20 +96,24 @@ def _run_checks(model: Model, args) -> int:
             goal = replace(goal, relation="rooted-branching-bisim")
         verdict = check_relation(goal.relation, left, right)
         elapsed = time.monotonic() - start
-        reports.append((goal, verdict, left, right, elapsed))
+        reports.append((goal, verdict, left.num_states, right.num_states,
+                        elapsed))
+        # the report keeps the state counts only, so that this check's
+        # LTSs are freed before the next check generates its own
+        del left, right
         if not verdict.holds:
             worst = 1
     if args.json:
         out = []
-        for goal, verdict, left, right, _ in reports:
+        for goal, verdict, left_states, right_states, _ in reports:
             entry = {
                 "check": goal.name,
                 "left": goal.left,
                 "right": goal.right,
                 "relation": goal.relation,
                 "holds": verdict.holds,
-                "left_states": left.num_states,
-                "right_states": right.num_states,
+                "left_states": left_states,
+                "right_states": right_states,
             }
             cx = verdict.counterexample
             if cx is not None:
@@ -121,11 +125,11 @@ def _run_checks(model: Model, args) -> int:
             out.append(entry)
         print(json.dumps(out, indent=2, sort_keys=True))
     else:
-        for goal, verdict, left, right, elapsed in reports:
+        for goal, verdict, left_states, right_states, elapsed in reports:
             status = "holds" if verdict.holds else "FAILS"
             print(f"{goal.name}: {goal.left} vs {goal.right} "
                   f"({goal.relation}) {status} "
-                  f"[{left.num_states}/{right.num_states} states, "
+                  f"[{left_states}/{right_states} states, "
                   f"{elapsed:.2f}s]")
             if verdict.counterexample is not None:
                 print(f"  {verdict.counterexample.pretty()}")
@@ -134,15 +138,14 @@ def _run_checks(model: Model, args) -> int:
 
 def _lts_json(lts: StepLTS) -> dict:
     dead = set(lts.deadlock_states())
+    shown = [[l.pretty() for l in a] or ["tau"] for a in lts.labels]
     return {
         "initial": lts.initial,
         "states": [{"id": i, "name": name, "deadlock": i in dead}
                    for i, name in enumerate(lts.state_names)],
         "transitions": [
-            {"from": s,
-             "label": [l.pretty() for l in a] or ["tau"],
-             "to": t}
-            for s, a, t in lts.transitions],
+            {"from": s, "label": shown[a], "to": t}
+            for s, a, t in zip(lts.sources, lts.label_ids, lts.targets)],
     }
 
 
@@ -157,8 +160,9 @@ def _lts_dot(lts: StepLTS, name: str) -> str:
         if i in dead:
             attrs.append('style=filled fillcolor=lightgray')
         lines.append(f'  {i} [{" ".join(attrs) or "shape=circle"}];')
-    for s, a, t in lts.transitions:
-        lines.append(f'  {s} -> {t} [label="{label_str(a)}"];')
+    shown = [label_str(a) for a in lts.labels]
+    for s, a, t in zip(lts.sources, lts.label_ids, lts.targets):
+        lines.append(f'  {s} -> {t} [label="{shown[a]}"];')
     lines.append("}")
     return "\n".join(lines)
 

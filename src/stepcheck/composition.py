@@ -129,9 +129,11 @@ def _linear_presentation(name: str, lts: StepLTS) -> Optional[RecursiveSpec]:
     Only possible when every step is a single visible label; silent steps
     or true multi-label steps have no linear rendering here.
     """
+    keys = [label_key(a) for a in lts.labels]
     actions = {s: [] for s in range(lts.num_states)}
-    for s, label, t in sorted(lts.transitions, key=lambda tr: (
-            tr[0], label_key(tr[1]), tr[2])):
+    for s, a, t in sorted(zip(lts.sources, lts.label_ids, lts.targets),
+                          key=lambda tr: (tr[0], keys[tr[1]], tr[2])):
+        label = lts.labels[a]
         if len(label) != 1:
             return None
         actions[s].append((label[0], t))
@@ -180,10 +182,12 @@ def _strip(term, kids):
 
 def _relabel(lts: StepLTS, relabel) -> StepLTS:
     """The same LTS with each step label replaced by the labels
-    ``relabel`` gives for it, sorted."""
-    return replace(lts, transitions=tuple(
-        (s, sorted_label(relabel(a)), t)
-        for s, a, t in lts.transitions))
+    ``relabel`` gives for it, sorted: a new label table on the same
+    columns."""
+    return StepLTS.from_columns(
+        lts.initial, lts.num_states, lts.state_names, lts.sources,
+        lts.label_ids, lts.targets,
+        tuple(sorted_label(relabel(a)) for a in lts.labels), lts.offsets)
 
 
 def correspondence_check(model: Model, ab: AbDef, ws_name: str,

@@ -167,7 +167,7 @@ class _Parser:
         """The declarations, each read past its keyword by the keyword's
         ``<keyword>_decl`` method."""
         decls = {"domains": {}, "processes": {}, "equations": set(),
-                 "comms": {}, "conflicts": ConflictRelation(),
+                 "comms": {}, "conflicts": set(),
                  "sets": {}, "systems": {}, "checks": []}
         while True:
             tok = self.peek()
@@ -250,11 +250,13 @@ class _Parser:
         self.expect_symbol("#")
         other = self.expect_name("action name").text
         pair = frozenset((tok.text, other))
-        if pair in decls["conflicts"].pairs:
+        if pair in decls["conflicts"]:
             raise ParseError(f"conflict {tok.text} # {other} declared twice",
                              tok.line, tok.col)
-        decls["conflicts"] = self.built(
-            tok, ConflictRelation, decls["conflicts"].pairs | {pair})
+        # the relation's rule, checked on this pair alone, so that a
+        # model's conflicts are checked in linear time
+        self.built(tok, ConflictRelation, frozenset((pair,)))
+        decls["conflicts"].add(pair)
 
     def set_decl(self, decls):
         name = self.declared_name("set", decls["sets"])
@@ -440,7 +442,7 @@ def parse_model(source: str) -> Model:
         domains=tuple(decls["domains"].values()),
         processes=tuple(processes),
         comms=CommTable(tuple(decls["comms"].values())),
-        conflicts=decls["conflicts"],
+        conflicts=ConflictRelation(frozenset(decls["conflicts"])),
         action_sets=dict(sets),
         systems=systems,
         checks=_name_checks(decls["checks"]),

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import count, islice
+from operator import add, itemgetter
 from typing import Optional
 
 from .semantics import StepLTS, label_str
@@ -60,34 +61,69 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Disjoint union helper: LTSs in one arena, as integer rows
+# Disjoint union helper: LTSs in one arena
+
+
+class _Arena:
+    """The states of one or more LTSs, numbered in one range, and their
+    moves.
+
+    ``moves[s]`` holds the label ids of state s's moves, each times the
+    number of states, and ``succ[s]`` their targets, in the same order;
+    both are tuples of int objects shared between the rows.  ``arena[s]``
+    gives state s's moves as (label id, target) pairs.
+    """
+
+    __slots__ = ("moves", "succ")
+
+    def __init__(self, moves, succ):
+        self.moves, self.succ = moves, succ
+
+    def __len__(self):
+        return len(self.succ)
+
+    def __getitem__(self, s):
+        n = len(self.succ)
+        return [(m // n, t) for m, t in zip(self.moves[s], self.succ[s])]
 
 
 def _union(*ltss):
     """The states of ``ltss`` in one arena, those of each LTS after those
     of the ones before it.
 
-    Each state's row lists its moves as (label id, target) pairs.  The
-    labels are numbered in order of first appearance, tau as 0.  Returns
-    the rows, the labels by id, and each LTS's initial state in the arena.
+    The labels are numbered in order of first appearance in the LTSs'
+    label tables, tau as 0.  Each table is mapped to these ids once, and
+    each state's moves are read from the columns through the offsets, so
+    no label is hashed per transition.  Returns the arena, the labels by
+    id, and each LTS's initial state in the arena.
     """
+    n = sum(lts.num_states for lts in ltss)
+    states = list(range(n))
     ids = {TAU: 0}
-    out, initials = [], []
+    moves, succ, initials = [], [], []
     for lts in ltss:
-        base = len(out)
-        rows = [[] for _ in range(lts.num_states)]
-        for s, a, t in lts.transitions:
-            rows[s].append((ids.setdefault(a, len(ids)), base + t))
-        out += rows
+        if lts.offsets is None:     # columns not sorted by source
+            lts = StepLTS(lts.initial, lts.num_states,
+                          sorted(lts.transitions, key=itemgetter(0)),
+                          lts.state_names)
+        base = len(succ)
+        scaled = [ids.setdefault(a, len(ids)) * n for a in lts.labels]
+        ms = list(map(scaled.__getitem__, lts.label_ids))
+        ts = list(map(states[base:base + lts.num_states].__getitem__,
+                      lts.targets))
+        for lo, hi in zip(lts.offsets, islice(lts.offsets, 1, None)):
+            moves.append(tuple(ms[lo:hi]))
+            succ.append(tuple(ts[lo:hi]))
         initials.append(base + lts.initial)
-    return (out, tuple(ids), *initials)
+    return (_Arena(moves, succ), tuple(ids), *initials)
 
 
 # ---------------------------------------------------------------------------
 # Partition refinement
 #
 # Block ids are below the number of states, so a (label id, block) move of
-# a signature is the one integer ``label id * len(out) + block``.
+# a signature is the one integer ``label id * len(out) + block``: the
+# arena's scaled label id plus the target's block.
 
 
 def _sccs(succ):
@@ -130,22 +166,23 @@ def _sccs(succ):
 def _branching_signatures(out, block):
     """Each state's (label, block) moves, also those after inert tau steps.
 
-    Inert tau steps stay in their block.  Their SCCs come sinks first, so
-    each SCC unions its own moves with the signatures of the SCCs it reaches.
+    Inert tau steps stay in their block, so as moves they are the one
+    integer ``block``.  Their SCCs come sinks first, so each SCC unions
+    its own moves with the signatures of the SCCs it reaches.
     """
-    n = len(out)
-    inert = [[t for a, t in row if not a and block[t] == block[s]]
-             for s, row in enumerate(out)]
-    sig = [None] * n
+    moves, succ = out.moves, out.succ
+    at = block.__getitem__
+    inert = [[t for m, t in zip(ms, ts) if not m and at(t) == b]
+             for ms, ts, b in zip(moves, succ, block)]
+    sig = [None] * len(block)
     for comp in _sccs(inert):
         acc = set()
         for u in comp:
-            b = block[u]
-            acc.update([a * n + block[t] for a, t in out[u]
-                        if a or block[t] != b])
+            acc.update(map(add, moves[u], map(at, succ[u])))
             for t in inert[u]:
                 if sig[t] is not None:      # None: t is in this SCC
                     acc |= sig[t]
+        acc.discard(block[comp[0]])
         acc = frozenset(acc)
         for u in comp:
             sig[u] = acc
@@ -156,8 +193,9 @@ def _signatures(out, block, inert):
     """Each state's (label, block) moves; with ``inert``, branching ones."""
     if inert:
         return _branching_signatures(out, block)
-    n = len(out)
-    return [frozenset([a * n + block[t] for a, t in row]) for row in out]
+    at = block.__getitem__
+    return [frozenset(map(add, ms, map(at, ts)))
+            for ms, ts in zip(out.moves, out.succ)]
 
 
 def _first_appearance(block):
@@ -176,12 +214,12 @@ def _splits(out, block, size, dirty, inert):
     and keeps the block.  A block with no rest keeps it for its largest
     part.  Every other part leaves.
     """
-    n = len(out)
+    moves, succ, at = out.moves, out.succ, block.__getitem__
     sigs = _branching_signatures(out, block) if inert else None
     touched = {}
     for s in dirty:
         key = (sigs[s] if inert
-               else frozenset([a * n + block[t] for a, t in out[s]]))
+               else frozenset(map(add, moves[s], map(at, succ[s]))))
         touched.setdefault(block[s], {}).setdefault(key, []).append(s)
     parts = []
     for b, groups in touched.items():
@@ -208,15 +246,19 @@ def _refine(out, inert):
     state.  A round computes all its splits against the ids of the round
     before and applies them at its end.  The partitions are those of
     re-signing every state in every round, but their ids are not numbered
-    by first appearance.
+    by first appearance.  ``out`` is an arena, or a list of rows of
+    (label id, target) pairs.
     """
     total = len(out)
+    if not isinstance(out, _Arena):
+        out = _Arena([tuple(a * total for a, _ in row) for row in out],
+                     [tuple(t for _, t in row) for row in out])
     block = [0] * total
     size = [total]      # states per block id
     if not inert:
         pred = [[] for _ in range(total)]
-        for s, row in enumerate(out):
-            for _, t in row:
+        for s, ts in enumerate(out.succ):
+            for t in ts:
                 pred[t].append(s)
     dirty = range(total)
     while True:
@@ -341,14 +383,15 @@ def minimize(lts: StepLTS, relation: str = "branching") -> StepLTS:
         if b not in order:
             order[b] = len(order)
             reps[b] = s
-        for _, t in out[s]:
+        for t in out.succ[s]:
             if t not in seen:
                 seen.add(t)
                 queue.append(t)
     transitions = set()
-    for s, a, t in lts.transitions:
+    for s, i, t in zip(lts.sources, lts.label_ids, lts.targets):
         if block[s] not in order or block[t] not in order:
             continue  # unreachable
+        a = lts.labels[i]
         if drop_inert and a == TAU and block[s] == block[t]:
             continue
         transitions.add((order[block[s]], a, order[block[t]]))
@@ -372,10 +415,11 @@ def minimize(lts: StepLTS, relation: str = "branching") -> StepLTS:
 def _tau_closure(states, out):
     closure = set(states)
     stack = list(states)
+    moves, succ = out.moves, out.succ
     while stack:
         s = stack.pop()
-        for a, t in out[s]:
-            if not a and t not in closure:
+        for m, t in zip(moves[s], succ[s]):
+            if not m and t not in closure:
                 closure.add(t)
                 stack.append(t)
     return frozenset(closure)
@@ -384,28 +428,31 @@ def _tau_closure(states, out):
 def _weak_trace(out, labels, p, q):
     """A shortest weak (tau-abstracted) trace of state ``p`` that state
     ``q`` lacks, both states of the union ``out``, or None."""
+    moves, succ, n = out.moves, out.succ, len(out)
     start = (_tau_closure({p}, out), _tau_closure({q}, out))
     seen = {start}
     queue = deque([(start, ())])
     while queue:
         (ls, rs), trace = queue.popleft()
-        moves: dict = {}
+        after: dict = {}    # scaled label id -> targets
         for s in ls:
-            for a, t in out[s]:
-                if a:
-                    moves.setdefault(a, set()).add(t)
+            for m, t in zip(moves[s], succ[s]):
+                if m:
+                    after.setdefault(m, set()).add(t)
         # prefer small steps: counterexamples read best with singleton labels
-        for a in sorted(moves, key=lambda a: (len(labels[a]),
-                                              label_str(labels[a]))):
-            nl = _tau_closure(moves[a], out)
-            nr_core = {t for s in rs for a2, t in out[s] if a2 == a}
+        for m in sorted(after, key=lambda m: (len(labels[m // n]),
+                                              label_str(labels[m // n]))):
+            longer = trace + (labels[m // n],)
+            nl = _tau_closure(after[m], out)
+            nr_core = {t for s in rs for m2, t in zip(moves[s], succ[s])
+                       if m2 == m}
             if not nr_core:
-                return trace + (labels[a],)
+                return longer
             nr = _tau_closure(nr_core, out)
             nxt = (nl, nr)
             if nxt not in seen:
                 seen.add(nxt)
-                queue.append((nxt, trace + (labels[a],)))
+                queue.append((nxt, longer))
     return None
 
 
@@ -442,7 +489,9 @@ def weak_traces_equal(left: StepLTS, right: StepLTS) -> Verdict:
 
 def divergences(lts: StepLTS) -> tuple:
     """States lying on a cycle of tau steps."""
-    taus = [[t for a, t in row if not a] for row in _union(lts)[0]]
+    out = _union(lts)[0]
+    taus = [[t for m, t in zip(ms, ts) if not m]
+            for ms, ts in zip(out.moves, out.succ)]
     return tuple(sorted(s for comp in _sccs(taus) for s in comp
                         if len(comp) > 1 or s in taus[s]))
 

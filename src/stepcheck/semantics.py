@@ -7,8 +7,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import gt
 from typing import NamedTuple, Optional
 
 from .model import Model
@@ -837,18 +840,61 @@ def enabled_steps(state: SystemState, prepared: PreparedSystem):
 # The LTS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StepLTS:
+    """A step LTS, its transitions held as integer columns.
+
+    Transition i goes from ``sources[i]`` by ``labels[label_ids[i]]`` to
+    ``targets[i]``, in the order of the transitions that built the LTS; a
+    label may stand in ``labels`` more than once.  When the columns are
+    sorted by source, state s's transitions are those from
+    ``offsets[s]`` to ``offsets[s + 1]``; otherwise ``offsets`` is None.
+    ``transitions`` is the tuple of (source, label, target) triples, built
+    on demand, and the constructor takes them in that form, in any order.
+    Equality compares ``transitions``.
+    """
+
     initial: int
     num_states: int
-    transitions: tuple   # of (src, label tuple, dst)
+    transitions: tuple
     state_names: tuple
 
+    def __init__(self, initial, num_states, transitions, state_names):
+        ids = {}
+        sources, label_ids, targets = array("i"), array("i"), array("i")
+        for s, a, t in transitions:
+            sources.append(s)
+            label_ids.append(ids.setdefault(a, len(ids)))
+            targets.append(t)
+        vars(self).update(vars(self.from_columns(
+            initial, num_states, state_names, sources, label_ids, targets,
+            tuple(ids))))
+
+    @classmethod
+    def from_columns(cls, initial, num_states, state_names, sources,
+                     label_ids, targets, labels, offsets=None) -> StepLTS:
+        """The LTS of the given columns (``array("i")``) and label table;
+        the offsets are worked out from ``sources`` when not given."""
+        if offsets is None and not any(
+                map(gt, sources, itertools.islice(sources, 1, None))):
+            offsets = array("i", [bisect_left(sources, s)
+                                  for s in range(num_states + 1)])
+        lts = cls.__new__(cls)
+        vars(lts).update(
+            initial=initial, num_states=num_states, state_names=state_names,
+            sources=sources, label_ids=label_ids, targets=targets,
+            labels=labels, offsets=offsets)
+        return lts
+
+    @property
+    def transitions(self) -> tuple:
+        return tuple(zip(self.sources,
+                         map(self.labels.__getitem__, self.label_ids),
+                         self.targets))
+
     def deadlock_states(self) -> tuple:
-        has_out = [False] * self.num_states
-        for s, _, _ in self.transitions:
-            has_out[s] = True
-        return tuple(i for i in range(self.num_states) if not has_out[i])
+        has_out = set(self.sources)
+        return tuple(i for i in range(self.num_states) if i not in has_out)
 
 
 def generate_lts(system: ProcessTerm, model: Model,
@@ -857,16 +903,21 @@ def generate_lts(system: ProcessTerm, model: Model,
 
     Each distinct state's name and each label's sort key is rendered once
     per call, in the prepared system's memos, and every sort reads them.
-    A state's transitions are sorted by (label key, destination index)
-    when it is expanded; states are expanded in index order, so all the
-    transitions come sorted by (source, label key, destination).
+    Each label is numbered once per call too, in order of first
+    appearance, for the LTS's label table.  A state's transitions are
+    sorted by (label key, destination index) when it is expanded; states
+    are expanded in index order, so all the transitions come sorted by
+    (source, label key, destination), and the columns are appended to in
+    that order.
     """
     prepared = prepare_system(system, model, config)
     names, label_keys = prepared._names, prepared._label_keys
+    ids = {}    # the label table: each label's id
     init = prepared.initial_state()
     index = {init: 0}
     order = [init]     # a state's index is its place here
-    transitions = []
+    sources, label_ids, targets = array("i"), array("i"), array("i")
+    offsets = array("i", [0])
     # order[src] is at BFS depth ``depth`` while src < level_end
     depth, level_end = 0, 1
     for src, state in enumerate(order):   # order grows during the walk
@@ -881,16 +932,17 @@ def generate_lts(system: ProcessTerm, model: Model,
                         config.max_states, len(order) - src - 1, depth + 1)
                 dst = index[succ] = len(order)
                 order.append(succ)
-            row.append((src, label, dst))
+            row.append((label, dst))
         if len(row) > 1:
-            row.sort(key=lambda t: (label_keys[t[1]], t[2]))
-        transitions += row
-    return StepLTS(
-        initial=0,
-        num_states=len(order),
-        transitions=tuple(transitions),
-        state_names=tuple(names[state] for state in order),
-    )
+            row.sort(key=lambda t: (label_keys[t[0]], t[1]))
+        for label, dst in row:
+            label_ids.append(ids.setdefault(label, len(ids)))
+            targets.append(dst)
+        sources.extend(itertools.repeat(src, len(row)))
+        offsets.append(len(targets))
+    return StepLTS.from_columns(
+        0, len(order), tuple(names[state] for state in order),
+        sources, label_ids, targets, tuple(ids), offsets)
 
 
 def prune_dead(lts: StepLTS) -> StepLTS:
@@ -907,7 +959,7 @@ def prune_dead(lts: StepLTS) -> StepLTS:
     if lts.initial == 0:
         has_step = [False] * lts.num_states
         has_earlier = has_step[:]
-        for s, _, t in lts.transitions:
+        for s, t in zip(lts.sources, lts.targets):
             has_step[s] = True
             if s < t:
                 has_earlier[t] = True
@@ -917,15 +969,17 @@ def prune_dead(lts: StepLTS) -> StepLTS:
     if len(keep) == lts.num_states:
         return lts   # every state is kept: nothing to prune
     remap = {s: i for i, s in enumerate(keep)}
-    transitions = tuple(
-        (remap[s], a, remap[t]) for s, a, t in lts.transitions
-        if s in remap and t in remap)
-    return StepLTS(
-        initial=remap[lts.initial],
-        num_states=len(keep),
-        transitions=transitions,
-        state_names=tuple(lts.state_names[s] for s in keep),
-    )
+    kept = [s in remap and t in remap
+            for s, t in zip(lts.sources, lts.targets)]
+    return StepLTS.from_columns(
+        remap[lts.initial], len(keep),
+        tuple(lts.state_names[s] for s in keep),
+        array("i", map(remap.__getitem__,
+                       itertools.compress(lts.sources, kept))),
+        array("i", itertools.compress(lts.label_ids, kept)),
+        array("i", map(remap.__getitem__,
+                       itertools.compress(lts.targets, kept))),
+        lts.labels)
 
 
 def _prune(lts: StepLTS) -> list:
@@ -933,7 +987,7 @@ def _prune(lts: StepLTS) -> list:
     from the initial one, which is kept even when dead."""
     succ = [[] for _ in range(lts.num_states)]
     pred = [[] for _ in range(lts.num_states)]
-    for s, _, t in lts.transitions:
+    for s, t in zip(lts.sources, lts.targets):
         succ[s].append(t)
         pred[t].append(s)
     # live[s]: steps of s not known to lead to a dead state; 0 = dead

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,29 @@ class TestCheck:
             "error: state budget of 4 states exceeded at BFS depth 2 "
             "(2 states still on the frontier)\n")
         assert captured.out == ""
+
+    def test_a_checks_ltss_are_freed_before_the_next_check(
+            self, tmp_path, monkeypatch, capsys):
+        # the report keeps each side's state count, not its LTS
+        made, alive = [], []
+        side_lts = composition.side_lts
+
+        def spy(model, name, config):
+            if len(made) == 2:      # the second check's first side
+                alive.extend(ref() is not None for ref in made)
+            lts = side_lts(model, name, config)
+            made.append(weakref.ref(lts))
+            return lts
+
+        monkeypatch.setattr(composition, "side_lts", spy)
+        path = tmp_path / "two.aptc"
+        path.write_text("process P { P = a . b . P }\nprocess Q { Q = a . Q }\n"
+                        "check first: P ~sb P\ncheck second: P ~bb Q\n")
+        assert main(["check", str(path)]) == 1
+        assert alive == [False, False] and len(made) == 4
+        out = capsys.readouterr().out
+        assert "first: P vs P (strong-step-bisim) holds [2/2 states" in out
+        assert "second: P vs Q (branching-bisim) FAILS [2/1 states" in out
 
     def test_rooted_runs_only_the_rooted_check(self, monkeypatch, capsys):
         calls = []

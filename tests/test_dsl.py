@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -289,6 +290,16 @@ class TestParseErrors:
             f"comm a{i}, b{i}\n" for i in range(n)))
         assert len(model.comms.entries) == n
         assert sum(checked) <= 3 * n
+
+    def test_8000_conflicts_parse_in_under_half_a_second(self):
+        # each pair is checked against the set of those before it, and the
+        # relation is built once
+        source = "process P { P = a0 . P }\n" + "".join(
+            f"conflict a{i} # b{i}\n" for i in range(8000))
+        start = time.perf_counter()
+        model = parse_model(source)
+        assert time.perf_counter() - start < 0.5
+        assert len(model.conflicts.pairs) == 8000
 
 
 class TestResolutionErrors:

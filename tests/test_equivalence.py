@@ -1,5 +1,8 @@
+import itertools
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import stepcheck as sc
 from stepcheck import equivalence
+from stepcheck.composition import _relabel
 from stepcheck.dsl import parse_model
 from stepcheck.equivalence import (
     TAU,
@@ -27,8 +31,15 @@ from stepcheck.semantics import (
     generate_lts,
     label_str,
     prune_dead,
+    sorted_label,
 )
 from stepcheck.terms import ActionLabel, Var
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from bench import families  # noqa: E402
 
 
 def lts_of(source, system="P", **cfg):
@@ -567,3 +578,91 @@ class TestExplanation:
             verdict = check(left, right)
             if not verdict.holds:
                 assert not any(u in verdict.pretty() for u in UNEXPLAINED)
+
+
+# ---------------------------------------------------------------------------
+# The LTS's integer columns against plain transition tuples
+
+
+def reference_minimize(lts, relation):
+    """``minimize`` on plain transition tuples: the reference refinement's
+    blocks, numbered in the order a breadth-first walk from the initial
+    state reaches them, each named by the first of its states reached."""
+    out = outgoing(lts)
+    ids = {TAU: 0}
+    rows = [[(ids.setdefault(a, len(ids)), t) for a, t in row] for row in out]
+    *_, block = reference_blocks(rows, relation == "branching")
+    first = {}      # block -> the first of its states reached
+    queue, seen = [lts.initial], {lts.initial}
+    for s in queue:
+        first.setdefault(block[s], s)
+        for _, t in out[s]:
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    order = {b: i for i, b in enumerate(first)}
+    edges = {(order[block[s]], a, order[block[t]])
+             for s, a, t in lts.transitions
+             if block[s] in order and block[t] in order
+             and not (relation == "branching" and a == TAU
+                      and block[s] == block[t])}
+    return StepLTS(
+        initial=order[block[lts.initial]], num_states=len(order),
+        transitions=tuple(sorted(
+            edges, key=lambda e: (e[0], label_str(e[1]), e[2]))),
+        state_names=tuple(lts.state_names[s] for s in first.values()))
+
+
+def plain(lts):
+    return lts.initial, lts.num_states, lts.transitions, lts.state_names
+
+
+def merged(label):
+    """``label`` with b read as a, so that two labels of an LTS can become
+    one."""
+    return [_A if l == _B else l for l in label]
+
+
+class TestCompactLTS:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(random_lts(), st.data())
+    def test_columns_match_plain_tuples(self, lts, data):
+        # random_lts's transitions are not sorted by source; the shuffled
+        # ones neither, and by_source has offsets; _relabel only rewrites
+        # the label table, which may then hold a label twice
+        shuffled = tuple(data.draw(st.permutations(lts.transitions)))
+        by_source = tuple(sorted(lts.transitions, key=lambda tr: tr[0]))
+        relabeled = tuple((s, sorted_label(merged(a)), t)
+                          for s, a, t in lts.transitions)
+        variants = [
+            lts, replace(lts, transitions=shuffled),
+            StepLTS(lts.initial, lts.num_states, by_source, lts.state_names),
+            _relabel(lts, merged)]
+        for x, triples in zip(variants, (lts.transitions, shuffled,
+                                         by_source, relabeled)):
+            assert x.transitions == triples
+            assert x.deadlock_states() == tuple(
+                s for s in range(x.num_states)
+                if all(s != src for src, _, _ in triples))
+            assert prune_dead(x) == reference_prune_dead(x)
+            for relation in ("strong", "branching"):
+                assert minimize(x, relation) == reference_minimize(x, relation)
+        for x, y in itertools.product(variants, repeat=2):
+            assert (x == y) == (plain(x) == plain(y))
+
+    def test_generated_transitions_take_under_20_bytes_each(self):
+        # three 4-byte columns and the offsets; a tuple per transition
+        # took about 81 bytes
+        model = parse_model(families.render(families.tau_chain(70, 2), 1))
+        tracemalloc.start()
+        try:
+            lts = generate_lts(model.systems["S"], model)
+            names = lts.state_names     # the names are not the transitions
+            with_lts = tracemalloc.get_traced_memory()[0]
+            count = len(lts.transitions)
+            del lts
+            held = with_lts - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(names) == 4900 and count == 14700
+        assert held < 20 * count
