@@ -187,7 +187,7 @@ def _relabel(lts: StepLTS, relabel) -> StepLTS:
     return StepLTS.from_columns(
         lts.initial, lts.num_states, lts.state_names, lts.sources,
         lts.label_ids, lts.targets,
-        tuple(sorted_label(relabel(a)) for a in lts.labels), lts.offsets)
+        tuple(sorted_label(relabel(a)) for a in lts.labels))
 
 
 def correspondence_check(model: Model, ab: AbDef, ws_name: str,

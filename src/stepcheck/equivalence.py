@@ -7,10 +7,11 @@ counter monitoring.  Deadlock states are ``StepLTS.deadlock_states``.
 """
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import count, islice
-from operator import add, itemgetter
+from operator import add
 from typing import Optional
 
 from .semantics import StepLTS, label_str
@@ -70,8 +71,7 @@ class _Arena:
 
     ``moves[s]`` holds the label ids of state s's moves, each times the
     number of states, and ``succ[s]`` their targets, in the same order;
-    both are tuples of int objects shared between the rows.  ``arena[s]``
-    gives state s's moves as (label id, target) pairs.
+    both are tuples of int objects shared between the rows.
     """
 
     __slots__ = ("moves", "succ")
@@ -81,10 +81,6 @@ class _Arena:
 
     def __len__(self):
         return len(self.succ)
-
-    def __getitem__(self, s):
-        n = len(self.succ)
-        return [(m // n, t) for m, t in zip(self.moves[s], self.succ[s])]
 
 
 def _union(*ltss):
@@ -102,10 +98,6 @@ def _union(*ltss):
     ids = {TAU: 0}
     moves, succ, initials = [], [], []
     for lts in ltss:
-        if lts.offsets is None:     # columns not sorted by source
-            lts = StepLTS(lts.initial, lts.num_states,
-                          sorted(lts.transitions, key=itemgetter(0)),
-                          lts.state_names)
         base = len(succ)
         scaled = [ids.setdefault(a, len(ids)) * n for a in lts.labels]
         ms = list(map(scaled.__getitem__, lts.label_ids))
@@ -246,13 +238,9 @@ def _refine(out, inert):
     state.  A round computes all its splits against the ids of the round
     before and applies them at its end.  The partitions are those of
     re-signing every state in every round, but their ids are not numbered
-    by first appearance.  ``out`` is an arena, or a list of rows of
-    (label id, target) pairs.
+    by first appearance.
     """
     total = len(out)
-    if not isinstance(out, _Arena):
-        out = _Arena([tuple(a * total for a, _ in row) for row in out],
-                     [tuple(t for _, t in row) for row in out])
     block = [0] * total
     size = [total]      # states per block id
     if not inert:
@@ -364,7 +352,10 @@ def minimize(lts: StepLTS, relation: str = "branching") -> StepLTS:
     """Quotient of the LTS under strong or branching bisimilarity.
 
     The branching quotient drops inert tau steps; the strong quotient
-    keeps every step.
+    keeps every step.  Blocks are numbered in the order a breadth-first
+    walk from the initial state reaches them, and the transitions are
+    sorted by (source, label text, target), labels of one text in their
+    order in ``lts``'s label table.
     """
     if relation not in ("strong", "branching"):
         raise ValueError(f"unknown relation {relation}")
@@ -373,39 +364,34 @@ def minimize(lts: StepLTS, relation: str = "branching") -> StepLTS:
     block = _stable(out, drop_inert)
 
     # renumber blocks by first reachable representative
-    order: dict = {}
     queue = deque([lts.initial])
     seen = {lts.initial}
-    reps: dict = {}
+    reps: dict = {}     # block -> the first of its states reached
     while queue:
         s = queue.popleft()
-        b = block[s]
-        if b not in order:
-            order[b] = len(order)
-            reps[b] = s
+        reps.setdefault(block[s], s)
         for t in out.succ[s]:
             if t not in seen:
                 seen.add(t)
                 queue.append(t)
-    transitions = set()
+    order = {b: i for i, b in enumerate(reps)}
+    # each label once, ranked by its text; labels of one text keep their
+    # order of first appearance
+    labels = sorted(dict.fromkeys(lts.labels), key=label_str)
+    rank = {a: r for r, a in enumerate(labels)}
+    ranks = [rank[a] for a in lts.labels]
+    edges = set()
     for s, i, t in zip(lts.sources, lts.label_ids, lts.targets):
-        if block[s] not in order or block[t] not in order:
+        s, t = order.get(block[s]), order.get(block[t])
+        if s is None or t is None:
             continue  # unreachable
-        a = lts.labels[i]
-        if drop_inert and a == TAU and block[s] == block[t]:
-            continue
-        transitions.add((order[block[s]], a, order[block[t]]))
-    names = [""] * len(order)
-    for b, i in order.items():
-        names[i] = lts.state_names[reps[b]]
-    return StepLTS(
-        initial=order[block[lts.initial]],
-        num_states=len(order),
-        transitions=tuple(sorted(
-            transitions,
-            key=lambda tr: (tr[0], label_str(tr[1]), tr[2]))),
-        state_names=tuple(names),
-    )
+        if not (drop_inert and s == t and lts.labels[i] == TAU):
+            edges.add((s, ranks[i], t))
+    names = tuple(lts.state_names[reps[b]] for b in order)
+    columns = zip(*sorted(edges)) if edges else ((), (), ())
+    return StepLTS.from_columns(
+        order[block[lts.initial]], len(order), names,
+        *(array("i", c) for c in columns), tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +466,7 @@ def weak_traces_equal(left: StepLTS, right: StepLTS) -> Verdict:
     """`left` and `right` have the same weak traces; on failure the
     counterexample is a shortest trace of one side only, left's first."""
     cx = _trace_counterexample(*_union(left, right))
-    return Verdict(cx is None, "weak trace inclusion", cx)
+    return Verdict(cx is None, "weak trace equivalence", cx)
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +494,13 @@ def counter_monitor(lts: StepLTS, inc, dec, lo: int, hi: int) -> Verdict:
         return Verdict(False, name, StepCounterexample(
             (), f"counter starts at 0, outside [{lo}, {hi}]"))
     out, labels, init = _union(lts)
+    moves, succ, n = out.moves, out.succ, len(out)
     seen = {(init, 0)}
     queue = deque([((init, 0), ())])
     while queue:
         (s, c), trace = queue.popleft()
-        for i, t in out[s]:
-            a = labels[i]
+        for m, t in zip(moves[s], succ[s]):
+            a = labels[m // n]
             c2 = c + sum(1 for l in a if inc(l)) - sum(1 for l in a if dec(l))
             if c2 < lo or c2 > hi:
                 return Verdict(False, name, StepCounterexample(

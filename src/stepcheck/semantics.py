@@ -11,7 +11,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import gt
+from operator import eq, itemgetter, sub
 from typing import NamedTuple, Optional
 
 from .model import Model
@@ -104,13 +104,31 @@ _CANONICAL: dict = {}
 
 def canon(term: ProcessTerm) -> ProcessTerm:
     """Behavioral canonical form used for state memoization: the children
-    made canonical, then the node rebuilt through the constructors below."""
-    return term.fold(_canon, _CANONICAL)
+    made canonical, then the node rebuilt through the constructors below.
+    A sequence's children are the leaves of its tree of sequences, so a
+    chain nested either way is right-associated in one pass."""
+    return term.fold(_canon, _CANONICAL, _seq_leaves)
+
+
+def _seq_leaves(term):
+    """The terms that the largest tree of sequences at ``term`` joins, left
+    to right; the children of a term that is no sequence."""
+    if not isinstance(term, Seq):
+        return term.children()
+    leaves, stack = [], [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Seq):
+            stack += (t.right, t.left)
+        else:
+            leaves.append(t)
+    return leaves
 
 
 def _canon(term, kids):
     if isinstance(term, Seq):
-        return _seq(*kids)
+        return functools.reduce(lambda rest, part: _seq(part, rest),
+                                reversed(kids[:-1]), kids[-1])
     if isinstance(term, Alt):
         return _alt(kids)
     if isinstance(term, (Par, WholePar)):
@@ -511,7 +529,7 @@ def _resolve_uncached(occs, prepared):
     for matched in _shadow_matchings(shadows, acts):
         rest = [i for i in range(len(acts)) if i not in matched]
         if prepared.config.comm_policy == "binary":
-            groupings = _binary_matchings(tuple(rest), acts, prepared.comm)
+            groupings = _binary_matchings(rest, acts, prepared.comm)
         else:
             groupings = _chained_groupings(rest, acts,
                                            prepared.gamma_components)
@@ -541,17 +559,17 @@ def _shadow_matchings(shadows, acts):
 
 
 def _binary_matchings(idxs, acts, comm):
-    """All sets of disjoint gamma pairs over the occurrence indices."""
-    if not idxs:
-        yield ()
-        return
-    first, rest = idxs[0], idxs[1:]
-    yield from _binary_matchings(rest, acts, comm)   # first stays unmatched
-    for j in rest:
-        if frozenset((acts[first].name, acts[j].name)) in comm:
-            remaining = tuple(k for k in rest if k != j)
-            for sub in _binary_matchings(remaining, acts, comm):
-                yield ((first, j),) + sub
+    """All sets of disjoint gamma pairs over the occurrence indices, each
+    a tuple of pairs in the order of ``idxs``.  Each related pair, in
+    that order, extends every matching so far that leaves both free."""
+    matchings = [((), frozenset())]     # (pairs, their indices)
+    for k, i in enumerate(idxs):
+        for j in idxs[k + 1:]:
+            if frozenset((acts[i].name, acts[j].name)) in comm:
+                matchings += [(m + ((i, j),), used | {i, j})
+                              for m, used in matchings
+                              if i not in used and j not in used]
+    return [m for m, _ in matchings]
 
 
 def _chained_groupings(idxs, acts, gamma_components):
@@ -845,13 +863,13 @@ class StepLTS:
     """A step LTS, its transitions held as integer columns.
 
     Transition i goes from ``sources[i]`` by ``labels[label_ids[i]]`` to
-    ``targets[i]``, in the order of the transitions that built the LTS; a
-    label may stand in ``labels`` more than once.  When the columns are
-    sorted by source, state s's transitions are those from
-    ``offsets[s]`` to ``offsets[s + 1]``; otherwise ``offsets`` is None.
+    ``targets[i]``; a label may stand in ``labels`` more than once.  The
+    columns are grouped by source, in increasing order, so state s's
+    transitions are those from ``offsets[s]`` to ``offsets[s + 1]``.
     ``transitions`` is the tuple of (source, label, target) triples, built
-    on demand, and the constructor takes them in that form, in any order.
-    Equality compares ``transitions``.
+    on demand.  The constructor takes them in that form, in any order,
+    and keeps the order of each source's transitions; it rejects a state
+    outside ``range(num_states)``.  Equality compares ``transitions``.
     """
 
     initial: int
@@ -860,30 +878,33 @@ class StepLTS:
     state_names: tuple
 
     def __init__(self, initial, num_states, transitions, state_names):
+        def state(role, s):
+            if s not in range(num_states):
+                raise ValueError(f"{role} {s} is not a state: the LTS's "
+                                 f"states are 0 to {num_states - 1}")
+            return s
+        state("initial state", initial)
         ids = {}
         sources, label_ids, targets = array("i"), array("i"), array("i")
-        for s, a, t in transitions:
-            sources.append(s)
+        for s, a, t in sorted(transitions, key=itemgetter(0)):
+            sources.append(state("source", s))
             label_ids.append(ids.setdefault(a, len(ids)))
-            targets.append(t)
+            targets.append(state("target", t))
         vars(self).update(vars(self.from_columns(
             initial, num_states, state_names, sources, label_ids, targets,
             tuple(ids))))
 
     @classmethod
     def from_columns(cls, initial, num_states, state_names, sources,
-                     label_ids, targets, labels, offsets=None) -> StepLTS:
-        """The LTS of the given columns (``array("i")``) and label table;
-        the offsets are worked out from ``sources`` when not given."""
-        if offsets is None and not any(
-                map(gt, sources, itertools.islice(sources, 1, None))):
-            offsets = array("i", [bisect_left(sources, s)
-                                  for s in range(num_states + 1)])
+                     label_ids, targets, labels) -> StepLTS:
+        """The LTS of the given columns (``array("i")``), grouped by
+        source in increasing order, and label table."""
         lts = cls.__new__(cls)
         vars(lts).update(
             initial=initial, num_states=num_states, state_names=state_names,
             sources=sources, label_ids=label_ids, targets=targets,
-            labels=labels, offsets=offsets)
+            labels=labels, offsets=array("i", [
+                bisect_left(sources, s) for s in range(num_states + 1)]))
         return lts
 
     @property
@@ -893,8 +914,9 @@ class StepLTS:
                          self.targets))
 
     def deadlock_states(self) -> tuple:
-        has_out = set(self.sources)
-        return tuple(i for i in range(self.num_states) if i not in has_out)
+        offsets = self.offsets
+        return tuple(itertools.compress(range(self.num_states), map(
+            eq, offsets, itertools.islice(offsets, 1, None))))
 
 
 def generate_lts(system: ProcessTerm, model: Model,
@@ -917,7 +939,6 @@ def generate_lts(system: ProcessTerm, model: Model,
     index = {init: 0}
     order = [init]     # a state's index is its place here
     sources, label_ids, targets = array("i"), array("i"), array("i")
-    offsets = array("i", [0])
     # order[src] is at BFS depth ``depth`` while src < level_end
     depth, level_end = 0, 1
     for src, state in enumerate(order):   # order grows during the walk
@@ -939,10 +960,9 @@ def generate_lts(system: ProcessTerm, model: Model,
             label_ids.append(ids.setdefault(label, len(ids)))
             targets.append(dst)
         sources.extend(itertools.repeat(src, len(row)))
-        offsets.append(len(targets))
     return StepLTS.from_columns(
         0, len(order), tuple(names[state] for state in order),
-        sources, label_ids, targets, tuple(ids), offsets)
+        sources, label_ids, targets, tuple(ids))
 
 
 def prune_dead(lts: StepLTS) -> StepLTS:
@@ -985,13 +1005,12 @@ def prune_dead(lts: StepLTS) -> StepLTS:
 def _prune(lts: StepLTS) -> list:
     """The states ``prune_dead`` keeps, in order: the live states reachable
     from the initial one, which is kept even when dead."""
-    succ = [[] for _ in range(lts.num_states)]
+    offsets, targets = lts.offsets, lts.targets
     pred = [[] for _ in range(lts.num_states)]
-    for s, t in zip(lts.sources, lts.targets):
-        succ[s].append(t)
+    for s, t in zip(lts.sources, targets):
         pred[t].append(s)
     # live[s]: steps of s not known to lead to a dead state; 0 = dead
-    live = [len(row) for row in succ]
+    live = list(map(sub, itertools.islice(offsets, 1, None), offsets))
     queue = [s for s, n in enumerate(live) if not n]
     while queue:
         for s in pred[queue.pop()]:
@@ -1002,7 +1021,8 @@ def _prune(lts: StepLTS) -> list:
     seen = {lts.initial}
     queue = [lts.initial]
     while queue:
-        for t in succ[queue.pop()]:
+        s = queue.pop()
+        for t in targets[offsets[s]:offsets[s + 1]]:
             if live[t] and t not in seen:
                 seen.add(t)
                 queue.append(t)

@@ -141,21 +141,23 @@ class ProcessTerm(metaclass=_Interning):
     def rebuild(self, kids) -> "ProcessTerm":
         return self
 
-    def fold(self, node, memo=None):
+    def fold(self, node, memo=None, children=None):
         """``node(t, kids)`` of this term, where ``kids`` lists the
-        results for ``t.children()``, computed the same way.
+        results for ``t.children()``, or for ``children(t)`` when
+        ``children`` is given, computed the same way.
 
-        Every distinct subterm is folded once, bottom-up and left to right
-        in post-order, with an explicit stack, so a term's depth is no
-        limit.  Results are kept in ``memo`` (a fresh dict unless one is
-        given), and a subterm already in it is not entered.
+        Every distinct subterm that it enters is folded once, bottom-up
+        and left to right in post-order, with an explicit stack, so a
+        term's depth is no limit.  Results are kept in ``memo`` (a fresh
+        dict unless one is given), and a subterm already in it is not
+        entered.
         """
         if memo is None:
             memo = {}
         stack = [self]
         while stack:
             t = stack.pop()
-            kids = t.children()
+            kids = t.children() if children is None else children(t)
             pending = [k for k in kids if k not in memo]
             if pending:
                 stack += (t, *reversed(pending))

@@ -33,7 +33,7 @@ from stepcheck.semantics import (
     prune_dead,
     sorted_label,
 )
-from stepcheck.terms import ActionLabel, Var
+from stepcheck.terms import ActionLabel, CommResultLabel, Var
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -174,6 +174,18 @@ class TestMinimize:
         assert len(small.transitions) == 1
         assert small.transitions[0][1] == TAU
 
+    def test_labels_of_one_text_keep_their_table_order(self):
+        # the action c and the result of comm a, b -> c both read {c}; the
+        # two dead ends are one block, so only the labels order the steps
+        c = (ActionLabel("c"),)
+        comm = (CommResultLabel(("a", "b"), "c"),)
+        for first, second in ((c, comm), (comm, c)):
+            lts = StepLTS(0, 3, ((0, first, 1), (0, second, 2)),
+                          ("s0", "s1", "s2"))
+            for relation in ("strong", "branching"):
+                assert minimize(lts, relation).transitions == (
+                    (0, first, 1), (0, second, 1))
+
 
 class TestWeakTraces:
     def test_inclusion_of_subset_behavior(self):
@@ -194,6 +206,14 @@ class TestWeakTraces:
             ws_model.systems["Sys"], ws_model, cfg))
         spec = generate_lts(Var("SPEC"), ws_model, cfg)
         assert weak_traces_equal(sys_lts, spec).holds
+
+    def test_equality_is_named_weak_trace_equivalence(self):
+        hidden = lts_of("process P { P = hide {b} in b . a . P }")
+        assert (weak_traces_equal(lts_of(LOOP_A), hidden).pretty()
+                == "weak trace equivalence holds")
+        assert weak_traces_equal(lts_of(LOOP_A), lts_of(LOOP_B)).pretty() == (
+            "weak trace equivalence fails: "
+            "trace {a} is possible on the left side only")
 
     def test_shortest_counterexample(self):
         left = lts_of("process P { P = a . a . a . delta }")
@@ -258,12 +278,21 @@ class TestCounterMonitor:
 # against the straightforward loops they replaced.
 
 
+def arena_rows(out):
+    """The moves of the arena ``out`` as rows of (label id, target) pairs."""
+    n = len(out)
+    return [[(m // n, t) for m, t in zip(ms, ts)]
+            for ms, ts in zip(out.moves, out.succ)]
+
+
 def reference_blocks(out, inert):
     """Signature refinement that rebuilds each state's inert-tau closure;
     yields the blocks after each round.
 
-    ``out`` holds integer rows, as ``equivalence._union`` builds them:
-    (label id, target) moves, tau as 0."""
+    ``out`` is an arena, as ``equivalence._union`` builds it, or integer
+    rows: (label id, target) moves, tau as 0."""
+    if isinstance(out, equivalence._Arena):
+        out = arena_rows(out)
     total = len(out)
     block = [0] * total
     while True:
@@ -415,9 +444,9 @@ class TestRefinementDifferential:
 
     def test_chain_splits_one_state_per_round(self):
         # s0 -tau-> ... -tau-> s39 -a-> s40: round 0 splits off s39 and
-        # s40, each later round the next state back, and round 39 is stable;
-        # as integer rows, tau is label 0 and {a} label 1
-        out = [[(0, s + 1)] for s in range(39)] + [[(1, 40)], []]
+        # s40, each later round the next state back, and round 39 is stable
+        out, _, _ = equivalence._union(lts_from(
+            0, 41, {(s, TAU, s + 1) for s in range(39)} | {(39, (_A,), 40)}))
         history = [b[:] for b in equivalence._refine(out, False)]
         block = history[-1]
         assert len(set(block)) == 41 and len(history) == 40
@@ -526,7 +555,7 @@ class TestExplanation:
             return
         out, labels, p, q = equivalence._union(left, right)
         *_, block = reference_blocks(out, False)
-        moves = {side: [(labels[a], t) for a, t in out[s]]
+        moves = {side: [(labels[a], t) for a, t in arena_rows(out)[s]]
                  for side, s in (("left", p), ("right", q))}
         a, side, other = claimed_move(verdict.counterexample, moves)
         targets = [t for b, t in moves[other] if b == a]
@@ -627,9 +656,10 @@ class TestCompactLTS:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(random_lts(), st.data())
     def test_columns_match_plain_tuples(self, lts, data):
-        # random_lts's transitions are not sorted by source; the shuffled
-        # ones neither, and by_source has offsets; _relabel only rewrites
-        # the label table, which may then hold a label twice
+        # random_lts's transitions are not sorted by source, nor are the
+        # shuffled ones: the constructor groups them by source and keeps
+        # each source's order; _relabel only rewrites the label table,
+        # which may then hold a label twice
         shuffled = tuple(data.draw(st.permutations(lts.transitions)))
         by_source = tuple(sorted(lts.transitions, key=lambda tr: tr[0]))
         relabeled = tuple((s, sorted_label(merged(a)), t)
@@ -640,7 +670,8 @@ class TestCompactLTS:
             _relabel(lts, merged)]
         for x, triples in zip(variants, (lts.transitions, shuffled,
                                          by_source, relabeled)):
-            assert x.transitions == triples
+            assert x.transitions == tuple(
+                sorted(triples, key=lambda tr: tr[0]))
             assert x.deadlock_states() == tuple(
                 s for s in range(x.num_states)
                 if all(s != src for src, _, _ in triples))
@@ -649,6 +680,21 @@ class TestCompactLTS:
                 assert minimize(x, relation) == reference_minimize(x, relation)
         for x, y in itertools.product(variants, repeat=2):
             assert (x == y) == (plain(x) == plain(y))
+
+    @pytest.mark.parametrize("initial, edge, message", [
+        (0, (0, (_B,), -1), "target -1"),
+        (0, (0, (_B,), 2), "target 2"),
+        (0, (2, (_B,), 1), "source 2"),
+        (-1, (0, (_B,), 1), "initial state -1"),
+    ])
+    def test_a_state_outside_the_range_is_rejected(self, initial, edge,
+                                                   message):
+        # a target of -1 would be read as the last state, and one of 2
+        # would make minimize fail with an IndexError
+        with pytest.raises(ValueError) as error:
+            StepLTS(initial, 2, ((0, (_A,), 1), edge), ("s0", "s1"))
+        assert str(error.value) == (
+            f"{message} is not a state: the LTS's states are 0 to 1")
 
     def test_generated_transitions_take_under_20_bytes_each(self):
         # three 4-byte columns and the offsets; a tuple per transition

@@ -2,9 +2,9 @@
 private module-level name is read by some stepcheck module, and every
 parameter of a private function or method is read in its body.  No
 function recurses over a term: those that refer to their own names are
-listed.  Every private name and every stepcheck class member that
-README.md names in backticks is defined, and the README's model and
-library examples run.
+listed.  No module outside ``StepLTS`` builds transition triples.  Every
+private name and every stepcheck class member that README.md names in
+backticks is defined, and the README's model and library examples run.
 
 ``__init__.py`` is left out of the first check: its imports are the
 package's public API.
@@ -172,13 +172,11 @@ def self_referring_functions(source: str) -> list:
 
 # The recursions whose depth is not a term's depth.  ``_raw`` enters a
 # sequence only on its left, so a sequence's length, where a parsed term
-# is deep, is no limit to it; ``_binary_matchings`` enters the
-# occurrences of one step; the parser's ``atom`` enters the brackets and
-# prefixes of the source, and ``cli.main`` reports their depth as an
+# is deep, is no limit to it; the parser's ``atom`` enters the brackets
+# and prefixes of the source, and ``cli.main`` reports their depth as an
 # error.  Every pass over a whole term folds it with ``ProcessTerm.fold``
 # or walks it with ``terms._walk``.
-RECURSIVE = ["dsl.py:atom", "semantics.py:_binary_matchings",
-             "semantics.py:_raw"]
+RECURSIVE = ["dsl.py:atom", "semantics.py:_raw"]
 
 
 def test_only_listed_functions_recurse():
@@ -201,6 +199,42 @@ def test_a_self_referring_function_is_reported():
               "    return term\n")
     assert sorted(self_referring_functions(source)) == [
         "_seq", "atom", "canon"]
+
+
+def triple_uses(source: str) -> list:
+    """The places in ``source``, outside the ``StepLTS`` class, that read
+    ``.transitions`` or call ``StepLTS(``: both build (source, label,
+    target) triples, which an LTS holds only as its integer columns."""
+    found = []
+    stack = [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ClassDef) and node.name == "StepLTS":
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "transitions":
+            found.append(f".transitions (line {node.lineno})")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "StepLTS"):
+            found.append(f"StepLTS( (line {node.lineno})")
+        stack += ast.iter_child_nodes(node)
+    return found
+
+
+def test_no_module_builds_transition_triples():
+    assert [f"{p.name}: {use}" for p in SOURCES
+            for use in triple_uses(p.read_text(encoding="utf-8"))] == []
+
+
+def test_a_transition_triple_use_is_reported():
+    source = ("class StepLTS:\n"
+              "    def copy(self):\n"
+              "        return StepLTS(self.transitions)\n"
+              "def edges(lts):\n"
+              "    return list(lts.transitions)\n"
+              "def build(triples):\n"
+              "    return StepLTS(0, 1, triples, ('s',))\n")
+    assert sorted(triple_uses(source)) == [
+        ".transitions (line 5)", "StepLTS( (line 7)"]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

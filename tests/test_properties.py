@@ -9,6 +9,7 @@ import io
 import itertools
 import random
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -34,6 +35,7 @@ from stepcheck.semantics import (
     Event,
     SystemState,
     _alt,
+    _binary_matchings,
     _blocked,
     _flatten_par,
     _label_hidden,
@@ -1129,6 +1131,37 @@ class TestResolveMemo:
             assert again == uncached_pipeline(occs, per_step, prepared)
 
 
+def reference_binary_matchings(idxs, acts, comm):
+    """The recursive enumeration that ``_binary_matchings`` replaced: the
+    first index unmatched, or paired with each later one it relates to."""
+    if not idxs:
+        yield ()
+        return
+    first, rest = idxs[0], idxs[1:]
+    yield from reference_binary_matchings(rest, acts, comm)
+    for j in rest:
+        if frozenset((acts[first].name, acts[j].name)) in comm:
+            remaining = tuple(k for k in rest if k != j)
+            for sub in reference_binary_matchings(remaining, acts, comm):
+                yield ((first, j),) + sub
+
+
+class TestBinaryMatchings:
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              database=None)
+    @given(st.lists(st.sampled_from("abcd"), max_size=8),
+           st.sets(st.frozensets(st.sampled_from("abcd"), min_size=2,
+                                 max_size=2)),
+           st.frozensets(st.integers(0, 7)))
+    def test_matchings_equal_the_recursive_version(self, names, comm, keep):
+        acts = [ActionLabel(n) for n in names]
+        idxs = tuple(i for i in range(len(acts)) if i in keep)
+        matchings = _binary_matchings(idxs, acts, comm)
+        assert len(set(matchings)) == len(matchings)
+        assert sorted(matchings) == sorted(
+            reference_binary_matchings(idxs, acts, comm))
+
+
 class TestWrapperPlacement:
     """A system means the same whether its hide/block/theta wrappers sit at
     top level or under a parallel composition.  Barrier rounds track only
@@ -1485,11 +1518,19 @@ class TestDeepTerms:
             self.chain([Act(ActionLabel("a", (v,)))] * 10_000, nested)
             for v in ("d1", "d2")))
 
-    # canon of a left-nested chain re-associates the chain at every node,
-    # so it is not run at this length
     def test_canon(self):
         term = self.chain([Alt((self.A, self.A))] * 10_000, "right")
         assert canon(term) is self.chain([self.A] * 10_000, "right")
+
+    def test_canon_of_a_left_nested_chain(self):
+        # 10 000 links over distinct actions, none of them canonical yet;
+        # re-associating the chain at every node took 2.7 s at 1 000
+        parts = [Act(ActionLabel(f"left{i}")) for i in range(10_001)]
+        term = self.chain(parts, "left")
+        start = time.perf_counter()
+        result = canon(term)
+        assert time.perf_counter() - start < 2
+        assert result is self.chain(parts, "right")
 
     def test_seq(self):
         right = self.chain([self.A] * 10_000, "right")
