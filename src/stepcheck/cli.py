@@ -9,6 +9,7 @@ Exit codes: 0 all checks hold, 1 some check fails, 2 usage or model error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -33,6 +34,10 @@ _OVERRIDE_KEYS = {key: name for name, (key, _) in POLICIES.items()}
 # each check option -> the values it takes, as an error names them
 _TAKES = {key: " or ".join(allowed) for key, allowed in POLICIES.values()}
 _TAKES["max_states"] = "a positive integer"
+# the cyclic collector's generation-0 threshold while a command runs:
+# generation and refinement allocate many tuples and lists that hold no
+# cycle, and at the default of 700 the collector rescans them often
+_GC_THRESHOLD = 50_000
 
 
 def _config_from_args(args, goal=None) -> Config:
@@ -252,6 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    threshold = gc.get_threshold()
+    gc.set_threshold(_GC_THRESHOLD, *threshold[1:])
     try:
         model = _load_model(args.model)
         if args.command == "check":
@@ -267,6 +274,8 @@ def main(argv=None) -> int:
         print("error: the model nests too deeply to process "
               "(maximum recursion depth exceeded)", file=sys.stderr)
         return 2
+    finally:
+        gc.set_threshold(*threshold)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ import functools
 import itertools
 from array import array
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from operator import eq, itemgetter, sub
 from typing import NamedTuple, Optional
@@ -277,9 +277,11 @@ class PreparedSystem:
     _moves_cache: dict = field(default_factory=dict)
     _step_cache: dict = field(default_factory=dict)
     _group_cache: dict = field(default_factory=dict)
-    # each state's name and each label's sort key, rendered once
+    # barrier: (rounds, terminated positions) -> round-ending picks -> the
+    # rounds after them (``_successors``)
+    _rounds_cache: dict = field(default_factory=lambda: defaultdict(dict))
+    # each state's name, rendered once
     _names: dict = field(default_factory=lambda: _Rendered(SystemState.pretty))
-    _label_keys: dict = field(default_factory=lambda: _Rendered(label_key))
     # each pair of group step labels merged once (``_group_steps``)
     _merged_labels: dict = field(
         default_factory=lambda: _Rendered(_merge_labels))
@@ -803,40 +805,39 @@ def _group_steps(state, prepared):
         prepared)[:-1]
 
 
-def enabled_steps(state: SystemState, prepared: PreparedSystem):
-    """All (label, successor state) steps the configuration permits,
-    sorted by label key and successor name.
+def _successors(state, prepared):
+    """The (label, successor state) steps the configuration permits, each
+    once, in the order they are made: unsorted.
 
-    The resolved steps come from ``_group_steps``, the per-state wrappers
-    then apply through ``_apply_wrappers`` as in ``_raw``, and the sort
-    keys come from ``prepared``'s render memos.
+    The resolved steps come from ``_group_steps``, and the per-state
+    wrappers then apply through ``_apply_wrappers`` as in ``_raw``.  Under
+    barrier, an entry changes the state's rounds only when one of its
+    picks re-enters its position's entry equation or terminates; the new
+    rounds are computed once per distinct set of such picks, given the
+    state's rounds and terminated positions, and kept in
+    ``PreparedSystem._rounds_cache``.
     """
     comps, rounds = state
-    entries = prepared.entries
+    # an entried component re-enters its entry when it is back at its
+    # initial term, the entry variable; the test is per position
+    initial, entries = prepared.components, prepared.entries
     per_state = prepared.split[1]
+    if rounds is not None:
+        dead = tuple(i for i, c in enumerate(comps) if c is TERM)
+        next_rounds = prepared._rounds_cache[rounds, dead]
     out = []
     for picks, steps in _group_steps(state, prepared):
         new_comps = list(comps)
+        ends = ()   # the picks that re-enter or terminate
         for i, move in picks:
-            new_comps[i] = move[1]
+            succ = new_comps[i] = move[1]
+            if succ is TERM or succ is initial[i] and entries[i]:
+                ends += ((i, succ),)
         rounds2 = rounds
-        # a state's rounds are normalized already: only a mover that
-        # re-enters its entry equation or terminates changes them
-        if rounds is not None and any(
-                move[1] is TERM or isinstance(move[1], Var)
-                and move[1].name == entries[i] for i, move in picks):
-            rl = list(rounds)
-            for i, move in picks:
-                succ = move[1]
-                if isinstance(succ, Var) and succ.name == entries[i]:
-                    rl[i] += 1
-            # rounds only mean anything for live, entried components;
-            # normalize over those and zero the rest
-            n = len(comps)
-            live = [i for i in range(n)
-                    if new_comps[i] is not TERM and entries[i] is not None]
-            lo = min((rl[i] for i in live), default=0)
-            rounds2 = tuple(rl[i] - lo if i in live else 0 for i in range(n))
+        # a state's rounds are normalized already: only ``ends`` changes them
+        if ends and rounds is not None:
+            rounds2 = next_rounds.get(ends) or next_rounds.setdefault(
+                ends, _next_rounds(rounds, dead, ends, entries))
         succ = _new_tuple(SystemState, (tuple(new_comps), rounds2))
         if per_state:
             out += [(events, succ) for events, _ in steps]
@@ -847,10 +848,34 @@ def enabled_steps(state: SystemState, prepared: PreparedSystem):
     if per_state:
         out = [(step_label(events), succ) for events, succ in
                _apply_wrappers(out, per_state, prepared.conflicts)]
-    if len(out) > 1:
-        out = list(dict.fromkeys(out))
-        names, label_keys = prepared._names, prepared._label_keys
-        out.sort(key=lambda ls: (label_keys[ls[0]], names[ls[1]]))
+    return list(dict.fromkeys(out)) if len(out) > 1 else out
+
+
+def _next_rounds(rounds, dead, ends, entries) -> tuple:
+    """The barrier rounds after a move from a state with ``rounds`` and
+    the terminated positions ``dead``, whose ``(position, successor)``
+    picks ``ends`` each re-enter their entry or terminate.
+
+    A re-entry ends its position's round.  Rounds only mean anything for
+    live, entried components: they are normalized to a least round of 0
+    over those, and are 0 for the others.
+    """
+    rl = list(rounds)
+    for i, succ in ends:
+        rl[i] += succ is not TERM
+    live = [i for i, entry in enumerate(entries) if entry is not None
+            and i not in dead and (i, TERM) not in ends]
+    lo = min((rl[i] for i in live), default=0)
+    return tuple(rl[i] - lo if i in live else 0 for i in range(len(rl)))
+
+
+def enabled_steps(state: SystemState, prepared: PreparedSystem):
+    """All (label, successor state) steps the configuration permits,
+    sorted by label key and successor name: the ``_successors`` of
+    ``state``, sorted."""
+    out = _successors(state, prepared)
+    names = prepared._names
+    out.sort(key=lambda ls: (label_key(ls[0]), names[ls[1]]))
     return out
 
 
@@ -903,8 +928,9 @@ class StepLTS:
         vars(lts).update(
             initial=initial, num_states=num_states, state_names=state_names,
             sources=sources, label_ids=label_ids, targets=targets,
-            labels=labels, offsets=array("i", [
-                bisect_left(sources, s) for s in range(num_states + 1)]))
+            labels=labels, offsets=array("i", map(
+                bisect_left, itertools.repeat(sources),
+                range(num_states + 1))))
         return lts
 
     @property
@@ -923,29 +949,50 @@ def generate_lts(system: ProcessTerm, model: Model,
                  config: Config = Config()) -> StepLTS:
     """Breadth-first closure of enabled steps with canonical memoization.
 
-    Each distinct state's name and each label's sort key is rendered once
-    per call, in the prepared system's memos, and every sort reads them.
-    Each label is numbered once per call too, in order of first
-    appearance, for the LTS's label table.  A state's transitions are
-    sorted by (label key, destination index) when it is expanded; states
-    are expanded in index order, so all the transitions come sorted by
-    (source, label key, destination), and the columns are appended to in
-    that order.
+    States are numbered as a breadth-first loop over ``enabled_steps``
+    numbers them, with one sort per state over only the new successors:
+    each of a state's ``_successors`` is looked up in the state index
+    once, and the ones not yet numbered are sorted by (label key,
+    successor name) and numbered in that order, which is their order in
+    the sorted steps; a stable sort of a subsequence keeps the order it
+    has in the sort of the whole.  The state's
+    row is then sorted by (label key, destination index), stably, and
+    appended to the columns; states are expanded in index order, so the
+    transitions come sorted by (source, label key, destination).
+
+    One memo per call holds each label's sort key and its id in the label
+    table; ids are given in order of first appearance over the sorted
+    rows.  The sort never reads an id: labels of one key, such as an
+    action ``c`` and the result of ``comm a, b -> c``, keep the order
+    the steps give them.  Each state's name is rendered once per call.
     """
     prepared = prepare_system(system, model, config)
-    names, label_keys = prepared._names, prepared._label_keys
-    ids = {}    # the label table: each label's id
+    names = prepared._names
+    label_memo = {}   # label -> [its key, its id or -1 until it has one, it]
+    labels = []   # the label table
     init = prepared.initial_state()
     index = {init: 0}
     order = [init]     # a state's index is its place here
     sources, label_ids, targets = array("i"), array("i"), array("i")
+    by_first_two = itemgetter(0, 1)   # (label key, name or destination)
     # order[src] is at BFS depth ``depth`` while src < level_end
     depth, level_end = 0, 1
     for src, state in enumerate(order):   # order grows during the walk
         if src == level_end:
             depth, level_end = depth + 1, len(order)
-        row = []
-        for label, succ in enabled_steps(state, prepared):
+        row, fresh = [], []
+        for label, succ in _successors(state, prepared):
+            entry = label_memo.get(label)
+            if entry is None:
+                entry = label_memo[label] = [label_key(label), -1, label]
+            dst = index.get(succ)
+            if dst is None:
+                fresh.append((entry[0], names[succ], entry, succ))
+            else:
+                row.append((entry[0], dst, entry))
+        if len(fresh) > 1:
+            fresh.sort(key=by_first_two)
+        for key, _, entry, succ in fresh:
             dst = index.get(succ)
             if dst is None:
                 if len(order) >= config.max_states:
@@ -953,16 +1000,18 @@ def generate_lts(system: ProcessTerm, model: Model,
                         config.max_states, len(order) - src - 1, depth + 1)
                 dst = index[succ] = len(order)
                 order.append(succ)
-            row.append((label, dst))
-        if len(row) > 1:
-            row.sort(key=lambda t: (label_keys[t[0]], t[1]))
-        for label, dst in row:
-            label_ids.append(ids.setdefault(label, len(ids)))
+            row.append((key, dst, entry))
+        row.sort(key=by_first_two)
+        for _, dst, entry in row:
+            if entry[1] < 0:
+                entry[1] = len(labels)
+                labels.append(entry[2])
+            label_ids.append(entry[1])
             targets.append(dst)
         sources.extend(itertools.repeat(src, len(row)))
     return StepLTS.from_columns(
         0, len(order), tuple(names[state] for state in order),
-        sources, label_ids, targets, tuple(ids))
+        sources, label_ids, targets, tuple(labels))
 
 
 def prune_dead(lts: StepLTS) -> StepLTS:

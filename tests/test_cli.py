@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stepcheck as sc
-from stepcheck import composition, equivalence
+from stepcheck import cli, composition, equivalence
 from stepcheck.cli import main
 from stepcheck.dsl import (
     ParseError,
@@ -141,6 +142,38 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "first: P vs P (strong-step-bisim) holds [2/2 states" in out
         assert "second: P vs Q (branching-bisim) FAILS [2/1 states" in out
+
+    @pytest.mark.parametrize("text, extra, code, generates", [
+        ("process P { P = a . P }\ncheck good: P ~sb P\n", [], 0, True),
+        (FAILING, [], 1, True),
+        ("process P { P = a . }\n", [], 2, False),
+        ("process P { P = a . (b . P || c . P) }\ncheck c: P ~sb P\n",
+         ["--max-states", "4"], 2, True),
+    ], ids=["holds", "fails", "model error", "state budget"])
+    def test_the_collector_threshold_is_restored(
+            self, tmp_path, monkeypatch, capsys, text, extra, code,
+            generates):
+        # the threshold is raised while the command generates, and put
+        # back as it was however the command ends
+        during = []
+        side_lts = composition.side_lts
+
+        def spy(model, name, config):
+            during.append(gc.get_threshold())
+            return side_lts(model, name, config)
+
+        monkeypatch.setattr(composition, "side_lts", spy)
+        path = tmp_path / "m.aptc"
+        path.write_text(text)
+        before = gc.get_threshold()
+        gc.set_threshold(123, 4, 5)
+        try:
+            assert main(["check", str(path), *extra]) == code
+            assert gc.get_threshold() == (123, 4, 5)
+        finally:
+            gc.set_threshold(*before)
+        assert bool(during) == generates
+        assert set(during) <= {(cli._GC_THRESHOLD, 4, 5)}
 
     def test_rooted_runs_only_the_rooted_check(self, monkeypatch, capsys):
         calls = []

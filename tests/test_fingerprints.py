@@ -304,8 +304,40 @@ def test_generation_order_matches_reference_bfs(ordered_terms, policies):
     # order, which the name-level fingerprints above leave open
     config = Config(*policies)
     for model, term in ordered_terms:
-        assert (generate_lts(term, model, config)
-                == reference_generation(term, model, config))
+        assert_same_generation(generate_lts(term, model, config),
+                               reference_generation(term, model, config))
+
+
+def assert_same_generation(lts, reference):
+    assert lts == reference
+    # ``==`` compares the triples only; the label table's order is
+    # ``minimize``'s order for labels of one text, so it is pinned too
+    assert lts.labels == reference.labels
+    assert lts.label_ids == reference.label_ids
+
+
+@pytest.mark.parametrize("round_mode", ["overlap", "barrier"])
+@pytest.mark.parametrize("step_mode", ["step", "interleave"])
+def test_labels_of_one_key_keep_the_reference_order(round_mode, step_mode):
+    # R's action c and the comm result c of P's a with Q's b share a sort
+    # key, and a state has both towards different targets
+    model = parse_model("process P { P = e . a . P }\n"
+                        "process Q { Q = b . Q }\n"
+                        "process R { R = d . c . R }\n"
+                        "comm a, b -> c\n"
+                        "system S = P <> Q <> R")
+    config = Config(step_mode=step_mode, round_mode=round_mode)
+    lts = generate_lts(model.systems["S"], model, config)
+    assert_same_generation(
+        lts, reference_generation(model.systems["S"], model, config))
+    c_steps = {}
+    for s, label, t in lts.transitions:
+        if label_str(label) == "{c}":
+            c_steps.setdefault(s, set()).add((type(label[0]), t))
+    assert any(kind != other_kind and t != other_t
+               for steps in c_steps.values()
+               for (kind, t), (other_kind, other_t)
+               in itertools.combinations(steps, 2))
 
 
 @pytest.mark.parametrize("policies", list(itertools.product(

@@ -2,9 +2,10 @@
 private module-level name is read by some stepcheck module, and every
 parameter of a private function or method is read in its body.  No
 function recurses over a term: those that refer to their own names are
-listed.  No module outside ``StepLTS`` builds transition triples.  Every
-private name and every stepcheck class member that README.md names in
-backticks is defined, and the README's model and library examples run.
+listed.  No module outside ``StepLTS`` builds transition triples, and
+none but ``cli.py`` imports ``gc``.  Every private name and every
+stepcheck class member that README.md names in backticks is defined,
+and the README's model and library examples run.
 
 ``__init__.py`` is left out of the first check: its imports are the
 package's public API.
@@ -235,6 +236,28 @@ def test_a_transition_triple_use_is_reported():
               "    return StepLTS(0, 1, triples, ('s',))\n")
     assert sorted(triple_uses(source)) == [
         ".transitions (line 5)", "StepLTS( (line 7)"]
+
+
+def imports_gc(source: str) -> bool:
+    """Whether ``source`` imports the ``gc`` module, or a name from it."""
+    return any(
+        isinstance(node, ast.Import) and any(
+            alias.name == "gc" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "gc"
+        for node in ast.walk(ast.parse(source)))
+
+
+def test_only_the_cli_touches_the_collector():
+    # the library never changes its caller's garbage collector; only
+    # ``cli.main`` sets a threshold for the run of one command
+    assert [p.name for p in SOURCES
+            if imports_gc(p.read_text(encoding="utf-8"))] == ["cli.py"]
+
+
+def test_a_gc_import_is_reported():
+    assert imports_gc("def f():\n    import os, gc\n")
+    assert imports_gc("from gc import collect\n")
+    assert not imports_gc("import gcd\nfrom os import gc\n")
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -487,6 +487,28 @@ class TestStepEnumeration:
                     frontier.append(succ)
         assert len(seen) > 1
 
+    @pytest.mark.parametrize("step_mode", ["step", "interleave"])
+    def test_barrier_re_entry_is_per_position(self, step_mode):
+        # P and Q swap terms, so in Q <> P each position holds the term
+        # that the other position started from: Q's move b . P re-enters
+        # position 0's entry P, and would not re-enter position 1's
+        model = parse_model("process P { P = a . Q }\n"
+                            "process Q { Q = b . P }\n"
+                            "system S = P <> Q")
+        prepared = prepare_system(model.systems["S"], model, Config(
+            round_mode="barrier", step_mode=step_mode))
+        frontier = [prepared.initial_state()]
+        seen = set(frontier)
+        while frontier:
+            state = frontier.pop()
+            steps = enabled_steps(state, prepared)
+            assert steps == reference_steps(state, prepared), state.pretty()
+            for _, succ in steps:
+                if succ not in seen:
+                    seen.add(succ)
+                    frontier.append(succ)
+        assert {"Q <> P @0,0", "P <> Q @1,0"} <= {s.pretty() for s in seen}
+
 
 POLICY_COMBINATIONS = list(itertools.product(
     *(allowed for _, allowed in POLICIES.values())))
