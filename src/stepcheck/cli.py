@@ -13,7 +13,7 @@ import gc
 import json
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from . import composition
 from .dsl import ParseError, ResolutionError, parse_model
@@ -92,53 +92,39 @@ def _run_checks(model: Model, args) -> int:
     # every check's options are read before any check generates
     configs = [_config_from_args(args, goal) for goal in goals]
     reports = []
-    worst = 0
     for goal, config in zip(goals, configs):
         start = time.monotonic()
         left = composition.side_lts(model, goal.left, config)
         right = composition.side_lts(model, goal.right, config)
+        record = {"check": goal.name, "left": goal.left,
+                  "right": goal.right, "relation": goal.relation,
+                  "left_states": left.num_states,
+                  "right_states": right.num_states}
         if args.rooted and goal.relation == "branching-bisim":
-            goal = replace(goal, relation="rooted-branching-bisim")
-        verdict = check_relation(goal.relation, left, right)
+            record["relation"] = "rooted-branching-bisim"
+        verdict = check_relation(record["relation"], left, right)
         elapsed = time.monotonic() - start
-        reports.append((goal, verdict, left.num_states, right.num_states,
-                        elapsed))
-        # the report keeps the state counts only, so that this check's
+        # the record keeps the state counts only, so that this check's
         # LTSs are freed before the next check generates its own
         del left, right
-        if not verdict.holds:
-            worst = 1
+        record["holds"] = verdict.holds
+        cx = verdict.counterexample
+        if cx is not None:
+            record["counterexample"] = {
+                "kind": type(cx).__name__, "detail": cx.pretty(),
+                "trace": [label_str(l) for l in cx.trace]}
+        reports.append((record, elapsed))
     if args.json:
-        out = []
-        for goal, verdict, left_states, right_states, _ in reports:
-            entry = {
-                "check": goal.name,
-                "left": goal.left,
-                "right": goal.right,
-                "relation": goal.relation,
-                "holds": verdict.holds,
-                "left_states": left_states,
-                "right_states": right_states,
-            }
-            cx = verdict.counterexample
-            if cx is not None:
-                entry["counterexample"] = {
-                    "kind": type(cx).__name__,
-                    "trace": [label_str(l) for l in cx.trace],
-                    "detail": cx.pretty(),
-                }
-            out.append(entry)
-        print(json.dumps(out, indent=2, sort_keys=True))
+        print(json.dumps([r for r, _ in reports], indent=2, sort_keys=True))
     else:
-        for goal, verdict, left_states, right_states, elapsed in reports:
-            status = "holds" if verdict.holds else "FAILS"
-            print(f"{goal.name}: {goal.left} vs {goal.right} "
-                  f"({goal.relation}) {status} "
-                  f"[{left_states}/{right_states} states, "
+        for r, elapsed in reports:
+            print(f"{r['check']}: {r['left']} vs {r['right']} "
+                  f"({r['relation']}) {'holds' if r['holds'] else 'FAILS'} "
+                  f"[{r['left_states']}/{r['right_states']} states, "
                   f"{elapsed:.2f}s]")
-            if verdict.counterexample is not None:
-                print(f"  {verdict.counterexample.pretty()}")
-    return worst
+            if "counterexample" in r:
+                print(f"  {r['counterexample']['detail']}")
+    return 0 if all(r["holds"] for r, _ in reports) else 1
 
 
 def _lts_json(lts: StepLTS) -> dict:

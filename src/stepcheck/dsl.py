@@ -370,19 +370,12 @@ class _Parser:
         if self.peek().text == "{":
             self.next()
             return frozenset(self.name_list("}"))
-        tok = self.expect_name("set name")
-        return _SetRef(tok.text, tok.line, tok.col)
-
-
-@dataclass(frozen=True)
-class _SetRef:
-    name: str
-    line: int
-    col: int
+        # a set's name, a string until resolution makes it the set
+        return self.expect_name("set name").text
 
 
 # ---------------------------------------------------------------------------
-# Resolution: _Name -> Var | Act, _SetRef -> frozenset
+# Resolution: _Name -> Var | Act, a set name -> its frozenset
 
 
 def _resolve_term(equation_names, system_names, sets, term, kids):
@@ -400,12 +393,11 @@ def _resolve_term(equation_names, system_names, sets, term, kids):
                     term.name)
             return Var(term.name)
         return Act(ActionLabel(term.name, term.args))
-    if isinstance(term, (Hide, Encaps)) and isinstance(term.names, _SetRef):
-        ref = term.names
-        if ref.name not in sets:
+    if isinstance(term, (Hide, Encaps)) and isinstance(term.names, str):
+        if term.names not in sets:
             raise ResolutionError(
-                f"unknown action set {ref.name}", ref.name)
-        return type(term)(sets[ref.name], kids[0])
+                f"unknown action set {term.names}", term.names)
+        return type(term)(sets[term.names], kids[0])
     return term.rebuild(kids)
 
 

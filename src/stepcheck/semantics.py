@@ -430,12 +430,16 @@ def _raw(term: ProcessTerm, prepared: PreparedSystem, stack=frozenset()):
         return tuple(move for b in term.branches
                      for move in _raw(b, prepared, stack))
     if isinstance(term, Par):
-        # each side moves or stays, and not both stay: the last entry
+        # each side moves or stays, and not both stay: the last entry, the
+        # only one with no occurrence, so it stays last once duplicates
+        # go.  Identical operands give identical moves, each kept once: n
+        # copies of an action in parallel have n moves, not 2^n - 1
         sides = [_raw(side, prepared, stack) + (((), side),)
                  for side in (term.left, term.right)]
         both = itertools.product(*sides)
-        return tuple((o1 + o2, _par(left2, right2))
-                     for (o1, left2), (o2, right2) in both)[:-1]
+        return tuple(dict.fromkeys(
+            (o1 + o2, _par(left2, right2))
+            for (o1, left2), (o2, right2) in both))[:-1]
     if isinstance(term, (Hide, Encaps, ConflictElim)):
         # resolved and wrapped as at the top level, so an operator means
         # the same wherever it is

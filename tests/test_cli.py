@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -326,6 +327,38 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_unknown_set_name_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "set.aptc"
+        path.write_text("process P { P = hide X in a . P }\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "error: unknown action set X\n"
+
+    # a state's steps are enumerated before the budget is checked, and
+    # the moves of a parallel term recurse per operand: whichever ends
+    # the run, it ends in one line
+    def test_wide_parallel_term_exits_2_without_traceback(
+            self, tmp_path, capsys):
+        path = tmp_path / "wide.aptc"
+        path.write_text("process P { P = "
+                        + " || ".join(f"a{i}" for i in range(2000))
+                        + " }\ncheck wide: P ~sb P\n")
+        assert main(["check", str(path), "--max-states", "50"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    # n identical operands have n + 1 states and n moves each, not 2^n
+    def test_identical_parallel_operands_end_in_the_budget(
+            self, tmp_path, capsys):
+        path = tmp_path / "same.aptc"
+        path.write_text("process P { P = " + " || ".join(["a"] * 300)
+                        + " }\ncheck same: P ~sb P\n")
+        start = time.monotonic()
+        assert main(["check", str(path), "--max-states", "50"]) == 2
+        assert time.monotonic() - start < 2
+        assert capsys.readouterr().err.startswith(
+            "error: state budget of 50 states exceeded")
 
     # each violation is named with its subject, as ``Violation`` prints it
     @pytest.mark.parametrize("decl, violation", [

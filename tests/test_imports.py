@@ -14,6 +14,7 @@ import ast
 import contextlib
 import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -171,10 +172,11 @@ def self_referring_functions(source: str) -> list:
     return found
 
 
-# The recursions whose depth is not a term's depth.  ``_raw`` enters a
-# sequence only on its left, so a sequence's length, where a parsed term
-# is deep, is no limit to it; the parser's ``atom`` enters the brackets
-# and prefixes of the source, and ``cli.main`` reports their depth as an
+# The recursions whose depth is not a whole term's depth.  ``_raw``
+# enters a sequence only on its left, so a sequence's length is no limit
+# to it, but it enters both sides of a ``||``, so a chain of about 500
+# parallel operands is; the parser's ``atom`` enters the brackets and
+# prefixes of the source.  ``cli.main`` reports either depth as an
 # error.  Every pass over a whole term folds it with ``ProcessTerm.fold``
 # or walks it with ``terms._walk``.
 RECURSIVE = ["dsl.py:atom", "semantics.py:_raw"]
@@ -353,3 +355,58 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(io.StringIO()) as out:
         exec(readme_block("Library API", "python"), {})
     assert "ABA = A2 . ABA1" in out.getvalue()
+
+
+# tokens that hold no code of their own
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def lines_of_code(path) -> int:
+    r"""The lines of a Python file, or of every ``*.py`` file directly in a
+    directory, that hold code: docstrings, comments and blank lines are
+    left out, and a string over several lines counts each of them.  From
+    the repository root::
+
+        PYTHONPATH=src:tests python -c \
+            "import test_imports as t; print(t.lines_of_code('src/stepcheck'))"
+    """
+    path = Path(path)
+    total = 0
+    for file in sorted(path.glob("*.py")) if path.is_dir() else [path]:
+        source = file.read_text(encoding="utf-8")
+        # each docstring's start -> its end
+        docstrings = {
+            (doc.lineno, doc.col_offset): (doc.end_lineno, doc.end_col_offset)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None
+            for doc in node.body[:1]}
+        lines, skip_to = set(), (0, 0)
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            skip_to = docstrings.get(tok.start, skip_to)
+            if tok.type not in _NOT_CODE and tok.start >= skip_to:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(lines)
+    return total
+
+
+def test_lines_of_code_leave_out_docstrings_comments_and_blanks(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""A module\n'
+        'docstring."""\n'
+        "import os  # a comment\n"
+        "\n"
+        "# a comment line\n"
+        "def f(x):\n"
+        '    """A docstring."""\n'
+        '    s = """a string\n'
+        '    over two lines"""\n'
+        "    return s\n"
+        "\n"
+        'class C: "its docstring"; y = 1\n')
+    (tmp_path / "b.py").write_text("x = (1,\n     2)\n")
+    (tmp_path / "c.txt").write_text("x = 1\n")
+    assert lines_of_code(tmp_path / "a.py") == 6
+    assert lines_of_code(tmp_path) == 8
