@@ -118,8 +118,11 @@ def _union(*ltss):
 # arena's scaled label id plus the target's block.
 
 
-def _sccs(succ):
-    """SCCs of the graph ``succ`` (iterative Tarjan), each after all it reaches."""
+def _sccs(out):
+    """The tau successors of each state of the arena ``out``, and the SCCs
+    of its tau steps (iterative Tarjan), each after all it reaches."""
+    succ = [[t for m, t in zip(ms, ts) if not m]
+            for ms, ts in zip(out.moves, out.succ)]
     n = len(succ)
     index = [0] * n     # visit order from 1; 0: not visited, n + 1: emitted
     low = [0] * n
@@ -152,42 +155,39 @@ def _sccs(succ):
                     for w in comp:
                         index[w] = n + 1
                     sccs.append(comp)
-    return sccs
+    return succ, sccs
 
 
-def _branching_signatures(out, block):
-    """Each state's (label, block) moves, also those after inert tau steps.
+def _signatures(out, block, tau_sccs=None):
+    """Each state's (label, block) moves; with ``tau_sccs``, what ``_sccs``
+    returns for ``out``, branching ones.
 
-    Inert tau steps stay in their block, so as moves they are the one
-    integer ``block``.  Their SCCs come sinks first, so each SCC unions
-    its own moves with the signatures of the SCCs it reaches.
+    A tau step that stays in its block is inert: as a move it is the one
+    integer ``block``, and the state also gets the moves of its target.
+    States on one tau cycle are branching bisimilar, so every round of
+    refinement keeps each tau SCC in one block, and the inert steps' SCCs
+    are the tau SCCs.  Those come sinks first, so each SCC unions its own
+    moves with the signatures of the SCCs it reaches by inert steps.
     """
-    moves, succ = out.moves, out.succ
-    at = block.__getitem__
-    inert = [[t for m, t in zip(ms, ts) if not m and at(t) == b]
-             for ms, ts, b in zip(moves, succ, block)]
+    moves, succ, at = out.moves, out.succ, block.__getitem__
+    if tau_sccs is None:
+        return [frozenset(map(add, ms, map(at, ts)))
+                for ms, ts in zip(moves, succ)]
+    taus, sccs = tau_sccs
     sig = [None] * len(block)
-    for comp in _sccs(inert):
+    for comp in sccs:
+        b = block[comp[0]]
         acc = set()
         for u in comp:
             acc.update(map(add, moves[u], map(at, succ[u])))
-            for t in inert[u]:
-                if sig[t] is not None:      # None: t is in this SCC
+            for t in taus[u]:
+                if sig[t] is not None and at(t) == b:   # None: t in comp
                     acc |= sig[t]
-        acc.discard(block[comp[0]])
+        acc.discard(b)
         acc = frozenset(acc)
         for u in comp:
             sig[u] = acc
     return sig
-
-
-def _signatures(out, block, inert):
-    """Each state's (label, block) moves; with ``inert``, branching ones."""
-    if inert:
-        return _branching_signatures(out, block)
-    at = block.__getitem__
-    return [frozenset(map(add, ms, map(at, ts)))
-            for ms, ts in zip(out.moves, out.succ)]
 
 
 def _first_appearance(block):
@@ -196,7 +196,7 @@ def _first_appearance(block):
     return [first.setdefault(b, len(first)) for b in block]
 
 
-def _splits(out, block, size, dirty, inert):
+def _splits(out, block, size, dirty, tau_sccs):
     """Re-sign the ``dirty`` states; the parts that leave their blocks.
 
     After round 0 a strong round re-signs the predecessors of the states
@@ -207,10 +207,10 @@ def _splits(out, block, size, dirty, inert):
     part.  Every other part leaves.
     """
     moves, succ, at = out.moves, out.succ, block.__getitem__
-    sigs = _branching_signatures(out, block) if inert else None
+    sigs = _signatures(out, block, tau_sccs) if tau_sccs else None
     touched = {}
     for s in dirty:
-        key = (sigs[s] if inert
+        key = (sigs[s] if tau_sccs
                else frozenset(map(add, moves[s], map(at, succ[s]))))
         touched.setdefault(block[s], {}).setdefault(key, []).append(s)
     parts = []
@@ -235,14 +235,16 @@ def _refine(out, inert):
     strong round re-signs only the predecessors of the states that moved
     in the round before.  Branching signatures follow inert closures,
     which any split can change, so every branching round re-signs every
-    state.  A round computes all its splits against the ids of the round
-    before and applies them at its end.  The partitions are those of
-    re-signing every state in every round, but their ids are not numbered
-    by first appearance.
+    state, in the order of the tau SCCs found once for all rounds.  A
+    round computes all its splits against the ids of the round before and
+    applies them at its end.  The partitions are those of re-signing every
+    state in every round, but their ids are not numbered by first
+    appearance.
     """
     total = len(out)
     block = [0] * total
     size = [total]      # states per block id
+    tau_sccs = _sccs(out) if inert else None
     if not inert:
         pred = [[] for _ in range(total)]
         for s, ts in enumerate(out.succ):
@@ -250,7 +252,7 @@ def _refine(out, inert):
                 pred[t].append(s)
     dirty = range(total)
     while True:
-        parts = _splits(out, block, size, dirty, inert)
+        parts = _splits(out, block, size, dirty, tau_sccs)
         for part in parts:
             size[block[part[0]]] -= len(part)
             new = len(size)
@@ -264,11 +266,6 @@ def _refine(out, inert):
             dirty = {p for part in parts for s in part for p in pred[s]}
 
 
-def _stable(out, inert):
-    """The blocks of the last, stable round of ``_refine``."""
-    return deque(_refine(out, inert), maxlen=1).pop()
-
-
 def _unmatched(left_sig, right_sig, labels, total):
     """The label of the least (label, block) move of one signature only,
     and its side."""
@@ -277,18 +274,18 @@ def _unmatched(left_sig, right_sig, labels, total):
     return labels[move // total], "left" if move in left_sig else "right"
 
 
-def _explain(out, labels, p, q, inert):
-    """Why states p (left) and q (right) differ: a move one side has and
-    the other cannot match at the round that split them (Cleaveland 1990).
+def _explain(out, labels, p, q, inert, k):
+    """Why states p (left) and q (right), split at round k, differ: a move
+    one side has and the other cannot match at that round (Cleaveland
+    1990).
 
-    One run of the rounds finds that round k; a second stops at round
-    k-1, whose list ``_refine`` leaves as is while it is not resumed.
+    The rounds run again up to round k-1, whose list ``_refine`` leaves as
+    is while it is not resumed.
     """
-    k = next(k for k, block in enumerate(_refine(out, inert))
-             if block[p] != block[q])
     prev = (next(islice(_refine(out, inert), k - 1, None)) if k
             else [0] * len(out))
-    sigs = _signatures(out, _first_appearance(prev), inert)
+    sigs = _signatures(out, _first_appearance(prev),
+                       _sccs(out) if inert else None)
     a, side = _unmatched(sigs[p], sigs[q], labels, len(out))
     if not k:
         return StepCounterexample(
@@ -299,45 +296,44 @@ def _explain(out, labels, p, q, inert):
 
 
 # ---------------------------------------------------------------------------
-# Strong step bisimulation
+# Bisimulation checks
+
+
+def _bisim(left, right, name, inert, rooted=False):
+    """Refine the union of ``left`` and ``right`` until their initial
+    states split or the partition is stable.
+
+    A failed check names a counterexample, for a branching check a weak
+    trace one side only has if there is one; a check that holds reports
+    its number of blocks.  A rooted check also compares the initial
+    states' own moves over the stable blocks.
+    """
+    out, labels, p, q = _union(left, right)
+    for k, block in enumerate(_refine(out, inert)):
+        if block[p] != block[q]:
+            # prefer a weak-trace counterexample: concrete and easy to read
+            cx = inert and _trace_counterexample(out, labels, p, q)
+            return Verdict(False, name,
+                           cx or _explain(out, labels, p, q, inert, k))
+    if rooted:
+        # root condition: every initial move must be matched immediately
+        sigs = _signatures(out, _first_appearance(block))
+        if sigs[p] != sigs[q]:
+            a, side = _unmatched(sigs[p], sigs[q], labels, len(out))
+            return Verdict(False, name, StepCounterexample(
+                (), f"root condition: initial step {label_str(a)} "
+                    f"on the {side} side has no immediate match"))
+    return Verdict(True, name, details={"blocks": len(set(block))})
 
 
 def strong_step_bisim(left: StepLTS, right: StepLTS) -> Verdict:
-    out, labels, init_l, init_r = _union(left, right)
-    block = _stable(out, False)
-    holds = block[init_l] == block[init_r]
-    verdict = Verdict(holds, "strong step bisimulation",
-                      details={"blocks": len(set(block))})
-    if not holds:
-        verdict.counterexample = _explain(
-            out, labels, init_l, init_r, False)
-    return verdict
-
-
-# ---------------------------------------------------------------------------
-# Branching bisimulation
+    return _bisim(left, right, "strong step bisimulation", False)
 
 
 def branching_bisim(left: StepLTS, right: StepLTS,
                     rooted: bool = False) -> Verdict:
-    out, labels, init_l, init_r = _union(left, right)
-    block = _stable(out, True)
     name = ("rooted " if rooted else "") + "branching bisimulation"
-    if block[init_l] == block[init_r]:
-        if rooted:
-            # root condition: every initial move must be matched immediately
-            sigs = _signatures(out, _first_appearance(block), False)
-            if sigs[init_l] != sigs[init_r]:
-                a, side = _unmatched(sigs[init_l], sigs[init_r], labels,
-                                     len(out))
-                return Verdict(False, name, StepCounterexample(
-                    (), f"root condition: initial step {label_str(a)} "
-                        f"on the {side} side has no immediate match"))
-        return Verdict(True, name, details={"blocks": len(set(block))})
-    # prefer a weak-trace counterexample: concrete and easy to read
-    return Verdict(False, name,
-                   _trace_counterexample(out, labels, init_l, init_r)
-                   or _explain(out, labels, init_l, init_r, True))
+    return _bisim(left, right, name, True, rooted)
 
 
 def rooted_branching_bisim(left: StepLTS, right: StepLTS) -> Verdict:
@@ -361,7 +357,7 @@ def minimize(lts: StepLTS, relation: str = "branching") -> StepLTS:
         raise ValueError(f"unknown relation {relation}")
     out, _, _ = _union(lts)
     drop_inert = relation == "branching"
-    block = _stable(out, drop_inert)
+    block = deque(_refine(out, drop_inert), maxlen=1).pop()   # the stable one
 
     # renumber blocks by first reachable representative
     queue = deque([lts.initial])
@@ -475,10 +471,8 @@ def weak_traces_equal(left: StepLTS, right: StepLTS) -> Verdict:
 
 def divergences(lts: StepLTS) -> tuple:
     """States lying on a cycle of tau steps."""
-    out = _union(lts)[0]
-    taus = [[t for m, t in zip(ms, ts) if not m]
-            for ms, ts in zip(out.moves, out.succ)]
-    return tuple(sorted(s for comp in _sccs(taus) for s in comp
+    taus, sccs = _sccs(_union(lts)[0])
+    return tuple(sorted(s for comp in sccs for s in comp
                         if len(comp) > 1 or s in taus[s]))
 
 

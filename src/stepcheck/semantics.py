@@ -110,19 +110,24 @@ def canon(term: ProcessTerm) -> ProcessTerm:
     return term.fold(_canon, _CANONICAL, _seq_leaves)
 
 
-def _seq_leaves(term):
-    """The terms that the largest tree of sequences at ``term`` joins, left
-    to right; the children of a term that is no sequence."""
-    if not isinstance(term, Seq):
-        return term.children()
+def _leaves(term, kind) -> list:
+    """The terms that the largest tree of ``kind`` nodes at ``term`` joins,
+    left to right: a sequence's parts, or a parallel composition's
+    components."""
     leaves, stack = [], [term]
     while stack:
         t = stack.pop()
-        if isinstance(t, Seq):
+        if isinstance(t, kind):
             stack += (t.right, t.left)
         else:
             leaves.append(t)
     return leaves
+
+
+def _seq_leaves(term):
+    """The leaves of the tree of sequences at ``term``; the children of a
+    term that is no sequence."""
+    return _leaves(term, Seq) if isinstance(term, Seq) else term.children()
 
 
 def _canon(term, kids):
@@ -304,7 +309,7 @@ def prepare_system(system: ProcessTerm, model: Model, config: Config) -> Prepare
     while isinstance(term, (Hide, Encaps, ConflictElim)):
         wrappers.append(term)
         term = term.body
-    components = tuple(_flatten_par(term))
+    components = tuple(_leaves(term, Par))
     gamma_components = _gamma_components(comm)
     alphabets = [names_written(c, equations) for c in components]
     groups = _fusion_groups([names | bases for names, bases in alphabets],
@@ -338,18 +343,6 @@ def _split_wrappers(wrappers, conflicts) -> tuple:
     if conflicts and any(isinstance(w, ConflictElim) for w in wrappers):
         return (), tuple(wrappers)
     return tuple(w for w in wrappers if not isinstance(w, ConflictElim)), ()
-
-
-def _flatten_par(term) -> list:
-    """The components of a parallel composition, left to right."""
-    components, stack = [], [term]
-    while stack:
-        term = stack.pop()
-        if isinstance(term, Par):
-            stack += (term.right, term.left)
-        else:
-            components.append(term)
-    return components
 
 
 def _connected(keyed) -> tuple:

@@ -291,6 +291,14 @@ class TestErrors:
     def test_missing_file_exits_2(self, capsys):
         assert main(["check", "/nonexistent.aptc"]) == 2
 
+    def test_model_without_checks_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nochecks.aptc"
+        path.write_text("process P { P = a . P }\n")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: the model declares no checks\n"
+        assert captured.out == ""
+
     # a term's depth is no limit: every pass over a term folds it with an
     # explicit stack
     @pytest.mark.parametrize("body, equations", [

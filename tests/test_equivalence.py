@@ -513,6 +513,100 @@ class TestRefinementMemory:
         assert peak < 8_000_000
 
 
+class Counted:
+    """``equivalence._refine``, counting its calls and the rounds they yield."""
+
+    def __init__(self):
+        self.calls = self.rounds = 0
+        self.refine = equivalence._refine
+
+    def __call__(self, out, inert):
+        self.calls += 1
+        for block in self.refine(out, inert):
+            self.rounds += 1
+            yield block
+
+
+def split_round(left, right, inert):
+    """The first round of the reference engine that splits the initial states."""
+    out, _, p, q = equivalence._union(left, right)
+    return next(k for k, block in enumerate(reference_blocks(out, inert))
+                if block[p] != block[q])
+
+
+# a hidden x between a and b: two rounds, the first splitting after a
+HIDDEN = "process P { P = a . x . b . P }\nsystem S = hide {x} in P"
+SKIPPED = "process P { P = a . b . P }"
+
+
+class TestRunContract:
+    # a failed check stops at the round k that splits the initial states;
+    # its explanation runs the rounds up to k - 1 once more
+    def test_failed_chain_check_runs_2k_plus_1_rounds(self):
+        left, right = tau_chain("a", 50), tau_chain("b", 50)
+        k = split_round(left, right, False)
+        refine = Counted()
+        with mock.patch.object(equivalence, "_refine", refine):
+            verdict = strong_step_bisim(left, right)
+        assert not verdict.holds and k == 49
+        assert refine.calls == 2 and refine.rounds <= 2 * k + 1
+
+    def test_split_at_round_0_runs_one_round(self):
+        refine = Counted()
+        with mock.patch.object(equivalence, "_refine", refine):
+            verdict = strong_step_bisim(lts_of(LOOP_A), lts_of(LOOP_B))
+        assert verdict.pretty() == (
+            "strong step bisimulation fails: after <initial states>: step "
+            "{a} is enabled on the left side only")
+        assert (refine.calls, refine.rounds) == (1, 1)
+
+    # the tau SCCs are found once per run of the rounds, not once per round
+    @pytest.mark.parametrize("left, right, holds, calls", [
+        ((HIDDEN, "S"), (SKIPPED,), True, 1),
+        ((HIDDEN, "S"), (LOOP_A,), False, 1),     # a trace counterexample
+    ], ids=["holds", "trace"])
+    def test_branching_check_finds_tau_sccs_once_per_run(
+            self, left, right, holds, calls):
+        refine = Counted()
+        with mock.patch.object(equivalence, "_refine", refine), \
+                mock.patch.object(equivalence, "_sccs",
+                                  wraps=equivalence._sccs) as sccs:
+            verdict = branching_bisim(lts_of(*left), lts_of(*right))
+        assert verdict.holds is holds and refine.rounds >= 2
+        assert refine.calls == sccs.call_count == calls
+
+    def test_explanation_signs_the_round_before_once(self):
+        # equal weak traces: the explanation reruns the rounds up to the
+        # split and signs the round before it, over the same tau SCCs
+        left = lts_of("process P { P = a . b . delta + a . c . delta }")
+        right = lts_of("process P { P = a . (b . delta + c . delta) }")
+        refine = Counted()
+        with mock.patch.object(equivalence, "_refine", refine), \
+                mock.patch.object(equivalence, "_sccs",
+                                  wraps=equivalence._sccs) as sccs:
+            verdict = branching_bisim(left, right)
+        k = split_round(left, right, True)
+        assert isinstance(verdict.counterexample, StepCounterexample)
+        assert refine.calls == 2 and refine.rounds == 2 * k + 1
+        assert sccs.call_count == refine.calls + 1
+
+    @pytest.mark.parametrize("check", [
+        strong_step_bisim, branching_bisim, rooted_branching_bisim])
+    def test_only_a_check_that_holds_reports_blocks(self, check):
+        loop = lts_of(LOOP_A)
+        assert check(loop, loop).details == {"blocks": 1}
+        assert check(loop, lts_of(LOOP_B)).details == {}
+
+    def test_failed_root_condition_reports_no_blocks(self):
+        # an initial inert tau: branching bisimilar, but not rooted
+        hidden = lts_of("process P { P = x . a . P }\n"
+                        "system S = hide {x} in P", "S")
+        assert branching_bisim(hidden, lts_of(LOOP_A)).details == {"blocks": 1}
+        verdict = rooted_branching_bisim(hidden, lts_of(LOOP_A))
+        assert "root condition" in verdict.pretty()
+        assert verdict.details == {}
+
+
 UNEXPLAINED = ("states are distinguishable",
                "initial states fall into different branching classes")
 

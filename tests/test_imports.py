@@ -13,7 +13,10 @@ package's public API.
 import ast
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -355,6 +358,23 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(io.StringIO()) as out:
         exec(readme_block("Library API", "python"), {})
     assert "ABA = A2 . ABA1" in out.getvalue()
+
+
+def test_readme_quick_start_runs_from_a_checkout():
+    # each command of the block in sh, after the line that sets MODEL, with
+    # ``stepcheck`` and ``python3`` run as ``python -m stepcheck`` and this
+    # interpreter, from the repository root with PYTHONPATH=src
+    setup, *commands = [line for line in readme_block(
+        "Quick start", "sh").replace("\\\n", "").splitlines() if line]
+    prelude = ('stepcheck() { "$PYTHON" -m stepcheck "$@"; }\n'
+               'python3() { "$PYTHON" "$@"; }\n')
+    env = dict(os.environ, PYTHONPATH="src", PYTHON=sys.executable)
+    runs = [subprocess.run(["sh", "-c", f"{prelude}{setup}\n{command}\n"],
+                           cwd=README.parent, env=env, capture_output=True,
+                           text=True, timeout=120)
+            for command in commands]
+    assert [r.returncode for r in runs] == [0, 1, 0, 0]
+    assert all(r.stdout and not r.stderr for r in runs)
 
 
 # tokens that hold no code of their own

@@ -36,8 +36,8 @@ from stepcheck.semantics import (
     _alt,
     _binary_matchings,
     _blocked,
-    _flatten_par,
     _label_hidden,
+    _leaves,
     _par,
     _raw,
     _resolve_uncached,
@@ -540,7 +540,7 @@ def rand_grouped_system(rng):
     while isinstance(system, (Hide, Encaps, ConflictElim)):
         wrappers.append(system)
         system = system.body
-    comps = _flatten_par(system)[:rng.randint(1, 2)]
+    comps = _leaves(system, Par)[:rng.randint(1, 2)]
     comps += [renamed(c) for c in comps]
     if rng.random() < 0.5:
         rng.shuffle(comps)   # the groups' positions interleave
