@@ -190,12 +190,6 @@ def _signatures(out, block, tau_sccs=None):
     return sig
 
 
-def _first_appearance(block):
-    """Block ids renumbered in order of first appearance."""
-    first = {}
-    return [first.setdefault(b, len(first)) for b in block]
-
-
 def _splits(out, block, size, dirty, tau_sccs):
     """Re-sign the ``dirty`` states; the parts that leave their blocks.
 
@@ -224,28 +218,33 @@ def _splits(out, block, size, dirty, tau_sccs):
     return parts
 
 
-def _refine(out, inert):
-    """Signature refinement to strong bisimilarity, or with ``inert`` branching.
+def _refine(out, tau_sccs):
+    """Signature refinement to strong bisimilarity, or with ``tau_sccs``,
+    what ``_sccs`` returns for ``out``, to branching bisimilarity.
 
-    Yields every state's block after each round, as one list updated in
-    place; the last round is stable.  Block ids are stable: a block that
-    splits keeps its id for one part, and each other part takes the next
-    free id, so every id names a nonempty block and is below ``len(out)``.
-    A strong signature can then change only if a successor moved, so each
-    strong round re-signs only the predecessors of the states that moved
-    in the round before.  Branching signatures follow inert closures,
-    which any split can change, so every branching round re-signs every
-    state, in the order of the tau SCCs found once for all rounds.  A
-    round computes all its splits against the ids of the round before and
-    applies them at its end.  The partitions are those of re-signing every
-    state in every round, but their ids are not numbered by first
-    appearance.
+    Yields every state's block after each round; the last round is
+    stable.  The rounds alternate between two lists.  Resumed after round
+    k, the generator brings the list of round k - 1 up to date on the
+    states that moved in round k, and round k + 1 writes its splits into
+    that list.  So the list yielded for round k - 1 still holds that round
+    while round k is read, with no copy: a round costs time in proportion
+    to the states it re-signs and those that moved.
+
+    Block ids are stable: a block that splits keeps its id for one part,
+    and each other part takes the next free id, so every id names a
+    nonempty block and is below ``len(out)``.  A strong signature can then
+    change only if a successor moved, so each strong round re-signs only
+    the predecessors of the states that moved in the round before.
+    Branching signatures follow inert closures, which any split can
+    change, so every branching round re-signs every state, in the order of
+    ``tau_sccs``.  A round computes all its splits against the ids of the
+    round before.  The partitions are those of re-signing every state in
+    every round, but their ids are not numbered by first appearance.
     """
     total = len(out)
-    block = [0] * total
+    block, older = [0] * total, [0] * total
     size = [total]      # states per block id
-    tau_sccs = _sccs(out) if inert else None
-    if not inert:
+    if not tau_sccs:
         pred = [[] for _ in range(total)]
         for s, ts in enumerate(out.succ):
             for t in ts:
@@ -258,36 +257,42 @@ def _refine(out, inert):
             new = len(size)
             size.append(len(part))
             for s in part:
-                block[s] = new
+                older[s] = new
+        block, older = older, block
         yield block
         if not parts:
             return
-        if not inert:
+        for part in parts:      # older: from round k - 1 to round k
+            for s in part:
+                older[s] = block[s]
+        if not tau_sccs:
             dirty = {p for part in parts for s in part for p in pred[s]}
 
 
-def _unmatched(left_sig, right_sig, labels, total):
-    """The label of the least (label, block) move of one signature only,
-    and its side."""
-    move = min(left_sig ^ right_sig,
-               key=lambda m: (label_str(labels[m // total]), m % total))
-    return labels[move // total], "left" if move in left_sig else "right"
-
-
-def _explain(out, labels, p, q, inert, k):
-    """Why states p (left) and q (right), split at round k, differ: a move
-    one side has and the other cannot match at that round (Cleaveland
-    1990).
-
-    The rounds run again up to round k-1, whose list ``_refine`` leaves as
-    is while it is not resumed.
+def _unmatched(out, labels, block, p, q, tau_sccs=None):
+    """The label of the least (label, block) move that only one of the
+    states p (the left side) and q (the right) has, over ``block``
+    renumbered by first appearance, and that side; None if there is none.
     """
-    prev = (next(islice(_refine(out, inert), k - 1, None)) if k
-            else [0] * len(out))
-    sigs = _signatures(out, _first_appearance(prev),
-                       _sccs(out) if inert else None)
-    a, side = _unmatched(sigs[p], sigs[q], labels, len(out))
-    if not k:
+    first = {}
+    sigs = _signatures(out, [first.setdefault(b, len(first)) for b in block],
+                       tau_sccs)
+    total = len(out)
+    move = min(sigs[p] ^ sigs[q], default=None,
+               key=lambda m: (label_str(labels[m // total]), m % total))
+    if move is None:
+        return None
+    return labels[move // total], "left" if move in sigs[p] else "right"
+
+
+def _explain(out, labels, p, q, tau_sccs, prev):
+    """Why states p (left) and q (right) differ, split in the round after
+    the one whose blocks are ``prev``, or in round 0 if ``prev`` is None:
+    a move one side has and the other cannot match at the round before
+    (Cleaveland 1990).
+    """
+    a, side = _unmatched(out, labels, prev or [0] * len(out), p, q, tau_sccs)
+    if prev is None:
         return StepCounterexample(
             (), f"step {label_str(a)} is enabled on the {side} side only")
     other = "right" if side == "left" else "left"
@@ -309,20 +314,22 @@ def _bisim(left, right, name, inert, rooted=False):
     states' own moves over the stable blocks.
     """
     out, labels, p, q = _union(left, right)
-    for k, block in enumerate(_refine(out, inert)):
+    tau_sccs = _sccs(out) if inert else None
+    prev = None         # the blocks of the round before
+    for block in _refine(out, tau_sccs):
         if block[p] != block[q]:
             # prefer a weak-trace counterexample: concrete and easy to read
-            cx = inert and _trace_counterexample(out, labels, p, q)
-            return Verdict(False, name,
-                           cx or _explain(out, labels, p, q, inert, k))
-    if rooted:
-        # root condition: every initial move must be matched immediately
-        sigs = _signatures(out, _first_appearance(block))
-        if sigs[p] != sigs[q]:
-            a, side = _unmatched(sigs[p], sigs[q], labels, len(out))
-            return Verdict(False, name, StepCounterexample(
-                (), f"root condition: initial step {label_str(a)} "
-                    f"on the {side} side has no immediate match"))
+            cx = tau_sccs and _trace_counterexample(out, labels, p, q)
+            return Verdict(False, name, cx or _explain(
+                out, labels, p, q, tau_sccs, prev))
+        prev = block
+    # root condition: every initial move must be matched immediately
+    unmatched = _unmatched(out, labels, block, p, q) if rooted else None
+    if unmatched is not None:
+        a, side = unmatched
+        return Verdict(False, name, StepCounterexample(
+            (), f"root condition: initial step {label_str(a)} "
+                f"on the {side} side has no immediate match"))
     return Verdict(True, name, details={"blocks": len(set(block))})
 
 
@@ -356,8 +363,8 @@ def minimize(lts: StepLTS, relation: str = "branching") -> StepLTS:
     if relation not in ("strong", "branching"):
         raise ValueError(f"unknown relation {relation}")
     out, _, _ = _union(lts)
-    drop_inert = relation == "branching"
-    block = deque(_refine(out, drop_inert), maxlen=1).pop()   # the stable one
+    tau_sccs = _sccs(out) if relation == "branching" else None
+    block = deque(_refine(out, tau_sccs), maxlen=1).pop()   # the stable one
 
     # renumber blocks by first reachable representative
     queue = deque([lts.initial])
@@ -381,7 +388,7 @@ def minimize(lts: StepLTS, relation: str = "branching") -> StepLTS:
         s, t = order.get(block[s]), order.get(block[t])
         if s is None or t is None:
             continue  # unreachable
-        if not (drop_inert and s == t and lts.labels[i] == TAU):
+        if not (tau_sccs and s == t and lts.labels[i] == TAU):
             edges.add((s, ranks[i], t))
     names = tuple(lts.state_names[reps[b]] for b in order)
     columns = zip(*sorted(edges)) if edges else ((), (), ())
@@ -407,9 +414,10 @@ def _tau_closure(states, out):
     return frozenset(closure)
 
 
-def _weak_trace(out, labels, p, q):
+def _weak_trace(out, labels, p, q, side="left"):
     """A shortest weak (tau-abstracted) trace of state ``p`` that state
-    ``q`` lacks, both states of the union ``out``, or None."""
+    ``q`` lacks, both states of the union ``out``, as a counterexample
+    whose ``side`` admits it; or None."""
     moves, succ, n = out.moves, out.succ, len(out)
     start = (_tau_closure({p}, out), _tau_closure({q}, out))
     seen = {start}
@@ -429,7 +437,7 @@ def _weak_trace(out, labels, p, q):
             nr_core = {t for s in rs for m2, t in zip(moves[s], succ[s])
                        if m2 == m}
             if not nr_core:
-                return longer
+                return TraceCounterexample(longer, side)
             nr = _tau_closure(nr_core, out)
             nxt = (nl, nr)
             if nxt not in seen:
@@ -441,11 +449,8 @@ def _weak_trace(out, labels, p, q):
 def _trace_counterexample(out, labels, p, q):
     """A shortest weak trace that only one of the states ``p`` (the left
     side) and ``q`` (the right) has, p's first, or None."""
-    trace = _weak_trace(out, labels, p, q)
-    if trace is not None:
-        return TraceCounterexample(trace, "left")
-    trace = _weak_trace(out, labels, q, p)
-    return None if trace is None else TraceCounterexample(trace, "right")
+    return (_weak_trace(out, labels, p, q)
+            or _weak_trace(out, labels, q, p, "right"))
 
 
 def weak_trace_inclusion(left: StepLTS, right: StepLTS) -> Verdict:
@@ -453,9 +458,8 @@ def weak_trace_inclusion(left: StepLTS, right: StepLTS) -> Verdict:
 
     On failure the counterexample is a shortest left-only trace.
     """
-    trace = _weak_trace(*_union(left, right))
-    return Verdict(trace is None, "weak trace inclusion", None
-                   if trace is None else TraceCounterexample(trace, "left"))
+    cx = _weak_trace(*_union(left, right))
+    return Verdict(cx is None, "weak trace inclusion", cx)
 
 
 def weak_traces_equal(left: StepLTS, right: StepLTS) -> Verdict:

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -190,6 +191,97 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "root condition" in out
         assert "(rooted-branching-bisim) FAILS" in out
+
+
+# Failed checks that no weak trace explains, so that the explanation signs
+# the round before the split: L0 and R0 are ROADMAP item 7's pair at n = 3,
+# with equal weak traces; B and C split at round 4, PA and PB at round 0.
+EXPLAINED = """
+process L {
+    L0 = a . L0 + b . L0 + a . L1
+    L1 = a . L2 + b . L2
+    L2 = a . L3 + b . L3
+    L3 = a . L0 + b . L0 + c . LX
+    LX = d . L0 + e . L0
+}
+process R {
+    R0 = a . R0 + b . R0 + a . R1
+    R1 = a . R2 + b . R2
+    R2 = a . R3 + b . R3
+    R3 = a . R0 + b . R0 + c . RD + c . RE
+    RD = d . R0
+    RE = e . R0
+}
+process LATE {
+    B = a . x . x . x . b
+    C = a . x . x . x . c
+}
+process LOOPS {
+    PA = a . PA
+    PB = b . PB
+}
+check nfa_bb: L0 ~bb R0
+check nfa_sb: L0 ~sb R0
+check nfa_rbb: L0 ~rbb R0
+check nfa_tr: L0 ~tr R0
+check late: B ~sb C
+check first: PA ~sb PB
+"""
+
+UNMATCHED_A = "after {a}: the right side cannot match step {a}"
+ENABLED_A = "after <initial states>: step {a} is enabled on the left side only"
+# check, left, right, relation, states each side, counterexample detail
+# and trace, or None for a check that holds
+EXPLAINED_CHECKS = [
+    ("nfa_bb", "L0", "R0", "branching-bisim", 5, 6, (UNMATCHED_A, ["{a}"])),
+    ("nfa_sb", "L0", "R0", "strong-step-bisim", 5, 6,
+     (UNMATCHED_A, ["{a}"])),
+    ("nfa_rbb", "L0", "R0", "rooted-branching-bisim", 5, 6,
+     (UNMATCHED_A, ["{a}"])),
+    ("nfa_tr", "L0", "R0", "weak-trace-inclusion", 5, 6, None),
+    ("late", "B", "C", "strong-step-bisim", 6, 6, (UNMATCHED_A, ["{a}"])),
+    ("first", "PA", "PB", "strong-step-bisim", 1, 1, (ENABLED_A, [])),
+]
+
+
+class TestExplanationOutput:
+    @pytest.fixture
+    def explained_model(self, tmp_path):
+        path = tmp_path / "explained.aptc"
+        path.write_text(EXPLAINED)
+        return str(path)
+
+    def test_text(self, explained_model, capsys):
+        assert main(["check", explained_model]) == 1
+        out = re.sub(r", \d+\.\d\ds\]", ", _s]", capsys.readouterr().out)
+        assert out == (
+            "nfa_bb: L0 vs R0 (branching-bisim) FAILS [5/6 states, _s]\n"
+            f"  {UNMATCHED_A}\n"
+            "nfa_sb: L0 vs R0 (strong-step-bisim) FAILS [5/6 states, _s]\n"
+            f"  {UNMATCHED_A}\n"
+            "nfa_rbb: L0 vs R0 (rooted-branching-bisim) FAILS "
+            "[5/6 states, _s]\n"
+            f"  {UNMATCHED_A}\n"
+            "nfa_tr: L0 vs R0 (weak-trace-inclusion) holds [5/6 states, _s]\n"
+            "late: B vs C (strong-step-bisim) FAILS [6/6 states, _s]\n"
+            f"  {UNMATCHED_A}\n"
+            "first: PA vs PB (strong-step-bisim) FAILS [1/1 states, _s]\n"
+            f"  {ENABLED_A}\n")
+
+    def test_json(self, explained_model, capsys):
+        assert main(["check", explained_model, "--json"]) == 1
+        expected = []
+        for check, left, right, relation, ls, rs, cx in EXPLAINED_CHECKS:
+            record = {"check": check, "holds": cx is None, "left": left,
+                      "left_states": ls, "relation": relation,
+                      "right": right, "right_states": rs}
+            if cx is not None:
+                record["counterexample"] = {
+                    "detail": cx[0], "kind": "StepCounterexample",
+                    "trace": cx[1]}
+            expected.append(record)
+        assert capsys.readouterr().out == (
+            json.dumps(expected, indent=2, sort_keys=True) + "\n")
 
 
 class TestLts:
