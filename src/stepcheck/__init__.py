@@ -7,8 +7,6 @@ step or branching bisimulation.  A composition layer derives activity
 bases from orchestrations and verifies assembled service systems
 against their specifications.
 """
-from importlib import resources
-
 from .composition import (
     AbDef,
     CompositionError,
@@ -77,6 +75,9 @@ __version__ = "0.1.0"
 
 def bundled_model_path(name: str = "ws_composition.aptc"):
     """Path to a model shipped with the package."""
+    # imported here: the checks never read a bundled model, and the
+    # import costs a fresh interpreter tens of milliseconds
+    from importlib import resources
     return resources.files(__name__) / "data" / name
 
 

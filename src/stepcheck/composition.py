@@ -7,7 +7,7 @@ internal traffic, blocks half-synchronizations, and eliminates conflicts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 from .equivalence import (
@@ -40,6 +40,7 @@ from .terms import (
     Var,
     WholePar,
     alphabet,
+    record,
     term_to_str,
 )
 
@@ -48,7 +49,7 @@ class CompositionError(Exception):
     pass
 
 
-@dataclass
+@record
 class AbDef:
     """An activity base derived from an orchestration by hiding internals."""
     name: str
@@ -65,7 +66,7 @@ class AbDef:
                          for n, rhs in self.spec.equations.items())
 
 
-@dataclass
+@record
 class WscContract:
     """The contract: the protocol the coupled interactions must follow."""
     name: str

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import CheckGoal, Model, RELATIONS
 from .terms import (
@@ -42,6 +42,7 @@ from .terms import (
     Sum,
     Var,
     WholePar,
+    record,
     term_to_str,
 )
 
@@ -71,8 +72,7 @@ class ResolutionError(Exception):
 # Lexer
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str    # name | symbol | eof
     text: str
     line: int
@@ -116,7 +116,7 @@ def tokenize(source: str):
 # afterwards turns them into Var (equation names) or Act (everything else).
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class _Name(ProcessTerm):
     name: str
     args: tuple = ()

@@ -9,17 +9,18 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import field
 from itertools import count, islice
 from operator import add
 from typing import Optional
 
 from .semantics import StepLTS, label_str
+from .terms import record
 
 TAU: tuple = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TraceCounterexample:
     """A weak trace one side admits and the other does not."""
 
@@ -31,7 +32,7 @@ class TraceCounterexample:
         return f"trace {shown} is possible on the {self.side} side only"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StepCounterexample:
     """A distinguishing position reached by replaying matched steps."""
 
@@ -43,7 +44,7 @@ class StepCounterexample:
         return f"after {shown}: {self.reason}"
 
 
-@dataclass
+@record
 class Verdict:
     holds: bool
     relation: str
@@ -158,9 +159,9 @@ def _sccs(out):
     return succ, sccs
 
 
-def _signatures(out, block, tau_sccs=None):
-    """Each state's (label, block) moves; with ``tau_sccs``, what ``_sccs``
-    returns for ``out``, branching ones.
+def _signatures(out, block, tau_sccs):
+    """Each state's branching signature, its (label, block) moves, given
+    ``tau_sccs``, what ``_sccs`` returns for ``out``.
 
     A tau step that stays in its block is inert: as a move it is the one
     integer ``block``, and the state also gets the moves of its target.
@@ -170,9 +171,6 @@ def _signatures(out, block, tau_sccs=None):
     moves with the signatures of the SCCs it reaches by inert steps.
     """
     moves, succ, at = out.moves, out.succ, block.__getitem__
-    if tau_sccs is None:
-        return [frozenset(map(add, ms, map(at, ts)))
-                for ms, ts in zip(moves, succ)]
     taus, sccs = tau_sccs
     sig = [None] * len(block)
     for comp in sccs:
@@ -273,16 +271,37 @@ def _unmatched(out, labels, block, p, q, tau_sccs=None):
     """The label of the least (label, block) move that only one of the
     states p (the left side) and q (the right) has, over ``block``
     renumbered by first appearance, and that side; None if there is none.
+
+    Only p and q are signed, each as ``_signatures`` signs it: with
+    ``tau_sccs``, with the moves of the states it reaches by inert tau
+    steps, less the inert step itself.
     """
-    first = {}
-    sigs = _signatures(out, [first.setdefault(b, len(first)) for b in block],
-                       tau_sccs)
+    first = {b: i for i, b in enumerate(dict.fromkeys(block))}
+    moves, succ = out.moves, out.succ
+
+    def at(s):
+        return first[block[s]]
+
+    def signature(s):
+        b = at(s)
+        reached, stack = {s}, [s]
+        while tau_sccs and stack:
+            for t in tau_sccs[0][stack.pop()]:
+                if t not in reached and at(t) == b:
+                    reached.add(t)
+                    stack.append(t)
+        sig = {m for u in reached for m in map(add, moves[u], map(at, succ[u]))}
+        if tau_sccs:
+            sig.discard(b)
+        return sig
+
+    left, right = signature(p), signature(q)
     total = len(out)
-    move = min(sigs[p] ^ sigs[q], default=None,
+    move = min(left ^ right, default=None,
                key=lambda m: (label_str(labels[m // total]), m % total))
     if move is None:
         return None
-    return labels[move // total], "left" if move in sigs[p] else "right"
+    return labels[move // total], "left" if move in left else "right"
 
 
 def _explain(out, labels, p, q, tau_sccs, prev):

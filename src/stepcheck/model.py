@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from .terms import (
     CommTable,
     ConflictRelation,
     Violation,
     names_written,
+    record,
     validate_terms,
 )
 
@@ -21,7 +22,7 @@ RELATIONS = {
 }
 
 
-@dataclass
+@record
 class CheckGoal:
     name: str
     left: str
@@ -34,7 +35,7 @@ class CheckGoal:
             raise ValueError(f"unknown relation {self.relation}")
 
 
-@dataclass
+@record
 class Model:
     domains: tuple = ()          # DataDomain
     processes: tuple = ()        # RecursiveSpec

@@ -10,7 +10,7 @@ import itertools
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import field
 from operator import eq, itemgetter, sub
 from typing import NamedTuple, Optional
 
@@ -34,6 +34,7 @@ from .terms import (
     WholePar,
     elaborate_sums,
     names_written,
+    record,
     term_to_str,
 )
 
@@ -67,7 +68,7 @@ POLICIES = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Config:
     comm_policy: str = "chained"
     step_mode: str = "step"
@@ -87,7 +88,7 @@ class Config:
 # Canonical terms and states
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class _Terminated(ProcessTerm):
     def __repr__(self):
         return "TERM"
@@ -264,7 +265,7 @@ class _Rendered(dict):
         return value
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PreparedSystem:
     """Everything step generation reads about one system, built once."""
 
@@ -880,7 +881,7 @@ def enabled_steps(state: SystemState, prepared: PreparedSystem):
 # The LTS
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True, init=False)
 class StepLTS:
     """A step LTS, its transitions held as integer columns.
 

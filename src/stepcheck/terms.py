@@ -6,7 +6,7 @@ sum-free terms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, MISSING, dataclass, fields, replace
 from typing import Mapping, NamedTuple, Optional, Union
 
 TAU_NAME = "tau"
@@ -22,7 +22,109 @@ class UnknownDomainError(SpecError):
     pass
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# Records
+
+
+def record(cls=None, /, *, init=True, eq=True, frozen=False):
+    """``dataclass`` with the options ``init``, ``eq`` and ``frozen``,
+    whose methods are the ones of ``_Record``, written once, in place of
+    code that ``dataclass`` generates and compiles for each class.
+
+    ``dataclass(cls, init=False, repr=False, eq=False)`` registers the
+    fields, which generates no code, so ``dataclasses.fields``,
+    ``replace``, ``is_dataclass`` and ``__match_args__`` work as on any
+    dataclass.  A method that the class defines itself is kept.  Every
+    field is shown, compared and hashed; a field takes a default or a
+    default factory and no other option.
+    """
+    def wrap(cls):
+        if cls.__doc__ is None:
+            # ``dataclass`` would ask ``inspect`` for a signature to show
+            cls.__doc__ = f"{cls.__name__}({', '.join(cls.__annotations__)})"
+        dataclass(cls, init=False, repr=False, eq=False)
+        cls._record_defaults = {
+            f.name: f.default_factory if f.default is MISSING
+            else (lambda default=f.default: default)
+            for f in fields(cls) if f.default is not MISSING
+            or f.default_factory is not MISSING}
+        methods = ["__repr__"]
+        if init:
+            methods.append("__init__")
+        if eq:
+            methods.append("__eq__")
+            # a mutable record that compares by value is unhashable
+            if "__hash__" not in vars(cls):
+                cls.__hash__ = _Record.__hash__ if frozen else None
+        if frozen:
+            methods += ("__setattr__", "__delattr__")
+        for name in methods:
+            if name not in vars(cls):
+                setattr(cls, name, vars(_Record)[name])
+        return cls
+    return wrap if cls is None else wrap(cls)
+
+
+def _field_values(record) -> tuple:
+    # a dataclass's __match_args__ names its fields in declaration order
+    return tuple(getattr(record, f) for f in record.__match_args__)
+
+
+def _bind(cls, args, kwargs) -> tuple:
+    """The field values, in order, of the record ``cls(*args, **kwargs)``:
+    the arguments by position, then by keyword, then the defaults."""
+    names = cls.__match_args__
+    if not kwargs and len(args) == len(names):
+        return args
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__qualname__}() takes {len(names)} "
+                        f"arguments but {len(args)} were given")
+    values = list(args)
+    defaults = cls._record_defaults
+    for name in names[len(args):]:
+        if name in kwargs:
+            values.append(kwargs.pop(name))
+        elif name in defaults:
+            values.append(defaults[name]())
+        else:
+            raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
+    if kwargs:
+        raise TypeError(f"{cls.__qualname__}() got an unexpected or "
+                        f"repeated argument {next(iter(kwargs))!r}")
+    return tuple(values)
+
+
+class _Record:
+    """The methods that ``record`` gives its classes; never a base."""
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        vars(self).update(zip(cls.__match_args__, _bind(cls, args, kwargs)))
+        post_init = getattr(cls, "__post_init__", None)
+        if post_init is not None:
+            post_init(self)
+
+    def __repr__(self):
+        return type(self).__qualname__ + "(" + ", ".join(
+            f"{name}={getattr(self, name)!r}"
+            for name in self.__match_args__) + ")"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return _field_values(self) == _field_values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(_field_values(self))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@record(frozen=True)
 class DataDomain:
     """A finite, ordered set of data constants."""
 
@@ -102,17 +204,18 @@ _INTERNED: dict = {}
 
 
 class _Interning(type):
-    """Metaclass of the term nodes: interns each node once its
-    ``__init__`` and ``__post_init__`` have accepted it."""
+    """Metaclass of the term nodes: binds the arguments to the fields and
+    looks the node up, and constructs it only if it is new; a new node is
+    interned once its ``__init__`` and ``__post_init__`` have accepted
+    it."""
 
     def __call__(cls, *args, **kwargs):
-        term = super().__call__(*args, **kwargs)
-        return _INTERNED.setdefault((cls, *_field_values(term)), term)
-
-
-def _field_values(term) -> tuple:
-    # a dataclass's __match_args__ names its fields in declaration order
-    return tuple(getattr(term, f) for f in term.__match_args__)
+        values = _bind(cls, args, kwargs)
+        key = (cls, *values)
+        term = _INTERNED.get(key)
+        if term is None:
+            term = _INTERNED[key] = super().__call__(*values)
+        return term
 
 
 class ProcessTerm(metaclass=_Interning):
@@ -186,35 +289,35 @@ class _Unary(ProcessTerm):
         return replace(self, body=kids[0])
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Deadlock(ProcessTerm):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Act(ProcessTerm):
     label: ActionLabel
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Shadow(ProcessTerm):
     """Placeholder that only fires fused with a concurrent base action."""
 
     base: str
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Var(ProcessTerm):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Seq(_Binary):
     left: ProcessTerm
     right: ProcessTerm
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Alt(ProcessTerm):
     branches: tuple[ProcessTerm, ...]
 
@@ -229,13 +332,13 @@ class Alt(ProcessTerm):
         return Alt(tuple(kids))
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Par(_Binary):
     left: ProcessTerm
     right: ProcessTerm
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class WholePar(_Binary):
     """System-level parallel composition; semantically identical to Par."""
 
@@ -243,26 +346,26 @@ class WholePar(_Binary):
     right: ProcessTerm
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Sum(_Unary):
     binder: str
     domain: str
     body: ProcessTerm
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Hide(_Unary):
     names: frozenset
     body: ProcessTerm
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Encaps(_Unary):
     names: frozenset
     body: ProcessTerm
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class ConflictElim(_Unary):
     body: ProcessTerm
 
@@ -289,7 +392,7 @@ def _walk(term, equations=None):
             stack += [(k, binders) for k in reversed(t.children())]
 
 
-@dataclass
+@record
 class RecursiveSpec:
     """A guarded equation system with a distinguished entry variable."""
 
@@ -298,7 +401,7 @@ class RecursiveSpec:
     entry: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CommEntry:
     a: str
     b: str
@@ -308,7 +411,7 @@ class CommEntry:
         return frozenset((self.a, self.b))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CommTable:
     """The communication function: unordered action-name pairs -> result.
     Each pair relates two distinct actions and is declared once."""
@@ -337,7 +440,7 @@ class CommTable:
         return frozenset(names)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConflictRelation:
     pairs: frozenset = frozenset()  # of frozenset name pairs
 
@@ -446,7 +549,7 @@ def elaborate_sums(term: ProcessTerm, domains: Mapping[str, DataDomain]) -> Proc
 # Alphabet
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AlphabetInfo:
     actions: frozenset  # of ActionLabel, ground, without tau/delta
     shadow_bases: frozenset  # of base names
@@ -509,7 +612,7 @@ def guardedness_check(spec: RecursiveSpec) -> tuple[bool, tuple[str, ...]]:
 # Validation
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Violation:
     kind: str
     subject: str

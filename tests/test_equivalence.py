@@ -721,6 +721,71 @@ class TestExplanation:
                 assert not any(u in verdict.pretty() for u in UNEXPLAINED)
 
 
+def reference_unmatched(out, labels, block, p, q, inert):
+    """``equivalence._unmatched`` by signing every state of the arena, as
+    ``reference_blocks`` signs it, over ``block`` renamed."""
+    rows, block = arena_rows(out), renamed(block)
+    sigs = []
+    for s in range(len(rows)):
+        closure = [s]
+        if inert:
+            for u in closure:
+                for a, t in rows[u]:
+                    if a == 0 and block[t] == block[s] and t not in closure:
+                        closure.append(t)
+        sigs.append({(a, block[t]) for u in closure for a, t in rows[u]
+                     if not (inert and a == 0 and block[t] == block[s])})
+    only = sigs[p] ^ sigs[q]
+    if not only:
+        return None
+    a, b = min(only, key=lambda m: (label_str(labels[m[0]]), m[1]))
+    return labels[a], "left" if (a, b) in sigs[p] else "right"
+
+
+class Rows(list):
+    """An arena's rows that record which states are read."""
+
+    def __init__(self, rows, read):
+        super().__init__(rows)
+        self.read = read
+
+    def __getitem__(self, s):
+        self.read.add(s)
+        return super().__getitem__(s)
+
+
+class TestUnmatched:
+    # the explanation and the root condition sign only the two states
+    # they compare, and what those reach by inert tau steps
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.one_of(lts_pair(), st.tuples(long_lts(), long_lts())),
+           st.booleans())
+    def test_matches_signing_every_state(self, pair, inert):
+        out, labels, p, q = equivalence._union(*pair)
+        tau_sccs = equivalence._sccs(out) if inert else None
+        rounds = [[0] * len(out)] + [
+            b[:] for b in equivalence._refine(out, tau_sccs)]
+        for block in rounds:
+            assert (equivalence._unmatched(out, labels, block, p, q, tau_sccs)
+                    == reference_unmatched(out, labels, block, p, q, inert))
+
+    @pytest.mark.parametrize("inert", [False, True])
+    def test_signs_only_the_two_states(self, inert):
+        # the initial states are the loops at the chains' ends, which reach
+        # no other state by a tau step
+        out, labels, p, q = equivalence._union(
+            replace(tau_chain("a"), initial=1999),
+            replace(tau_chain("b", 10), initial=9))
+        tau_sccs = equivalence._sccs(out) if inert else None
+        *_, block = equivalence._refine(out, tau_sccs)
+        read = set()
+        spy = equivalence._Arena(Rows(out.moves, read), Rows(out.succ, read))
+        unmatched = equivalence._unmatched(spy, labels, block, p, q, tau_sccs)
+        assert read == {p, q}
+        assert unmatched == ((ActionLabel("a"),), "left") == reference_unmatched(
+            out, labels, block, p, q, inert)
+
+
 # ---------------------------------------------------------------------------
 # The LTS's integer columns against plain transition tuples
 

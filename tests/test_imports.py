@@ -430,3 +430,57 @@ def test_lines_of_code_leave_out_docstrings_comments_and_blanks(tmp_path):
     (tmp_path / "c.txt").write_text("x = 1\n")
     assert lines_of_code(tmp_path / "a.py") == 6
     assert lines_of_code(tmp_path) == 8
+
+
+# Run in a fresh interpreter: counts the source strings that
+# ``dataclasses`` compiles into methods while stepcheck is imported, then
+# for one dataclass declared after it, which shows that the hook sees
+# them, and says whether ``importlib.resources`` was loaded.
+_AUDITED_IMPORT = """
+import sys
+
+compiled = []
+
+def hook(event, args):
+    # frame 1 is the one that compiles: the hook is called from C; the
+    # frames behind it may be anything's, as when ``dataclasses`` imports
+    # ``inspect``, whose ``dis`` compiles named tuples
+    if (event == "compile" and args[1] == "<string>"
+            and sys._getframe(1).f_code.co_filename.endswith("dataclasses.py")):
+        compiled.append(args[0])
+
+sys.addaudithook(hook)
+import stepcheck
+on_import = len(compiled)
+import dataclasses
+
+@dataclasses.dataclass
+class Probe:
+    x: int
+
+print(on_import, len(compiled) - on_import,
+      "importlib.resources" in sys.modules)
+"""
+
+
+def audited_import(*flags) -> list:
+    root = Path(stepcheck.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, *flags, "-c", _AUDITED_IMPORT],
+                         env=dict(os.environ, PYTHONPATH=str(root)),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.split()
+
+
+def test_import_compiles_no_dataclass_methods():
+    # every record shares one set of methods; ``dataclass`` generates and
+    # compiles none
+    on_import, probe, _ = audited_import()
+    assert on_import == "0" and probe != "0"
+
+
+def test_import_loads_no_importlib_resources():
+    # ``bundled_model_path`` imports it when it is called; ``-S`` keeps
+    # out the site packages, which may import it themselves
+    *_, loaded = audited_import("-S")
+    assert loaded == "False"

@@ -4,16 +4,32 @@ import pickle
 
 import pytest
 
-from stepcheck.dsl import ParseError, _Name, parse_model
-from stepcheck.model import Model
-from stepcheck.semantics import _CANONICAL, TERM, _alt, _par, _seq, _wrap, canon
+from stepcheck import composition, dsl, equivalence, model, semantics, terms
+from stepcheck.composition import AbDef, WscContract
+from stepcheck.dsl import ParseError, Token, _Name, parse_model
+from stepcheck.equivalence import StepCounterexample, TraceCounterexample, Verdict
+from stepcheck.model import CheckGoal, Model
+from stepcheck.semantics import (
+    _CANONICAL,
+    TERM,
+    Config,
+    PreparedSystem,
+    StepLTS,
+    _alt,
+    _par,
+    _seq,
+    _wrap,
+    canon,
+)
 from stepcheck.terms import (
     Act,
     ActionLabel,
+    AlphabetInfo,
     Alt,
     CommEntry,
     CommTable,
     ConflictElim,
+    ConflictRelation,
     DataDomain,
     Deadlock,
     Encaps,
@@ -26,6 +42,7 @@ from stepcheck.terms import (
     Sum,
     UnknownDomainError,
     Var,
+    Violation,
     WholePar,
     alphabet,
     elaborate_sums,
@@ -362,3 +379,220 @@ class TestInterning:
         assert chain(10_000) is t and chain(10_000) == t
         assert hash(chain(10_000)) == hash(t)
         assert {t: "deep"}[chain(10_000)] == "deep"
+
+
+# ---------------------------------------------------------------------------
+# The record contract: every class of ``src/stepcheck`` declared with
+# ``dataclasses`` options keeps what the library's callers read of it
+
+
+LTS = StepLTS(0, 2, ((0, (ActionLabel("a"),), 1),), ("s0", "s1"))
+PAIRS = frozenset({frozenset({"a", "b"})})   # its order varies by hash seed
+SPEC = RecursiveSpec("P", {"P": Seq(act("a", "d1"), Var("P"))}, "P")
+_ACT = "Act(label=ActionLabel(name='a', args=('d1',)))"
+_CONFIG = ("Config(comm_policy='chained', step_mode='step', "
+           "round_mode='overlap', shadow_policy='strict', max_states=100000)")
+_LTS = ("StepLTS(initial=0, num_states=2, transitions=((0, "
+        "(ActionLabel(name='a', args=()),), 1),), state_names=('s0', 's1'))")
+_SPEC = ("RecursiveSpec(name='P', equations={'P': Seq(left=" + _ACT
+         + ", right=Var(name='P'))}, entry='P')")
+
+# (sample, its repr)
+RECORDS = [
+    (DataDomain("D", ("d1", "d2")), "DataDomain(name='D', values=('d1', 'd2'))"),
+    (Deadlock(), "Deadlock()"),
+    (act("a", "d1"), _ACT),
+    (Shadow("b"), "Shadow(base='b')"),
+    (Var("P"), "Var(name='P')"),
+    (Seq(act("a", "d1"), Var("P")), f"Seq(left={_ACT}, right=Var(name='P'))"),
+    (Alt((act("a", "d1"), Var("P"))),
+     f"Alt(branches=({_ACT}, Var(name='P')))"),
+    (Par(act("a", "d1"), Deadlock()), f"Par(left={_ACT}, right=Deadlock())"),
+    (WholePar(Var("P"), Var("Q")),
+     "WholePar(left=Var(name='P'), right=Var(name='Q'))"),
+    (Sum("x", "D", act("a", "x")), "Sum(binder='x', domain='D', body="
+     "Act(label=ActionLabel(name='a', args=('x',))))"),
+    (Hide(frozenset({"a"}), Var("P")),
+     "Hide(names=frozenset({'a'}), body=Var(name='P'))"),
+    (Encaps(frozenset({"a"}), Var("P")),
+     "Encaps(names=frozenset({'a'}), body=Var(name='P'))"),
+    (ConflictElim(Var("P")), "ConflictElim(body=Var(name='P'))"),
+    (_Name("a", ("d1",)), "_Name(name='a', args=('d1',))"),
+    (TERM, "TERM"),
+    (SPEC, _SPEC),
+    (CommEntry("a", "b", "c"), "CommEntry(a='a', b='b', result='c')"),
+    (CommTable((CommEntry("a", "b"),)),
+     "CommTable(entries=(CommEntry(a='a', b='b', result=None),))"),
+    (ConflictRelation(PAIRS), f"ConflictRelation(pairs={PAIRS!r})"),
+    (AlphabetInfo(frozenset({ActionLabel("a")}), frozenset({"b"})),
+     "AlphabetInfo(actions=frozenset({ActionLabel(name='a', args=())}), "
+     "shadow_bases=frozenset({'b'}))"),
+    (Violation("unbound-variable", "Q", "Q used in P but never defined"),
+     "Violation(kind='unbound-variable', subject='Q', "
+     "message='Q used in P but never defined')"),
+    (AbDef("AB", "WSO", frozenset({"x"}), LTS, None),
+     "AbDef(name='AB', source='WSO', internal=frozenset({'x'}), "
+     f"lts={_LTS}, spec=None, notes=())"),
+    (WscContract("C", (("a", "b"),), SPEC),
+     f"WscContract(name='C', pairs=(('a', 'b'),), protocol={_SPEC})"),
+    (TraceCounterexample(((ActionLabel("a"),),), "left"),
+     "TraceCounterexample(trace=((ActionLabel(name='a', args=()),),), "
+     "side='left')"),
+    (StepCounterexample((), "why"), "StepCounterexample(trace=(), reason='why')"),
+    (Verdict(True, "strong step bisimulation", details={"blocks": 1}),
+     "Verdict(holds=True, relation='strong step bisimulation', "
+     "counterexample=None, details={'blocks': 1})"),
+    (CheckGoal("c", "P", "Q", "branching-bisim"),
+     "CheckGoal(name='c', left='P', right='Q', relation='branching-bisim', "
+     "overrides={})"),
+    (Model(), "Model(domains=(), processes=(), comms=CommTable(entries=()), "
+     "conflicts=ConflictRelation(pairs=frozenset()), action_sets={}, "
+     "systems={}, checks=())"),
+    (Config(), _CONFIG),
+    (PreparedSystem((Var("P"),), ("P",), (), ((), ()), {}, {}, {},
+                    frozenset(), frozenset(), ((0,),), Config()),
+     "PreparedSystem(components=(Var(name='P'),), entries=('P',), "
+     "wrappers=(), split=((), ()), equations={}, comm={}, "
+     "gamma_components={}, conflicts=frozenset(), shadow_bases=frozenset(), "
+     f"groups=((0,),), config={_CONFIG}, _moves_cache={{}}, "
+     "_step_cache={}, _group_cache={}, "
+     "_rounds_cache=defaultdict(<class 'dict'>, {}), _names={}, "
+     "_merged_labels={})"),
+    (LTS, _LTS),
+]
+MUTABLE = {RecursiveSpec, AbDef, WscContract, Verdict, CheckGoal, Model}
+
+
+def record_classes() -> set:
+    """The classes of stepcheck's modules that ``dataclasses`` knows."""
+    return {v for m in (terms, dsl, model, semantics, equivalence, composition)
+            for v in vars(m).values() if isinstance(v, type)
+            and v.__module__ == m.__name__ and dataclasses.is_dataclass(v)}
+
+
+def hash_of(value):
+    try:
+        return hash(value)
+    except TypeError:
+        return "unhashable"
+
+
+def values(record) -> tuple:
+    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+
+
+records = pytest.mark.parametrize(
+    "sample, text", RECORDS, ids=[type(s).__name__ for s, _ in RECORDS])
+
+
+class TestRecords:
+    def test_every_record_class_has_a_sample(self):
+        # one token is built per source token, so it is a named tuple
+        assert record_classes() - {Token} == {type(s) for s, _ in RECORDS}
+
+    @records
+    def test_repr(self, sample, text):
+        assert repr(sample) == text
+
+    @records
+    def test_fields_are_the_annotations_in_order(self, sample, text):
+        names = tuple(f.name for f in dataclasses.fields(sample))
+        assert names == tuple(type(sample).__annotations__)
+        assert type(sample).__match_args__ == names
+        assert dataclasses.is_dataclass(sample)
+
+    @records
+    def test_replace_keeps_the_value(self, sample, text):
+        same = dataclasses.replace(sample, **{
+            f.name: getattr(sample, f.name)
+            for f in dataclasses.fields(sample)})
+        assert dataclasses.replace(sample) == sample == same
+        assert type(same) is type(sample) and values(same) == values(sample)
+        if isinstance(sample, ProcessTerm):
+            assert same is sample
+        else:
+            assert same is not sample
+
+    @records
+    def test_equality_and_hash(self, sample, text):
+        cls = type(sample)
+        if isinstance(sample, ProcessTerm):
+            assert cls.__eq__ is object.__eq__
+            assert hash(sample) == object.__hash__(sample)
+        elif cls in MUTABLE:
+            assert cls.__hash__ is None and hash_of(sample) == "unhashable"
+        else:
+            # a value record hashes as the tuple of its compare fields
+            assert hash_of(sample) == hash_of(values(sample))
+        assert sample.__eq__(values(sample)) is NotImplemented
+        assert sample != values(sample)
+
+    @records
+    def test_frozen_records_refuse_assignment(self, sample, text):
+        if type(sample) in MUTABLE:
+            return
+        fields = dataclasses.fields(sample)
+        for name in [f.name for f in fields[:1]] + ["extra"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sample, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(sample, name)
+        assert values(sample) == tuple(
+            getattr(sample, f.name) for f in fields)
+
+    def test_mutable_records_take_assignment(self):
+        verdict = Verdict(True, "branching bisimulation")
+        verdict.relation = "rooted branching bisimulation"
+        assert verdict == Verdict(True, "rooted branching bisimulation")
+        model = Model()
+        model.checks = (CheckGoal("c", "P", "Q", "branching-bisim"),)
+        assert len(model.checks) == 1 and Model().checks == ()
+
+    def test_value_records_compare_their_fields(self):
+        assert Config() == Config("chained", "step")
+        assert Config() != Config(step_mode="interleave")
+        assert hash(Config()) == hash(Config(max_states=100000))
+        assert CommEntry("a", "b") != CommEntry("a", "b", "c")
+        assert LTS == StepLTS(0, 2, LTS.transitions, LTS.state_names)
+        assert LTS != StepLTS(1, 2, LTS.transitions, LTS.state_names)
+
+    def test_replace_changes_the_named_fields(self):
+        assert dataclasses.replace(Config(), step_mode="interleave") == \
+            Config(step_mode="interleave")
+        assert dataclasses.replace(
+            Seq(act("a"), Var("P")), right=Var("Q")) is Seq(act("a"), Var("Q"))
+        lts = dataclasses.replace(LTS, transitions=())
+        assert (lts.initial, lts.transitions, lts.num_states) == (0, (), 2)
+        assert list(lts.offsets) == [0, 0, 0]
+        with pytest.raises(ValueError):
+            dataclasses.replace(Config(), max_states=0)
+        with pytest.raises(TypeError):
+            dataclasses.replace(Config(), steps="step")
+
+    def test_arguments_bind_by_position_keyword_and_default(self):
+        assert CommEntry("a", b="b") == CommEntry(b="b", a="a", result=None)
+        assert _Name("a") is _Name(name="a", args=())
+        assert Verdict(False, "r", None, {}) == Verdict(False, "r")
+        # a default factory makes a fresh value for each record
+        assert Model().systems is not Model().systems
+        assert Verdict(True, "r").details is not Verdict(True, "r").details
+        for call in (lambda: Var(), lambda: Var("P", "Q"),
+                     lambda: Var("P", name="Q"), lambda: Var(label="P"),
+                     lambda: Config("chained", "step", "overlap", "strict",
+                                    10, 11),
+                     lambda: CommEntry("a"), lambda: Model(nope=1)):
+            with pytest.raises(TypeError):
+                call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: Config(step_mode="x"),
+        lambda: Config(max_states=0),
+        lambda: Alt(()),
+        lambda: CheckGoal("c", "P", "Q", "bisim"),
+        lambda: DataDomain("D", ()),
+        lambda: CommTable((CommEntry("a", "a"),)),
+        lambda: ConflictRelation(frozenset({frozenset({"a"})})),
+    ], ids=["config", "budget", "alt", "goal", "domain", "comm", "conflict"])
+    def test_post_init_validates(self, call):
+        with pytest.raises(ValueError):
+            call()
