@@ -346,24 +346,36 @@ def _split_wrappers(wrappers, conflicts) -> tuple:
     return tuple(w for w in wrappers if not isinstance(w, ConflictElim)), ()
 
 
-def _connected(keyed) -> tuple:
+def _connected(keyed, items=None) -> tuple:
     """The indices of ``keyed``, a sequence of key sets, partitioned so
     that two indices share a part when their key sets meet, directly or
-    through other indices.  The parts come ordered by their first index,
-    each with its indices in order."""
-    merged = []   # (keys, indices) per part found so far
+    through other indices; given ``items``, each index is replaced by its
+    item.  The parts come ordered by their first index, each with its
+    indices in order.
+
+    One union-find pass: each key remembers the first index that holds
+    it, and a later index that holds it joins that index's part.
+    """
+    parent = list(range(len(keyed)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    first = {}   # key -> the first index that holds it
     for i, keys in enumerate(keyed):
-        keys = set(keys)
-        indices = [i]
-        apart = []
-        for other_keys, other in merged:
-            if keys.isdisjoint(other_keys):
-                apart.append((other_keys, other))
-            else:
-                keys |= other_keys
-                indices += other
-        merged = apart + [(keys, indices)]
-    return tuple(sorted(tuple(sorted(indices)) for _, indices in merged))
+        for key in keys:
+            j = first.setdefault(key, i)
+            if j != i:
+                a, b = root(i), root(j)
+                if a != b:
+                    # the smaller index stays the root
+                    parent[max(a, b)] = min(a, b)
+    parts = {}
+    for i in range(len(keyed)):
+        parts.setdefault(root(i), []).append(i if items is None else items[i])
+    return tuple(map(tuple, parts.values()))
 
 
 def _gamma_components(comm: dict) -> dict:
@@ -385,12 +397,19 @@ def _fusion_groups(alphabets, gamma_components) -> tuple:
     A move fuses only with moves that offer one of its names or a name of
     its gamma component, so no fusion crosses a group.  The same holds for
     the names that the components' moves offer in one state, so
-    ``_group_part`` splits a group by those on a memo miss.  The groups
-    come ordered by their first position, each with its positions in
-    order.
+    ``_group_part`` splits a group by their ``_fusion_keys``, which
+    ``_moves`` keeps per term.  The groups come ordered by their first
+    position, each with its positions in order.
     """
-    return _connected([{gamma_components.get(n, n) for n in alphabet}
+    return _connected([_fusion_keys(alphabet, gamma_components)
                        for alphabet in alphabets])
+
+
+def _fusion_keys(names, gamma_components) -> frozenset:
+    """The fusion keys of ``names``, action names and shadow bases: each
+    name's gamma component, or the name itself when no gamma pair holds
+    it.  Two sets of names can fuse only when their keys meet."""
+    return frozenset(gamma_components.get(n, n) for n in names)
 
 
 # ---------------------------------------------------------------------------
@@ -653,16 +672,18 @@ def _step_names(events) -> frozenset:
 def _moves(term, prepared):
     """The local moves of a top-level component, with what they offer.
 
-    A pair ``(moves, offers)``: ``moves`` is ``_raw(term)``, its
-    ``(occs, succ)`` moves, and ``offers`` the action names and the shadow
-    bases that those moves offer to fusion.  Memoized per term.
+    A pair ``(moves, keys)``: ``moves`` is ``_raw(term)``, its
+    ``(occs, succ)`` moves, and ``keys`` the ``_fusion_keys`` of the
+    action names and the shadow bases that those moves offer to fusion.
+    Memoized per term, so splitting a group in a state maps no name.
     """
     entry = prepared._moves_cache.get(term)
     if entry is None:
         moves = _raw(term, prepared)
-        entry = prepared._moves_cache[term] = (moves, frozenset(
-            o.name if isinstance(o, ActionLabel) else o.base
-            for occs, _ in moves for o in occs if not isinstance(o, Event)))
+        entry = prepared._moves_cache[term] = (moves, _fusion_keys(
+            {o.name if isinstance(o, ActionLabel) else o.base
+             for occs, _ in moves for o in occs if not isinstance(o, Event)},
+            prepared.gamma_components))
     return entry
 
 
@@ -690,53 +711,69 @@ def _combinations(comps, positions, prepared):
 
 # The part of a fusion group that moves no component: one step, no events.
 _SKIP = ((), (((), ()),))
+# The part of a fusion group with no step: its skip alone.  A product with
+# it is the other part, so ``_parts`` leaves it out.
+_NO_STEP = (_SKIP,)
 
 
 def _group_part(comps, positions, prepared):
     """The resolved combinations of the components ``comps[i]``, for ``i``
     in ``positions``: one ``(picks, steps)`` entry per combination with
-    steps, then ``_SKIP``.
+    steps, then ``_SKIP``; ``_NO_STEP`` when no combination has steps.
 
-    The positions are first split by ``_fusion_groups`` over the names
-    that their components' moves offer now.  When that gives two or more
-    sub-groups, the part is their ``_parts``, each sub-group's read from
-    or stored in ``PreparedSystem._group_cache`` under its own key.
-    Otherwise the part is every combination of ``_combinations`` that has
-    steps, in walk order, with ``picks`` its ``(i, move)`` pairs and
-    ``steps`` its ``_resolved`` steps after the per-step wrappers.  The
-    walk's last combination, the skip, is replaced by ``_SKIP`` rather
+    The positions are first split by ``_connected`` over the fusion keys
+    that ``_moves`` keeps for their components' terms.  When that gives
+    two or more sub-groups, the part is their ``_parts``, each sub-group's
+    read from or stored in ``PreparedSystem._group_cache`` under its own
+    key.  Otherwise the part is every combination of ``_combinations``
+    that has steps, in walk order, with ``picks`` its ``(i, move)`` pairs
+    and ``steps`` its ``_resolved`` steps after the per-step wrappers.
+    The walk's last combination, the skip, is replaced by ``_SKIP`` rather
     than resolved: under interleave no occurrences resolve to no step.
     """
-    offers = [_moves(comps[i], prepared)[1] for i in positions]
-    subgroups = _fusion_groups(offers, prepared.gamma_components)
+    subgroups = _connected(
+        [_moves(comps[i], prepared)[1] for i in positions], positions)
     if len(subgroups) > 1:
-        return tuple(_parts(comps, [tuple(positions[j] for j in sub)
-                                    for sub in subgroups], prepared))
+        return _parts(comps, subgroups, prepared)
     per_step = prepared.split[0]
     part = []
     for picks, occs in _combinations(comps, positions, prepared)[:-1]:
         steps = _resolved(occs, per_step, prepared)
         if steps:
             part.append((picks, steps))
+    if not part:
+        return _NO_STEP
     part.append(_SKIP)
     return tuple(part)
 
 
 def _parts(comps, groups, prepared):
     """The ``_part_product`` of the parts of ``groups``, tuples of
-    positions in ``comps`` that no fusion joins.  Each part is read from
-    ``PreparedSystem._group_cache``, keyed by the group's positions and
-    their terms, or made by ``_group_part`` and stored there."""
+    positions in ``comps`` that no fusion joins, leaving out each part
+    that is ``_NO_STEP``; ``_NO_STEP`` when every part is.
+
+    Each part is read from ``PreparedSystem._group_cache``, keyed by the
+    group's positions and their terms, or made by ``_group_part`` and
+    stored there.  A part whose positions cover every component is made
+    and not stored: its key is the state's own components, and with
+    every position movable (no round set, none terminated) the state is
+    the only one with that key, which a generation expands once.
+    """
+    cache = prepared._group_cache
     product = None
     for positions in groups:
-        key = (positions, tuple(map(comps.__getitem__, positions)))
-        part = prepared._group_cache.get(key)
-        if part is None:
-            part = prepared._group_cache[key] = _group_part(
-                comps, positions, prepared)
+        if len(positions) == len(comps):
+            part = _group_part(comps, positions, prepared)
+        else:
+            key = (positions, tuple(map(comps.__getitem__, positions)))
+            part = cache.get(key)
+            if part is None:
+                part = cache[key] = _group_part(comps, positions, prepared)
+        if part is _NO_STEP:
+            continue
         product = (part if product is None
                    else _part_product(product, part, prepared))
-    return product
+    return _NO_STEP if product is None else product
 
 
 def _part_product(part, more_part, prepared):
@@ -785,12 +822,11 @@ def _group_steps(state, prepared):
     products of its groups' resolved steps.  ``_parts`` reads each group's
     part from ``PreparedSystem._group_cache``, keyed by the group's movable
     positions and their terms; on a miss, ``_group_part`` splits the
-    group by what its components offer in this state, and the part is
-    stored under the whole group's key too.  A product step's label is
-    the merge of its parts' labels; its events, the ``_event_key``-sorted
-    merge of theirs, are built only for the per-state wrappers, which
-    alone read them.  Under interleave no entry takes a moving part from
-    two groups.
+    group by what its components offer in this state.  A product step's
+    label is the merge of its parts' labels; its events, the
+    ``_event_key``-sorted merge of theirs, are built only for the
+    per-state wrappers, which alone read them.  Under interleave no entry
+    takes a moving part from two groups.
     """
     comps, rounds = state
     # barrier rounds are normalized to 0 over the live entried components

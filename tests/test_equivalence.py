@@ -314,6 +314,22 @@ def reference_blocks(out, inert):
         block = new_block
 
 
+def refine_rounds(out, tau_sccs, refine=None):
+    """The blocks that ``equivalence._refine`` (or ``refine``) yields for
+    ``out``, round by round, as the run yields them.
+
+    Each round but the last splits a block, and there are at most
+    ``len(out)`` blocks, so a run ends within ``len(out)`` rounds; one
+    that reaches round ``len(out) + 1`` fails the test instead of running
+    on."""
+    rounds = (refine or equivalence._refine)(out, tau_sccs)
+    for k, block in enumerate(rounds):
+        if k == len(out):
+            pytest.fail(f"refinement of {len(out)} states is not stable "
+                        f"after {k} rounds")
+        yield block
+
+
 def outgoing(lts):
     """Each state's (label, target) moves."""
     out = [[] for _ in range(lts.num_states)]
@@ -424,7 +440,7 @@ class TestRefinementDifferential:
     @given(random_lts(), random_lts(), st.booleans())
     def test_partition_matches_reference(self, left, right, inert):
         out, _, _, _ = equivalence._union(left, right)
-        history = [b[:] for b in equivalence._refine(
+        history = [b[:] for b in refine_rounds(
             out, equivalence._sccs(out) if inert else None)]
         ref_history = list(reference_blocks(out, inert))
         block, ref_block = history[-1], ref_history[-1]
@@ -437,7 +453,7 @@ class TestRefinementDifferential:
     @given(long_lts(), long_lts(), st.booleans())
     def test_long_refinement_matches_reference(self, left, right, inert):
         out, _, _, _ = equivalence._union(left, right)
-        history = [b[:] for b in equivalence._refine(
+        history = [b[:] for b in refine_rounds(
             out, equivalence._sccs(out) if inert else None)]
         ref_history = list(reference_blocks(out, inert))
         block, ref_block = history[-1], ref_history[-1]
@@ -449,7 +465,7 @@ class TestRefinementDifferential:
         # s40, each later round the next state back, and round 39 is stable
         out, _, _ = equivalence._union(lts_from(
             0, 41, {(s, TAU, s + 1) for s in range(39)} | {(39, (_A,), 40)}))
-        history = [b[:] for b in equivalence._refine(out, None)]
+        history = [b[:] for b in refine_rounds(out, None)]
         block = history[-1]
         assert len(set(block)) == 41 and len(history) == 40
         assert ([renamed(b) for b in history]
@@ -464,7 +480,7 @@ class TestRefinementDifferential:
         out, _, _, _ = equivalence._union(*pair)
         ref_history = [renamed(b) for b in reference_blocks(out, inert)]
         prev = None
-        for k, block in enumerate(equivalence._refine(
+        for k, block in enumerate(refine_rounds(
                 out, equivalence._sccs(out) if inert else None)):
             assert renamed(block) == ref_history[k]
             if prev is not None:
@@ -540,7 +556,7 @@ class Counted:
 
     def __call__(self, out, inert):
         self.calls += 1
-        for block in self.refine(out, inert):
+        for block in refine_rounds(out, inert, self.refine):
             self.rounds += 1
             yield block
 
@@ -764,7 +780,7 @@ class TestUnmatched:
         out, labels, p, q = equivalence._union(*pair)
         tau_sccs = equivalence._sccs(out) if inert else None
         rounds = [[0] * len(out)] + [
-            b[:] for b in equivalence._refine(out, tau_sccs)]
+            b[:] for b in refine_rounds(out, tau_sccs)]
         for block in rounds:
             assert (equivalence._unmatched(out, labels, block, p, q, tau_sccs)
                     == reference_unmatched(out, labels, block, p, q, inert))
@@ -777,7 +793,7 @@ class TestUnmatched:
             replace(tau_chain("a"), initial=1999),
             replace(tau_chain("b", 10), initial=9))
         tau_sccs = equivalence._sccs(out) if inert else None
-        *_, block = equivalence._refine(out, tau_sccs)
+        *_, block = refine_rounds(out, tau_sccs)
         read = set()
         spy = equivalence._Arena(Rows(out.moves, read), Rows(out.succ, read))
         unmatched = equivalence._unmatched(spy, labels, block, p, q, tau_sccs)

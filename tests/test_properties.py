@@ -10,6 +10,7 @@ import itertools
 import random
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -659,6 +660,43 @@ class TestGroupMemo:
         assert len(runs) == len(set(runs)) <= 27
         assert lts.num_states == {"overlap": 126, "barrier": 67}[round_mode]
 
+    @pytest.mark.parametrize("system", ["S", "SR"])
+    def test_ring_stores_no_whole_state_key(self, system):
+        """A key that covers every component is the state's own
+        components, which no later state of the generation repeats under
+        overlap: only the sub-groups' parts are stored, one per walk."""
+        model = parse_model(families.render(families.ring(9), seed=1))
+        prepare, walk = semantics.prepare_system, semantics._combinations
+        prepared, walks = [], []
+
+        def preparing(*args):
+            prepared.append(prepare(*args))
+            return prepared[-1]
+
+        def counted(comps, positions, prepared):
+            walks.append(positions)
+            return walk(comps, positions, prepared)
+
+        with mock.patch.multiple(semantics, prepare_system=preparing,
+                                 _combinations=counted):
+            generate_lts(model.systems[system], model, Config())
+        (cache,) = [p._group_cache for p in prepared]
+        assert not [positions for positions, _ in cache
+                    if len(positions) == 9]
+        assert len(cache) == len(walks) == 27
+
+    def test_ring_13_generation_peaks_under_3_mb(self):
+        # 5.9 MB when every state's part was stored under its whole key
+        model = parse_model(families.render(families.ring(13), seed=1))
+        tracemalloc.start()
+        try:
+            lts = generate_lts(model.systems["S"], model, Config())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lts.num_states == 1716
+        assert peak < 3_000_000
+
     @pytest.mark.parametrize("round_mode", ["overlap", "barrier"])
     def test_resolved_meets_group_local_tuples(self, round_mode):
         """Every occurrence tuple that reaches ``_resolved`` from
@@ -782,6 +820,61 @@ class TestFusionGroups:
                          "system S = P <> Q <> R") == ((0,), (1,), (2,))
 
 
+def reference_connected(keyed) -> list:
+    """The indices of ``keyed`` partitioned as ``_connected`` promises, by
+    a closure loop: each index's part grows by every index whose keys
+    meet the part's keys, until none does."""
+    parts, placed = [], set()
+    for i in range(len(keyed)):
+        if i in placed:
+            continue
+        part, keys = {i}, set(keyed[i])
+        grown = True
+        while grown:
+            grown = False
+            for j, other in enumerate(keyed):
+                if j not in part and not keys.isdisjoint(other):
+                    part.add(j)
+                    keys |= other
+                    grown = True
+        placed |= part
+        parts.append(tuple(sorted(part)))
+    return parts
+
+
+@st.composite
+def late_chains(draw):
+    """Key sets that form chains of shared keys, each chain joined to
+    the one before it only by a later index, so parts found apart merge
+    late; shuffled, with empty sets mixed in."""
+    keyed, key = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        for _ in range(draw(st.integers(1, 4))):
+            keyed.append({key, key + 1})
+            key += 1
+        key += 1
+    joins = draw(st.lists(st.integers(0, key), max_size=3))
+    keyed += [{a, b} for a, b in zip(joins, joins[1:])]
+    keyed += [set()] * draw(st.integers(0, 2))
+    return draw(st.permutations(keyed))
+
+
+class TestConnected:
+    """``_connected``, the one union-find pass behind the gamma
+    components, the fusion groups and a group's split in a state."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.one_of(
+        st.lists(st.sets(st.integers(0, 6), max_size=3), max_size=12),
+        late_chains()))
+    def test_against_a_closure_loop(self, keyed):
+        expected = reference_connected(keyed)
+        assert semantics._connected(keyed) == tuple(expected)
+        items = [f"p{i}" for i in range(len(keyed))]
+        assert semantics._connected(keyed, items) == tuple(
+            tuple(items[i] for i in part) for part in expected)
+
+
 def split_of(source, config=Config()):
     """The sub-groups that the one fusion group of ``S`` splits into in its
     initial state: the positions of the group-memo keys other than the
@@ -842,10 +935,10 @@ class TestSplitKeys:
         steps = enabled_steps(state, prepared)
         assert steps == reference_steps(state, prepared)
         subgroups = ((0, 2), (1,), (3,))
+        # the whole group covers every component: its part is not stored
         cache = prepared._group_cache
-        assert {positions for positions, _ in cache} == {
-            (0, 1, 2, 3), *subgroups}
-        part = cache[(0, 1, 2, 3), state.components]
+        assert {positions for positions, _ in cache} == set(subgroups)
+        part = semantics._group_steps(state, prepared)
         joined = [picks for picks, _ in part
                   if sum(any(i in sub for i, _ in picks)
                          for sub in subgroups) > 1]
@@ -946,8 +1039,9 @@ class TestMoveRules:
 
     def test_offers_are_the_moves_names_and_bases(self):
         """Each memo entry holds the term's ``_raw`` moves and, as its
-        offers, the action names and shadow bases in their occurrences:
-        an event resolved below a nested wrapper offers nothing."""
+        offers, the fusion keys of the action names and shadow bases in
+        their occurrences, each name mapped to its gamma component: an
+        event resolved below a nested wrapper offers nothing."""
         rng = random.Random(137)
         entries = with_events = 0
         for _ in range(CASES):
@@ -964,9 +1058,10 @@ class TestMoveRules:
             for term, (moves, offers) in prepared._moves_cache.items():
                 occs = [o for move_occs, _ in moves for o in move_occs]
                 assert moves == _raw(term, prepared)
-                assert offers == (
+                gamma = prepared.gamma_components
+                assert offers == {gamma.get(n, n) for n in (
                     {o.name for o in occs if isinstance(o, ActionLabel)}
-                    | {o.base for o in occs if isinstance(o, Shadow)})
+                    | {o.base for o in occs if isinstance(o, Shadow)})}
                 entries += 1
                 with_events += any(isinstance(o, Event) for o in occs)
         assert entries >= 3 * CASES and with_events >= CASES // 2
@@ -1068,11 +1163,11 @@ class TestSplitEnumeration:
     @pytest.mark.parametrize("policies", POLICY_COMBINATIONS, ids="-".join)
     def test_split_enumeration_equals_reference(self, policies):
         rng = random.Random("split " + " ".join(policies))
-        fusion_groups = semantics._fusion_groups
+        connected = semantics._connected
         splits = []
 
-        def splitting(alphabets, gamma_components):
-            parts = fusion_groups(alphabets, gamma_components)
+        def splitting(keyed, items=None):
+            parts = connected(keyed, items)
             splits.append(len(parts) > 1)
             return parts
 
@@ -1087,8 +1182,7 @@ class TestSplitEnumeration:
                 state = frontier.pop()
                 expected = reference_steps(state, prepared)
                 splits.clear()
-                with mock.patch.object(semantics, "_fusion_groups",
-                                       splitting):
+                with mock.patch.object(semantics, "_connected", splitting):
                     steps = enabled_steps(state, prepared)
                 assert steps == expected, (system, policies, state.pretty())
                 states += 1
