@@ -443,16 +443,16 @@ def _raw(term: ProcessTerm, prepared: PreparedSystem, stack=frozenset()):
         return tuple(move for b in term.branches
                      for move in _raw(b, prepared, stack))
     if isinstance(term, Par):
-        # each side moves or stays, and not both stay: the last entry, the
-        # only one with no occurrence, so it stays last once duplicates
-        # go.  Identical operands give identical moves, each kept once: n
-        # copies of an action in parallel have n moves, not 2^n - 1
+        # each side moves or stays, and not both stay: every move has an
+        # occurrence, so only that pair has none.  Identical operands give
+        # identical moves, each kept once: n copies of an action in
+        # parallel have n moves, not 2^n - 1
         sides = [_raw(side, prepared, stack) + (((), side),)
                  for side in (term.left, term.right)]
-        both = itertools.product(*sides)
         return tuple(dict.fromkeys(
             (o1 + o2, _par(left2, right2))
-            for (o1, left2), (o2, right2) in both))[:-1]
+            for (o1, left2), (o2, right2) in itertools.product(*sides)
+            if o1 or o2))
     if isinstance(term, (Hide, Encaps, ConflictElim)):
         # resolved and wrapped as at the top level, so an operator means
         # the same wherever it is
@@ -469,10 +469,20 @@ def _raw(term: ProcessTerm, prepared: PreparedSystem, stack=frozenset()):
 
 
 def _apply_wrappers(pairs, wrappers, conflicts):
-    """``wrappers`` (outermost first) applied from the innermost out to a
-    list of (events, successor) pairs."""
+    """``wrappers`` (outermost first), each a hide, block or theta,
+    applied from the innermost out to a list of (events, successor)
+    pairs."""
     for wrapper in reversed(wrappers):
-        pairs = _apply_wrapper(wrapper, pairs, conflicts)
+        if isinstance(wrapper, Hide):
+            pairs = [(tuple(Event(None, e.fused)
+                            if _label_hidden(e.label, wrapper.names) else e
+                            for e in events), succ)
+                     for events, succ in pairs]
+        elif isinstance(wrapper, Encaps):
+            pairs = [(events, succ) for events, succ in pairs
+                     if not _blocked(events, wrapper.names)]
+        else:
+            pairs = apply_theta(pairs, conflicts)
     return pairs
 
 
@@ -492,19 +502,6 @@ def _resolved(occs, per_step, prepared) -> tuple:
         steps = prepared._step_cache[key] = tuple(
             (events, step_label(events)) for events, _ in pairs)
     return steps
-
-
-def _apply_wrapper(wrapper, steps, conflicts):
-    """One hide, block or theta applied to a list of (events, successor)."""
-    if isinstance(wrapper, Hide):
-        return [(tuple(Event(None, e.fused)
-                       if _label_hidden(e.label, wrapper.names) else e
-                       for e in events), succ)
-                for events, succ in steps]
-    if isinstance(wrapper, Encaps):
-        return [(events, succ) for events, succ in steps
-                if not _blocked(events, wrapper.names)]
-    return apply_theta(steps, conflicts)
 
 
 def _label_hidden(label, names) -> bool:
@@ -689,37 +686,29 @@ def _moves(term, prepared):
 
 def _combinations(comps, positions, prepared):
     """Every combination of the moves of the components ``comps[i]``, for
-    ``i`` in ``positions``: each component skipped or given one move.
+    ``i`` in ``positions``, that moves: each component idle or given one
+    move, and not every component idle.
 
     A combination is a pair ``(picks, occs)``: ``picks`` holds ``(i,
     move)`` pairs with ``move`` from ``_moves(comps[i])``, at most one per
     component, and ``occs`` the occurrences of those moves, in order.  The
     combinations come in the lexicographic order of the components'
     choices, taken in the order of ``positions``: at each position, the
-    moves from the last to the first, then the skip.  So the last
-    combination, ``((), ())``, skips every component.
+    moves from the last to the first, then idle.
     """
     choices = [[(i, move)
                 for move in reversed(_moves(comps[i], prepared)[0])]
                + [None] for i in positions]
-    combos = []
-    for choice in itertools.product(*choices):
-        picks = tuple(pick for pick in choice if pick is not None)
-        combos.append((picks, tuple(o for _, move in picks for o in move[0])))
-    return combos
-
-
-# The part of a fusion group that moves no component: one step, no events.
-_SKIP = ((), (((), ()),))
-# The part of a fusion group with no step: its skip alone.  A product with
-# it is the other part, so ``_parts`` leaves it out.
-_NO_STEP = (_SKIP,)
+    picked = (tuple(pick for pick in choice if pick is not None)
+              for choice in itertools.product(*choices))
+    return [(picks, tuple(o for _, move in picks for o in move[0]))
+            for picks in picked if picks]
 
 
 def _group_part(comps, positions, prepared):
     """The resolved combinations of the components ``comps[i]``, for ``i``
     in ``positions``: one ``(picks, steps)`` entry per combination with
-    steps, then ``_SKIP``; ``_NO_STEP`` when no combination has steps.
+    steps, ``()`` when no combination has steps.
 
     The positions are first split by ``_connected`` over the fusion keys
     that ``_moves`` keeps for their components' terms.  When that gives
@@ -728,8 +717,6 @@ def _group_part(comps, positions, prepared):
     key.  Otherwise the part is every combination of ``_combinations``
     that has steps, in walk order, with ``picks`` its ``(i, move)`` pairs
     and ``steps`` its ``_resolved`` steps after the per-step wrappers.
-    The walk's last combination, the skip, is replaced by ``_SKIP`` rather
-    than resolved: under interleave no occurrences resolve to no step.
     """
     subgroups = _connected(
         [_moves(comps[i], prepared)[1] for i in positions], positions)
@@ -737,20 +724,17 @@ def _group_part(comps, positions, prepared):
         return _parts(comps, subgroups, prepared)
     per_step = prepared.split[0]
     part = []
-    for picks, occs in _combinations(comps, positions, prepared)[:-1]:
+    for picks, occs in _combinations(comps, positions, prepared):
         steps = _resolved(occs, per_step, prepared)
         if steps:
             part.append((picks, steps))
-    if not part:
-        return _NO_STEP
-    part.append(_SKIP)
     return tuple(part)
 
 
 def _parts(comps, groups, prepared):
     """The ``_part_product`` of the parts of ``groups``, tuples of
     positions in ``comps`` that no fusion joins, leaving out each part
-    that is ``_NO_STEP``; ``_NO_STEP`` when every part is.
+    with no entry; ``()`` when every part has none.
 
     Each part is read from ``PreparedSystem._group_cache``, keyed by the
     group's positions and their terms, or made by ``_group_part`` and
@@ -760,7 +744,7 @@ def _parts(comps, groups, prepared):
     the only one with that key, which a generation expands once.
     """
     cache = prepared._group_cache
-    product = None
+    product = ()
     for positions in groups:
         if len(positions) == len(comps):
             part = _group_part(comps, positions, prepared)
@@ -769,30 +753,35 @@ def _parts(comps, groups, prepared):
             part = cache.get(key)
             if part is None:
                 part = cache[key] = _group_part(comps, positions, prepared)
-        if part is _NO_STEP:
-            continue
-        product = (part if product is None
-                   else _part_product(product, part, prepared))
-    return _NO_STEP if product is None else product
+        if part:
+            product = (_part_product(product, part, prepared) if product
+                       else part)
+    return product
 
 
 def _part_product(part, more_part, prepared):
     """The entries of two parts of components that no fusion joins, taken
-    together, in the lexicographic order of the parts' entries.
+    together: each entry of ``part`` with each entry of ``more_part``,
+    then alone; after those, each entry of ``more_part`` alone.
 
-    An entry makes the moves of both its entries.  Its steps are the
-    ``_step_product`` of theirs, or the steps of the one that moves: the
-    other's are the skip's single step with no events.  Under interleave
-    no entry takes a moving entry from both parts.
+    An entry taken with another makes the moves of both, and its steps
+    are the ``_step_product`` of theirs.  Under interleave a step moves
+    one part only, so the product is the two parts in turn.
     """
+    if prepared.config.step_mode == "interleave":
+        return [*part, *more_part]
     events_read = bool(prepared.split[1])
-    interleave = prepared.config.step_mode == "interleave"
     merged = prepared._merged_labels
-    return [
-        (picks + more, more_steps if not picks else steps if not more
-         else _step_product(steps, more_steps, events_read, merged))
-        for picks, steps in part for more, more_steps in more_part
-        if not (interleave and picks and more)]
+    product = []
+    for entry in part:
+        picks, steps = entry
+        product += [
+            (picks + more, _step_product(steps, more_steps, events_read,
+                                         merged))
+            for more, more_steps in more_part]
+        product.append(entry)
+    product += more_part
+    return product
 
 
 def _step_product(steps, more_steps, events_read, merged):
@@ -814,8 +803,7 @@ def _merge_labels(pair) -> tuple:
 
 def _group_steps(state, prepared):
     """The ``(picks, steps)`` entries of ``state``: the ``_part_product``
-    of its fusion groups' parts (``_group_part``), less the entry that
-    skips every group.
+    of its fusion groups' parts (``_group_part``).
 
     No fusion or shadow match crosses a group (``_fusion_groups``),
     and hide and block act per event, so a state's resolved steps are the
@@ -836,7 +824,7 @@ def _group_steps(state, prepared):
     return _parts(comps, prepared.groups if free else [
         tuple(i for i in group if comps[i] is not TERM
               and not (rounds and rounds[i])) for group in prepared.groups],
-        prepared)[:-1]
+        prepared)
 
 
 def _successors(state, prepared):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import sys
 import tracemalloc
@@ -328,6 +329,17 @@ def refine_rounds(out, tau_sccs, refine=None):
             pytest.fail(f"refinement of {len(out)} states is not stable "
                         f"after {k} rounds")
         yield block
+
+
+@pytest.fixture(autouse=True, scope="module")
+def bounded_refinement():
+    """Every run of ``equivalence._refine`` in this file, also one that
+    ``minimize`` or a check makes, goes through ``refine_rounds``: a
+    refinement that never stabilizes fails its test instead of running
+    on.  A test's own patch of ``_refine`` takes its place while it lasts."""
+    bounded = functools.partial(refine_rounds, refine=equivalence._refine)
+    with mock.patch.object(equivalence, "_refine", bounded):
+        yield
 
 
 def outgoing(lts):

@@ -50,6 +50,8 @@ from stepcheck.semantics import (
     enabled_steps,
     generate_lts,
     prepare_system,
+    sorted_label,
+    step_label,
 )
 from stepcheck.terms import (
     Act,
@@ -767,6 +769,116 @@ class TestInterleaveAcrossGroups:
                     seen.add(succ)
                     frontier.append(succ)
         assert len(seen) > 2
+
+
+# the reference's idle entry: it moves no component and makes one step,
+# with no events and the empty label
+IDLE = ((), (((), ()),))
+
+
+def reference_part_product(parts, prepared):
+    """The entries of ``parts`` taken together, read off the lexicographic
+    product of the parts with an explicit idle entry appended to each,
+    less the entry in which every part idles; under interleave, less
+    every entry in which two parts move.
+
+    An entry in which one part moves is that part's entry.  One in which
+    several move makes all their moves, and its steps merge one step of
+    each: the labels by ``sorted_label``, the events in ``_event_key``
+    order when a per-state wrapper reads them, else False."""
+    events_read = bool(prepared.split[1])
+    interleave = prepared.config.step_mode == "interleave"
+    product = []
+    for combo in itertools.product(*[(*part, IDLE) for part in parts]):
+        moving = [entry for entry in combo if entry[0]]
+        if not moving or interleave and len(moving) > 1:
+            continue
+        if len(moving) == 1:
+            product.append(moving[0])
+            continue
+        picks = tuple(pick for picks, _ in combo for pick in picks)
+        steps = [(events_read and tuple(sorted(
+                      (e for events, _ in choice for e in events),
+                      key=semantics._event_key)),
+                  sorted_label(a for _, label in choice for a in label))
+                 for choice in itertools.product(
+                     *(steps for _, steps in combo))]
+        product.append((picks, steps))
+    return product
+
+
+def entries(product):
+    """Product entries with their steps as tuples, for comparison."""
+    return [(picks, tuple(steps)) for picks, steps in product]
+
+
+def rand_part(rng, k):
+    """A part of 1 to 3 entries whose picks name part ``k``, each with 1
+    or 2 steps of 1 or 2 events."""
+    part = []
+    for j in range(rng.randint(1, 3)):
+        steps = []
+        for _ in range(rng.randint(1, 2)):
+            events = tuple(sorted((rand_event(rng)
+                                   for _ in range(rng.randint(1, 2))),
+                                  key=semantics._event_key))
+            steps.append((events, step_label(events)))
+        part.append((tuple((k, (j, m)) for m in range(rng.randint(1, 2))),
+                     tuple(steps)))
+    return tuple(part)
+
+
+PRODUCT_MODEL = parse_model("process P { P = a . b . P }\n"
+                            "conflict a # b\n"
+                            "system S = P\n"
+                            "system T = theta (P)")
+
+
+class TestPartProduct:
+    """The order contract of the product of parts: the lexicographic
+    product of the parts, each with an idle entry last, less the entry
+    in which every part idles."""
+
+    @settings(derandomize=True, max_examples=CASES, deadline=None,
+              database=None)
+    @given(rng=st.randoms(use_true_random=False),
+           step_mode=st.sampled_from(("interleave", "step")),
+           system=st.sampled_from(("S", "T")))
+    def test_folded_product_equals_reference(self, rng, step_mode, system):
+        # T's theta over a declared conflict reads the product's events
+        prepared = prepare_system(PRODUCT_MODEL.systems[system],
+                                  PRODUCT_MODEL, Config(step_mode=step_mode))
+        parts = [rand_part(rng, k) for k in range(rng.randint(2, 3))]
+        product = functools.reduce(
+            lambda part, more: semantics._part_product(part, more, prepared),
+            parts)
+        assert entries(product) == entries(
+            reference_part_product(parts, prepared))
+
+    @settings(derandomize=True, max_examples=CASES, deadline=None,
+              database=None)
+    @given(rng=st.randoms(use_true_random=False),
+           policies=st.sampled_from(POLICY_COMBINATIONS))
+    def test_group_steps_equal_reference(self, rng, policies):
+        """A state's entries are the reference product of its groups'
+        parts, each over the group's movable positions."""
+        model, system = rand_grouped_system(rng)
+        prepared = prepare_system(system, model, Config(*policies))
+        frontier = [prepared.initial_state()]
+        seen = set(frontier)
+        while frontier and len(seen) < 15:
+            state = frontier.pop()
+            comps, rounds = state.components, state.rounds
+            parts = [semantics._group_part(comps, tuple(
+                i for i in group if comps[i] is not TERM
+                and not (rounds and rounds[i])), prepared)
+                for group in prepared.groups]
+            assert entries(semantics._group_steps(state, prepared)) == (
+                entries(reference_part_product(parts, prepared)))
+            for _, succ in enabled_steps(state, prepared):
+                if succ not in seen:
+                    seen.add(succ)
+                    frontier.append(succ)
 
 
 def groups_of(source, system="S"):
