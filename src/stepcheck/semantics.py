@@ -251,20 +251,6 @@ def label_str(label: tuple) -> str:
 # System preparation
 
 
-class _Rendered(dict):
-    """A memo that renders each missing key once, with ``render``."""
-
-    __slots__ = ("render",)
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, key):
-        value = self[key] = self.render(key)
-        return value
-
-
 @record(frozen=True)
 class PreparedSystem:
     """Everything step generation reads about one system, built once."""
@@ -286,11 +272,6 @@ class PreparedSystem:
     # barrier: (rounds, terminated positions) -> round-ending picks -> the
     # rounds after them (``_successors``)
     _rounds_cache: dict = field(default_factory=lambda: defaultdict(dict))
-    # each state's name, rendered once
-    _names: dict = field(default_factory=lambda: _Rendered(SystemState.pretty))
-    # each pair of group step labels merged once (``_group_steps``)
-    _merged_labels: dict = field(
-        default_factory=lambda: _Rendered(_merge_labels))
 
     def initial_state(self) -> SystemState:
         rounds = None
@@ -771,34 +752,35 @@ def _part_product(part, more_part, prepared):
     if prepared.config.step_mode == "interleave":
         return [*part, *more_part]
     events_read = bool(prepared.split[1])
-    merged = prepared._merged_labels
     product = []
     for entry in part:
         picks, steps = entry
         product += [
-            (picks + more, _step_product(steps, more_steps, events_read,
-                                         merged))
+            (picks + more, _step_product(steps, more_steps, events_read))
             for more, more_steps in more_part]
         product.append(entry)
     product += more_part
     return product
 
 
-def _step_product(steps, more_steps, events_read, merged):
+def _step_product(steps, more_steps, events_read):
     """The steps of two moving parts of different groups taken together:
-    each label is the merge of the parts' labels (``merged`` memoizes it
-    per pair), and each event tuple the ``_event_key``-sorted merge of
-    theirs when ``events_read``, else False."""
+    each label is the ``_merge_labels`` of the parts' labels, and each
+    event tuple the ``_event_key``-sorted merge of theirs when
+    ``events_read``, else False."""
     return [
         (events_read and tuple(sorted(events + more_events, key=_event_key)),
          more_label if not label else label if not more_label
-         else merged[label, more_label])
+         else _merge_labels(label, more_label))
         for events, label in steps for more_events, more_label in more_steps]
 
 
-def _merge_labels(pair) -> tuple:
-    """A pair of step labels as the label of their union."""
-    return sorted_label(pair[0] + pair[1])
+# the merge reads the two labels alone, so, like ``_CANONICAL``, its
+# cache lives for the process and every prepared system shares it
+@functools.cache
+def _merge_labels(label, more_label) -> tuple:
+    """Two step labels as the label of their union."""
+    return sorted_label(label + more_label)
 
 
 def _group_steps(state, prepared):
@@ -896,8 +878,7 @@ def enabled_steps(state: SystemState, prepared: PreparedSystem):
     sorted by label key and successor name: the ``_successors`` of
     ``state``, sorted."""
     out = _successors(state, prepared)
-    names = prepared._names
-    out.sort(key=lambda ls: (label_key(ls[0]), names[ls[1]]))
+    out.sort(key=lambda ls: (label_key(ls[0]), ls[1].pretty()))
     return out
 
 
@@ -986,15 +967,20 @@ def generate_lts(system: ProcessTerm, model: Model,
     table; ids are given in order of first appearance over the sorted
     rows.  The sort never reads an id: labels of one key, such as an
     action ``c`` and the result of ``comm a, b -> c``, keep the order
-    the steps give them.  Each state's name is rendered once per call.
+    the steps give them.
+
+    Each state's name is rendered once per call: a successor not yet
+    numbered is rendered when its source is expanded, once however many
+    of that source's steps reach it, and the name is kept in ``names``
+    when the state is numbered.
     """
     prepared = prepare_system(system, model, config)
-    names = prepared._names
     label_memo = {}   # label -> [its key, its id or -1 until it has one, it]
     labels = []   # the label table
     init = prepared.initial_state()
     index = {init: 0}
     order = [init]     # a state's index is its place here
+    names = [init.pretty()]   # the name of order[i]
     sources, label_ids, targets = array("i"), array("i"), array("i")
     by_first_two = itemgetter(0, 1)   # (label key, name or destination)
     # order[src] is at BFS depth ``depth`` while src < level_end
@@ -1003,18 +989,21 @@ def generate_lts(system: ProcessTerm, model: Model,
         if src == level_end:
             depth, level_end = depth + 1, len(order)
         row, fresh = [], []
+        rendered = {}   # a new successor of this state -> its name
         for label, succ in _successors(state, prepared):
             entry = label_memo.get(label)
             if entry is None:
                 entry = label_memo[label] = [label_key(label), -1, label]
             dst = index.get(succ)
             if dst is None:
-                fresh.append((entry[0], names[succ], entry, succ))
+                name = rendered.get(succ) or rendered.setdefault(
+                    succ, succ.pretty())
+                fresh.append((entry[0], name, entry, succ))
             else:
                 row.append((entry[0], dst, entry))
         if len(fresh) > 1:
             fresh.sort(key=by_first_two)
-        for key, _, entry, succ in fresh:
+        for key, name, entry, succ in fresh:
             dst = index.get(succ)
             if dst is None:
                 if len(order) >= config.max_states:
@@ -1022,6 +1011,7 @@ def generate_lts(system: ProcessTerm, model: Model,
                         config.max_states, len(order) - src - 1, depth + 1)
                 dst = index[succ] = len(order)
                 order.append(succ)
+                names.append(name)
             row.append((key, dst, entry))
         row.sort(key=by_first_two)
         for _, dst, entry in row:
@@ -1032,7 +1022,7 @@ def generate_lts(system: ProcessTerm, model: Model,
             targets.append(dst)
         sources.extend(itertools.repeat(src, len(row)))
     return StepLTS.from_columns(
-        0, len(order), tuple(names[state] for state in order),
+        0, len(order), tuple(names),
         sources, label_ids, targets, tuple(labels))
 
 

@@ -117,6 +117,83 @@ def test_an_unread_private_name_is_reported():
     assert unread_private_names(sources) == ["a.py:2 _walk", "a.py:4 _Unused"]
 
 
+def _empty_dict(node) -> bool:
+    """Whether ``node`` is ``{}`` or ``dict()``."""
+    return (isinstance(node, ast.Dict) and not node.keys
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "dict" and not node.args and not node.keywords)
+
+
+def _caches(decorator) -> bool:
+    """Whether ``decorator`` is ``cache`` or ``lru_cache``, called or
+    not, bare or as an attribute such as ``functools.cache``."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return (decorator.attr if isinstance(decorator, ast.Attribute)
+            else getattr(decorator, "id", None)) in ("cache", "lru_cache")
+
+
+def process_memos(sources: dict) -> list:
+    """The memos in ``sources`` (file name -> source) that live for the
+    process, as ``module.name``: module-level names bound to an empty
+    dict, and module-level functions decorated with ``cache`` or
+    ``lru_cache``."""
+    found = []
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            if (isinstance(statement, (ast.Assign, ast.AnnAssign))
+                    and _empty_dict(statement.value)
+                    or isinstance(statement, ast.FunctionDef)
+                    and any(map(_caches, statement.decorator_list))):
+                found += [f"{Path(module).stem}.{name}"
+                          for name in _bound(statement)]
+    return sorted(found)
+
+
+# The memos that live for the process.  Each depends on its keys alone,
+# never on a system or a config, and none is evicted; README.md names
+# each.  A memo that depends on a system or its policies lives on the
+# ``PreparedSystem`` instead.
+PROCESS_MEMOS = ["semantics._CANONICAL", "semantics._merge_labels",
+                 "terms._INTERNED", "terms._RENDERED"]
+
+
+def test_only_listed_memos_live_for_the_process():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert process_memos(sources) == PROCESS_MEMOS
+
+
+def test_readme_names_every_process_memo():
+    readme = README.read_text(encoding="utf-8")
+    assert [memo for memo in PROCESS_MEMOS
+            if f"`{memo.split('.')[1]}`" not in readme] == []
+
+
+def test_an_unlisted_process_memo_is_reported():
+    sources = {
+        "a.py": ("import functools\n"
+                 "from functools import lru_cache\n"
+                 "_TABLE = {}\n"
+                 "_SEEN: dict = dict()\n"
+                 "_MAP = {1: 2}\n"
+                 "@functools.cache\n"
+                 "def _merge(a, b):\n"
+                 "    return a + b\n"
+                 "@lru_cache(maxsize=8)\n"
+                 "def _key(a):\n"
+                 "    memo = {}\n"
+                 "    return memo\n"
+                 "@functools.wraps(_key)\n"
+                 "def key(a):\n"
+                 "    return a\n"
+                 "class Box:\n"
+                 "    cells = {}\n"),
+        "b.py": "_CACHE = {}\n",
+    }
+    assert process_memos(sources) == [
+        "a._SEEN", "a._TABLE", "a._key", "a._merge", "b._CACHE"]
+
+
 def unread_parameters(source: str) -> list:
     """The parameters that the private functions and methods of
     ``source`` (names starting with ``_``, dunders aside) never read in

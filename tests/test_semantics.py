@@ -419,3 +419,64 @@ class TestRenderOnce:
             lts = generate_lts(ws_model.systems["Sys"], ws_model, config)
             assert len(rendered) == len(set(rendered)) == lts.num_states
             assert sorted(lts.state_names) == sorted(map(pretty, rendered))
+
+
+class TestSharedLabelMerge:
+    """``_merge_labels`` is one cache for the process: a generation reuses
+    the merges that an earlier one made, whatever its config."""
+
+    # two loops that no fusion joins: every step that moves both is a merge
+    LOOPS = """
+process P { P = a . P }
+process Q { Q = b . Q + c . Q }
+system S = P <> Q
+"""
+
+    @pytest.fixture
+    def merges(self, monkeypatch):
+        """The cached function, emptied, and a list that a spy in its
+        place fills with each call's (label, more label, merge)."""
+        cached = semantics._merge_labels
+        cached.cache_clear()
+        calls = []
+
+        def spy(label, more_label):
+            merged = cached(label, more_label)
+            calls.append((label, more_label, merged))
+            return merged
+
+        monkeypatch.setattr(semantics, "_merge_labels", spy)
+        return cached, calls
+
+    @staticmethod
+    def pairs(cached, calls) -> set:
+        """The pairs that ``calls`` merged, after checking that each
+        merge is the union's label and the one the cache holds."""
+        for label, more_label, merged in calls:
+            assert merged == semantics.sorted_label(label + more_label)
+            assert merged is cached(label, more_label)
+        return {(label, more_label) for label, more_label, _ in calls}
+
+    def test_a_second_generation_merges_no_pair_again(self, ws_model,
+                                                       merges):
+        cached, calls = merges
+        system = ws_model.systems["Sys"]
+        generate_lts(system, ws_model, Config())
+        first = self.pairs(cached, calls)
+        assert first
+        assert cached.cache_info().misses == len(first)
+        calls.clear()
+        generate_lts(system, ws_model, Config())
+        assert self.pairs(cached, calls) == first
+        assert cached.cache_info().misses == len(first)
+
+    def test_a_barrier_generation_reuses_the_overlap_merges(self, merges):
+        cached, calls = merges
+        model = parse_model(self.LOOPS)
+        generate_lts(model.systems["S"], model, Config(round_mode="overlap"))
+        overlap = self.pairs(cached, calls)
+        calls.clear()
+        generate_lts(model.systems["S"], model, Config(round_mode="barrier"))
+        barrier = self.pairs(cached, calls)
+        assert overlap & barrier
+        assert cached.cache_info().misses == len(overlap | barrier)

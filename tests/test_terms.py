@@ -456,8 +456,7 @@ RECORDS = [
      "gamma_components={}, conflicts=frozenset(), shadow_bases=frozenset(), "
      f"groups=((0,),), config={_CONFIG}, _moves_cache={{}}, "
      "_step_cache={}, _group_cache={}, "
-     "_rounds_cache=defaultdict(<class 'dict'>, {}), _names={}, "
-     "_merged_labels={})"),
+     "_rounds_cache=defaultdict(<class 'dict'>, {}))"),
     (LTS, _LTS),
 ]
 MUTABLE = {RecursiveSpec, AbDef, WscContract, Verdict, CheckGoal, Model}
